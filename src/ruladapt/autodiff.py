@@ -2,21 +2,23 @@
 
 Operations record an implicit DAG as they execute; :func:`backward` replays
 the tape in reverse topological order and accumulates exact vector-Jacobian
-products into every ``requires_grad`` leaf.  All math is plain numpy, float64
-by default (float32 arrays are kept as-is for faster training runs, but the
-verification tooling assumes float64).
+products into every ``requires_grad`` leaf.  All math is plain numpy in
+float64, the one supported dtype: every array is cast to it on entry.
 
 The primitive set is deliberately small: elementwise arithmetic, matmul with
-batched operands, shape ops, reductions, the usual activations, and two
-distance helpers (`sqnorm`, `pairwise_sqdist`) that the kernel losses build
-on.  `grad_reverse` is the identity forward / sign-flipped backward used by
-the adversarial baseline.
+batched operands (a 2-D right operand runs as a single GEMM), shape ops,
+reductions, the usual activations, and two distance helpers (`sqnorm`,
+`pairwise_sqdist`) that the kernel losses build on.  `layer_norm` and
+`attention` are fused primitives with hand-written VJPs, one graph node each
+in place of the 8-12 primitives they would take composed.  `grad_reverse` is
+the identity forward / sign-flipped backward used by the adversarial
+baseline.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,12 +43,7 @@ def no_grad():
 
 
 def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.dtype == np.float32:
-        return arr
-    if arr.dtype != np.float64:
-        arr = arr.astype(np.float64)
-    return arr
+    return np.asarray(data, dtype=np.float64)
 
 
 class Tensor:
@@ -129,9 +126,9 @@ def _wrap(value, like: Tensor) -> Tensor:
     return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
-def constant(value, dtype=np.float64) -> Tensor:
+def constant(value) -> Tensor:
     """A gradient-free leaf holding `value`."""
-    return Tensor(np.asarray(value, dtype=dtype))
+    return Tensor(value)
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -209,6 +206,17 @@ def scale(a: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise GraphError(f"matmul requires >=2-D operands, got {a.shape} @ {b.shape}")
+    if b.ndim == 2:
+        # Fold every leading axis of `a` into the rows of one GEMM, forward
+        # and backward, instead of a batched matmul plus a reduction.
+        a2 = a.data.reshape(-1, a.shape[-1])
+
+        def vjp2(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
+
+        out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+        return _make(out, (a, b), vjp2)
 
     def vjp(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -353,6 +361,60 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# fused layers
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias, normalized over the last
+    axis (biased variance); one node for the composed chain of primitives."""
+    normed = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + eps)
+    normed *= inv
+    out = normed * gain.data
+    out += bias.data
+
+    def vjp(g):
+        gx = g * gain.data
+        mean_g = gx.mean(axis=-1, keepdims=True)
+        mean_gn = (gx * normed).mean(axis=-1, keepdims=True)
+        gx -= mean_g
+        gx -= normed * mean_gn
+        gx *= inv
+        return (
+            gx,
+            _unbroadcast(g * normed, gain.data.shape),
+            _unbroadcast(g, bias.data.shape),
+        )
+
+    return _make(out, (x, gain, bias), vjp)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(q k^T / sqrt(d_k)) v over the last two axes of (..., S_q, d_k),
+    (..., S_k, d_k) and (..., S_k, d_v).  The probabilities are the only
+    intermediate kept for the backward pass; the score-sized temporaries
+    are updated in place."""
+    c = 1.0 / np.sqrt(q.shape[-1])
+    probs = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    probs *= c
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+
+    def vjp(g):
+        gl = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        gl -= (gl * probs).sum(axis=-1, keepdims=True)
+        gl *= probs
+        gl *= c
+        return (
+            np.matmul(gl, k.data),
+            np.matmul(np.swapaxes(gl, -1, -2), q.data),
+            np.matmul(np.swapaxes(probs, -1, -2), g),
+        )
+
+    return _make(np.matmul(probs, v.data), (q, k, v), vjp)
+
+
+# ---------------------------------------------------------------------------
 # distance helpers
 
 def sqnorm(a: Tensor) -> Tensor:
@@ -435,11 +497,6 @@ def backward(loss: Tensor) -> None:
                 continue
             parent.grad = g if parent.grad is None else parent.grad + g
     loss._done = True
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
 
 
 def grad_check(f, x, eps: float = 1e-5) -> float:

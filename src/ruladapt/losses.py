@@ -203,35 +203,39 @@ class LossParts:
     terms: dict = field(default_factory=dict)
 
 
+# Weight field of each weighted adaptation term, in the order composite_loss
+# adds them; the adversarial term (added last) carries its weight inside the
+# reversal layer, so it enters with coefficient 1.
+_TERM_WEIGHTS = {"discrepancy": "lambda_m", "recon": "lambda_r", "smooth": "lambda_s"}
+
+
+def evaluates_term(name: str, weights: LossWeights, iteration: int) -> bool:
+    """Whether `composite_loss` evaluates the adaptation term `name`, when
+    provided, at `iteration`."""
+    if iteration < weights.da_start_iteration:
+        return False
+    return name == "adversarial" or getattr(weights, _TERM_WEIGHTS[name]) > 0
+
+
 def composite_loss(parts: LossParts, weights: LossWeights, iteration: int) -> Tensor:
     """Supervised label loss plus gated, weighted adaptation terms.
 
     Before `weights.da_start_iteration` the label loss tensor is returned
-    unchanged.  Afterwards each provided term is evaluated once, scaled, and
-    added (the adversarial term carries its weight inside the reversal
-    layer, so it enters with coefficient 1).  Evaluated values are recorded
-    in `parts.terms` for logging.
+    unchanged.  Afterwards each provided term with a positive weight is
+    evaluated once, scaled, and added (see `evaluates_term`).  Evaluated
+    values are recorded in `parts.terms` for logging.
     """
     if iteration < 0:
         raise ValueError("iteration must be non-negative")
     parts.terms = {"rul": float(parts.rul.data)}
     total = parts.rul
-    if iteration < weights.da_start_iteration:
-        return total
-    if parts.discrepancy is not None and weights.lambda_m > 0:
-        term = parts.discrepancy()
-        parts.terms["discrepancy"] = float(term.data)
-        total = ad.add(total, ad.scale(term, weights.lambda_m))
-    if parts.recon is not None and weights.lambda_r > 0:
-        term = parts.recon()
-        parts.terms["recon"] = float(term.data)
-        total = ad.add(total, ad.scale(term, weights.lambda_r))
-    if parts.smooth is not None and weights.lambda_s > 0:
-        term = parts.smooth()
-        parts.terms["smooth"] = float(term.data)
-        total = ad.add(total, ad.scale(term, weights.lambda_s))
-    if parts.adversarial is not None:
-        term = parts.adversarial()
-        parts.terms["adversarial"] = float(term.data)
+    for name in (*_TERM_WEIGHTS, "adversarial"):
+        thunk = getattr(parts, name)
+        if thunk is None or not evaluates_term(name, weights, iteration):
+            continue
+        term = thunk()
+        parts.terms[name] = float(term.data)
+        if name != "adversarial":
+            term = ad.scale(term, getattr(weights, _TERM_WEIGHTS[name]))
         total = ad.add(total, term)
     return total

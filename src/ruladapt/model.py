@@ -185,11 +185,7 @@ class Model:
         return ad.add(ad.matmul(x, self._p(f"{name}.W")), self._p(f"{name}.b"))
 
     def _layer_norm(self, x: Tensor, name: str, eps: float = 1e-5) -> Tensor:
-        mu = ad.tmean(x, axis=-1, keepdims=True)
-        centered = ad.sub(x, mu)
-        var = ad.tmean(ad.square(centered), axis=-1, keepdims=True)
-        inv = ad.div(ad.constant(1.0), ad.sqrt(ad.add(var, ad.constant(eps))))
-        return ad.add(ad.mul(ad.mul(centered, inv), self._p(f"{name}.g")), self._p(f"{name}.b"))
+        return ad.layer_norm(x, self._p(f"{name}.g"), self._p(f"{name}.b"), eps)
 
     def _split_heads(self, x: Tensor) -> Tensor:
         n, S, d = x.shape
@@ -197,13 +193,10 @@ class Model:
         return ad.transpose(ad.reshape(x, (n, S, h, d // h)), (0, 2, 1, 3))
 
     def _attention(self, q_in: Tensor, kv_in: Tensor, prefix: str) -> Tensor:
-        d = self.config.attn_dim
-        head_dim = d // self.config.n_heads
         q = self._split_heads(self._affine(q_in, f"{prefix}.attn.q"))
         k = self._split_heads(self._affine(kv_in, f"{prefix}.attn.k"))
         v = self._split_heads(self._affine(kv_in, f"{prefix}.attn.v"))
-        logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(head_dim))
-        mixed = ad.matmul(ad.softmax(logits, axis=-1), v)
+        mixed = ad.attention(q, k, v)
         n, h, S, hd = mixed.shape
         merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (n, S, h * hd))
         return self._affine(merged, f"{prefix}.attn.o")

@@ -30,6 +30,7 @@ from .losses import (
     composite_loss,
     coral_loss,
     dann_loss,
+    evaluates_term,
     latent_mmd,
     recon_loss,
     rul_mse,
@@ -38,7 +39,16 @@ from .losses import (
 from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
 from .serialization import config_hash as _hash_dict
 
-VARIANTS = ("lamanet", "no_da", "mmd", "coral", "dann")
+# The adaptation terms each variant provides; every one of them reads the
+# target stream.
+VARIANT_TERMS = {
+    "lamanet": ("discrepancy", "recon", "smooth"),
+    "no_da": (),
+    "mmd": ("discrepancy",),
+    "coral": ("discrepancy",),
+    "dann": ("adversarial",),
+}
+VARIANTS = tuple(VARIANT_TERMS)
 
 DEFAULT_SEEDS = (1, 123074, 2457)
 
@@ -280,39 +290,46 @@ def init_state(config: RunConfig, seed: int) -> TrainState:
 
 
 def train_step(state: TrainState, src_X, src_y, tgt_X) -> dict:
-    """One optimization step over a paired batch; returns the logged record."""
+    """One optimization step over a paired batch; returns the logged record.
+
+    Source and target windows go through the shared weights as one forward
+    pass of 2n rows, sliced into the two streams afterwards.  When no loss
+    term evaluated at this step reads the target stream (variant `no_da`, or
+    before the adaptation gate opens) only the n source rows go through.
+    """
     config = state.config
     params = state.trainable()
     for p in params.values():
         p.grad = None
 
-    xs, ys, xt = Tensor(src_X), Tensor(src_y), Tensor(tgt_X)
-    bundle_s = state.model.forward(xs)
-    bundle_t = state.model.forward(xt)  # shared weights: same function, target stream
+    model, variant, n = state.model, config.variant, len(src_X)
+    two_stream = any(
+        evaluates_term(term, config.weights, state.iteration) for term in VARIANT_TERMS[variant]
+    )
+    x = Tensor(np.concatenate([src_X, tgt_X]) if two_stream else src_X)
+    bundle = model.forward(x)
+    y_hat = bundle.y_hat[:n] if two_stream else bundle.y_hat
+    parts = LossParts(rul=rul_mse(y_hat, Tensor(src_y)))
+    if two_stream:
+        c_s, c_t, o_s, o_t = bundle.c[:n], bundle.c[n:], bundle.o[:n], bundle.o[n:]
+        if variant in ("lamanet", "mmd"):
+            parts.discrepancy = lambda: latent_mmd(c_s, c_t, o_s, o_t, config.kernel)
+        elif variant == "coral":
+            parts.discrepancy = lambda: coral_loss(o_s, o_t)
+        if variant == "lamanet":
+            def recon():
+                x_hat = model.reconstruct(bundle.c, x[:, :, 0])
+                return recon_loss(Tensor(src_X), x_hat[:n], Tensor(tgt_X), x_hat[n:])
 
-    parts = LossParts(rul=rul_mse(bundle_s.y_hat, ys))
-    variant = config.variant
-    if variant in ("lamanet", "mmd"):
-        parts.discrepancy = lambda: latent_mmd(
-            bundle_s.c, bundle_t.c, bundle_s.o, bundle_t.o, config.kernel
-        )
-    elif variant == "coral":
-        parts.discrepancy = lambda: coral_loss(bundle_s.o, bundle_t.o)
-    if variant == "lamanet":
-        parts.recon = lambda: recon_loss(
-            xs, state.model.reconstruct(bundle_s.c, xs[:, :, 0]),
-            xt, state.model.reconstruct(bundle_t.c, xt[:, :, 0]),
-        )
-        parts.smooth = lambda: ad.add(
-            smooth_loss(bundle_s.c, state.model.predict_from_bottleneck,
-                        config.weights.gamma_noise, state.rng_noise),
-            smooth_loss(bundle_t.c, state.model.predict_from_bottleneck,
-                        config.weights.gamma_noise, state.rng_noise),
-        )
-    if variant == "dann":
-        parts.adversarial = lambda: dann_loss(
-            bundle_s.c, bundle_t.c, state.discriminator, config.dann_weight
-        )
+            parts.recon = recon
+            parts.smooth = lambda: ad.add(
+                smooth_loss(c_s, model.predict_from_bottleneck,
+                            config.weights.gamma_noise, state.rng_noise),
+                smooth_loss(c_t, model.predict_from_bottleneck,
+                            config.weights.gamma_noise, state.rng_noise),
+            )
+        if variant == "dann":
+            parts.adversarial = lambda: dann_loss(c_s, c_t, state.discriminator, config.dann_weight)
 
     loss = composite_loss(parts, config.weights, state.iteration)
     total = float(loss.data)

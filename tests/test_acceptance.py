@@ -83,6 +83,10 @@ def test_criterion_1_gradient_fidelity():
         "div": (lambda x: ad.tsum(ad.div(Tensor(b), x)), pos),
         "scale": (lambda x: ad.tsum(ad.scale(x, 2.5)), a),
         "matmul": (lambda x: ad.tsum(ad.matmul(x, Tensor(m))), a),
+        "matmul_3d_2d": (
+            lambda x: ad.tsum(ad.square(ad.matmul(ad.reshape(x, (2, 3, 2)), Tensor(m[:2])))),
+            a,
+        ),
         "transpose": (lambda x: ad.tsum(ad.square(ad.transpose(x))), a),
         "reshape": (lambda x: ad.tsum(ad.square(ad.reshape(x, (4, 3)))), a),
         "concat": (lambda x: ad.tsum(ad.square(ad.concat([x, Tensor(b)], 0))), a),
@@ -99,6 +103,14 @@ def test_criterion_1_gradient_fidelity():
         "relu": (lambda x: ad.tsum(ad.relu(x)), safe(3, 4)),
         "softmax": (lambda x: ad.tsum(ad.square(ad.softmax(x, axis=1))), a),
         "sqnorm": (lambda x: ad.sqnorm(x), a),
+        "layer_norm": (
+            lambda x: ad.tsum(ad.mul(ad.layer_norm(x, Tensor(m[:, 0]), Tensor(m[:, 1])), Tensor(b))),
+            a,
+        ),
+        "attention": (
+            lambda x: ad.tsum(ad.square(ad.attention(x, Tensor(b), Tensor(pos)))),
+            safe(2, 4),
+        ),
         "pairwise_sqdist": (
             lambda x: ad.tsum(ad.square(ad.pairwise_sqdist(x, Tensor(m.T)))),
             safe(3, 4),
@@ -146,7 +158,7 @@ def test_criterion_1_gradient_fidelity():
     assert elapsed < 120, f"runtime {elapsed:.0f}s exceeds 2 min"
     _report(
         1,
-        f"23 primitives < 1e-6 (worst {worst_name} {worst:.2e}); composite over "
+        f"{len(primitives)} primitives < 1e-6 (worst {worst_name} {worst:.2e}); composite over "
         f"{x0.size} parameters {composite_err:.2e} < 1e-3; {elapsed:.0f}s",
     )
 

@@ -128,6 +128,16 @@ def _primitive_cases(rng):
             lambda x: ad.tsum(ad.matmul(x, Tensor(b234))),
             rand(rng, 2, 2, 3),
         ),
+        (
+            "matmul_flat_a",
+            lambda x: ad.tsum(ad.square(ad.matmul(x, Tensor(m34)))),
+            rand(rng, 2, 2, 3),
+        ),
+        (
+            "matmul_flat_b",
+            lambda x: ad.tsum(ad.square(ad.matmul(Tensor(b234.transpose(0, 2, 1)), x))),
+            rand(rng, 3, 4),
+        ),
         ("transpose", lambda x: ad.tsum(ad.square(ad.transpose(x))), a23),
         (
             "transpose_axes",
@@ -155,6 +165,32 @@ def _primitive_cases(rng):
         ("relu", lambda x: ad.tsum(ad.relu(x)), rand_safe(rng, 2, 3)),
         ("softmax", lambda x: ad.tsum(ad.square(ad.softmax(x, axis=1))), a23),
         ("sqnorm", lambda x: ad.sqnorm(x), a23),
+        (
+            "layer_norm_x",
+            lambda x: ad.tsum(ad.mul(ad.layer_norm(x, Tensor(b23[0]), Tensor(m34[0, :3])),
+                                     Tensor(b23))),
+            a23,
+        ),
+        (
+            "layer_norm_gain_bias",
+            lambda x: ad.tsum(ad.square(ad.layer_norm(Tensor(b234), x[0], x[1]))),
+            rand(rng, 2, 4),
+        ),
+        (
+            "attention_q",
+            lambda x: ad.tsum(ad.square(ad.attention(x, Tensor(b234), Tensor(b234[..., :2])))),
+            rand(rng, 2, 2, 4),
+        ),
+        (
+            "attention_k",
+            lambda x: ad.tsum(ad.square(ad.attention(Tensor(b234[:, :2]), x, Tensor(b234)))),
+            rand(rng, 2, 3, 4),
+        ),
+        (
+            "attention_v",
+            lambda x: ad.tsum(ad.square(ad.attention(Tensor(b234[:, :2]), Tensor(b234), x))),
+            rand(rng, 2, 3, 2),
+        ),
         (
             "pairwise_sqdist_a",
             lambda x: ad.tsum(ad.square(ad.pairwise_sqdist(x, Tensor(m34.T)))),
@@ -187,6 +223,56 @@ def test_primitive_sweep_over_many_seeds():
             worst = max(worst, err)
             assert err < 1e-6, f"{name} @ seed {seed}: {err:.3e}"
     assert worst < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# fused primitives against the composed graphs they replace
+
+def composed_layer_norm(x, gain, bias, eps):
+    mu = ad.tmean(x, axis=-1, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.tmean(ad.square(centered), axis=-1, keepdims=True)
+    inv = ad.div(ad.constant(1.0), ad.sqrt(ad.add(var, ad.constant(eps))))
+    return ad.add(ad.mul(ad.mul(centered, inv), gain), bias)
+
+
+def composed_attention(q, k, v):
+    logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
+    return ad.matmul(ad.softmax(logits, axis=-1), v)
+
+
+def batched_matmul(a, b):
+    """The 3-D x 2-D product as a batched matmul over a broadcast copy of b."""
+    return ad.matmul(a, ad.broadcast_to(b, a.shape[:1] + b.shape))
+
+
+def _value_and_grads(op, arrays, weights):
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    backward(ad.tsum(ad.mul(out, Tensor(weights))))
+    return out.data, [leaf.grad for leaf in leaves]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fused_ops_match_composed_graphs(seed):
+    """Value and every input gradient within 1e-12 of the composed oracle."""
+    rng = np.random.default_rng(seed)
+    n, h, S, T, d = 3, 2, 5, 7, 4
+    cases = [
+        (ad.layer_norm, composed_layer_norm,
+         [rand(rng, n, S, d), rand(rng, d), rand(rng, d)], (n, S, d), {"eps": 1e-5}),
+        (ad.attention, composed_attention,
+         [rand(rng, n, h, S, d), rand(rng, n, h, T, d), rand(rng, n, h, T, 3)], (n, h, S, 3), {}),
+        (ad.matmul, batched_matmul, [rand(rng, n, S, d), rand(rng, d, 6)], (n, S, 6), {}),
+    ]
+    for fused, composed, arrays, out_shape, kwargs in cases:
+        weights = rng.normal(size=out_shape)
+        got, got_grads = _value_and_grads(lambda *t: fused(*t, **kwargs), arrays, weights)
+        want, want_grads = _value_and_grads(lambda *t: composed(*t, **kwargs), arrays, weights)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=fused.__name__)
+        for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12,
+                                       err_msg=f"{fused.__name__} input {i}")
 
 
 def test_backward_is_linear():

@@ -3,10 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from ruladapt import autodiff as ad
+from ruladapt.autodiff import Tensor, backward
 from ruladapt.data import stack_windows
-from ruladapt.model import toy_model_config
+from ruladapt.losses import (
+    LossParts,
+    composite_loss,
+    coral_loss,
+    dann_loss,
+    latent_mmd,
+    recon_loss,
+    rul_mse,
+    smooth_loss,
+)
+from ruladapt.model import Model, toy_model_config
 from ruladapt.synthetic import make_toy_domains
 from ruladapt.training import (
+    VARIANTS,
     Adam,
     TrainingAbort,
     epoch_plan,
@@ -217,6 +230,91 @@ def test_gate_opens_at_da_start(toy_domains):
     assert {"discrepancy", "recon", "smooth"} <= set(record)
     grads = [state.model.params[n].grad for n in state.model.params if n.startswith("recon.")]
     assert any(g is not None and np.any(g) for g in grads)
+
+
+def two_pass_loss_and_grads(state, src_X, src_y, tgt_X):
+    """train_step's loss built from two separate forward passes, one per
+    stream, and backpropagated without an optimizer update: the oracle for
+    the one-pass step.  Returns (logged terms, {name: gradient})."""
+    config, model = state.config, state.model
+    xs, ys, xt = Tensor(src_X), Tensor(src_y), Tensor(tgt_X)
+    bundle_s = model.forward(xs)
+    bundle_t = model.forward(xt)
+    parts = LossParts(rul=rul_mse(bundle_s.y_hat, ys))
+    variant = config.variant
+    if variant in ("lamanet", "mmd"):
+        parts.discrepancy = lambda: latent_mmd(
+            bundle_s.c, bundle_t.c, bundle_s.o, bundle_t.o, config.kernel
+        )
+    elif variant == "coral":
+        parts.discrepancy = lambda: coral_loss(bundle_s.o, bundle_t.o)
+    if variant == "lamanet":
+        parts.recon = lambda: recon_loss(
+            xs, model.reconstruct(bundle_s.c, xs[:, :, 0]),
+            xt, model.reconstruct(bundle_t.c, xt[:, :, 0]),
+        )
+        parts.smooth = lambda: ad.add(
+            smooth_loss(bundle_s.c, model.predict_from_bottleneck,
+                        config.weights.gamma_noise, state.rng_noise),
+            smooth_loss(bundle_t.c, model.predict_from_bottleneck,
+                        config.weights.gamma_noise, state.rng_noise),
+        )
+    if variant == "dann":
+        parts.adversarial = lambda: dann_loss(
+            bundle_s.c, bundle_t.c, state.discriminator, config.dann_weight
+        )
+    loss = composite_loss(parts, config.weights, state.iteration)
+    backward(loss)
+    terms = parts.terms | {"total": float(loss.data)}
+    return terms, {name: p.grad for name, p in state.trainable().items()}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_pass_step_matches_two_pass_reference(toy_domains, variant):
+    source, target = toy_domains
+    config = toy_config(variant, da_start=0)
+    src_X, src_y = stack_windows(source.train_windows, range(16))
+    tgt_X, _ = stack_windows(target.train_windows, range(16, 32))
+    reference = init_state(config, 1)
+    want_terms, want_grads = two_pass_loss_and_grads(reference, src_X, src_y, tgt_X)
+
+    state = init_state(config, 1)
+    state.steps_per_epoch = 10
+    record = train_step(state, src_X, src_y, tgt_X)
+    assert set(want_terms) == set(record) - {"iteration", "epoch", "lr"}
+    for name, value in want_terms.items():
+        assert record[name] == pytest.approx(value, rel=1e-10, abs=0), name
+    # Some gradients are zero up to rounding (a key bias shifts every logit
+    # of a row equally), so the absolute floor is relative to the largest.
+    scale = max(np.abs(g).max() for g in want_grads.values() if g is not None)
+    for name, p in state.trainable().items():
+        if want_grads[name] is None:
+            assert p.grad is None, name
+        else:
+            np.testing.assert_allclose(p.grad, want_grads[name], rtol=1e-10,
+                                       atol=1e-10 * scale, err_msg=name)
+
+
+def test_forward_rows_follow_the_target_stream_readers(toy_domains, monkeypatch):
+    """n rows when no evaluated term reads the target stream, 2n after the gate."""
+    source, target = toy_domains
+    rows = []
+    original = Model.forward
+
+    def recording_forward(self, X, *args, **kwargs):
+        rows.append(X.shape[0])
+        return original(self, X, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", recording_forward)
+    src_X, src_y = stack_windows(source.train_windows, range(16))
+    tgt_X, _ = stack_windows(target.train_windows, range(16))
+    for variant, da_start, expected in (("no_da", 0, [16] * 3), ("lamanet", 2, [16, 16, 32])):
+        rows.clear()
+        state = init_state(toy_config(variant, da_start=da_start), 1)
+        state.steps_per_epoch = 10
+        for _ in range(3):
+            train_step(state, src_X, src_y, tgt_X)
+        assert rows == expected, variant
 
 
 def test_loss_trajectory_bitwise_deterministic(toy_domains):
