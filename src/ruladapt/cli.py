@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ from .training import (
     make_run_config,
     run_config_from_dict,
     run_experiment,
-    run_single_seed,
     variant_weights,
 )
 
@@ -125,10 +124,10 @@ def _normalize(payload: dict) -> dict:
     return out
 
 
-def provide_dataset(data_dir: Path, cache_dir: Path | None, subset: str, role: str, config):
+def provide_dataset(data_dir: Path, cache_dir: Path, subset: str, role: str, config):
     """Load trajectories (cache first, else raw flat files) and build windows."""
-    cache_path = (cache_dir / f"{subset}.cache") if cache_dir else None
-    if cache_path is not None and cache_path.exists():
+    cache_path = cache_dir / f"{subset}.cache"
+    if cache_path.exists():
         train, test, truth, _, _ = load_dataset_cache(cache_path)
     else:
         train_path, test_path, rul_path = subset_paths(data_dir, subset)
@@ -142,12 +141,6 @@ def provide_dataset(data_dir: Path, cache_dir: Path | None, subset: str, role: s
         feature_mask=config.feature_mask,
         val_seed=config.val_seed, val_fraction=config.val_fraction,
     )
-
-
-def provide_domain_pair(data_dir: Path, cache_dir: Path | None, config):
-    source = provide_dataset(data_dir, cache_dir, config.source_subset, SOURCE, config)
-    target = provide_dataset(data_dir, cache_dir, config.target_subset, TARGET, config)
-    return source, target
 
 
 # ---------------------------------------------------------------------------
@@ -191,75 +184,50 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _seed_worker(payload: dict) -> dict:
-    """Process-pool worker: rebuild config and datasets, run one seed."""
-    config = run_config_from_dict(payload["config"])
-    data_dir = Path(payload["data_dir"])
-    cache_dir = Path(payload["cache_dir"]) if payload["cache_dir"] else None
-    source, target = provide_domain_pair(data_dir, cache_dir, config)
-    result = run_single_seed(
-        config, payload["seed"], source, target,
-        run_dir=Path(payload["run_dir"]), write_latents=payload["latents"],
-    )
-    return {k: result[k] for k in ("seed", "rmse", "score", "val_rmse")}
-
-
-def _run_variant(config, source, target, out_dir: Path, *, latents: bool, jobs: int,
-                 data_dir: Path, cache_dir: Path | None, label: str | None = None):
-    pair_dir = out_dir / f"{config.source_subset}-{config.target_subset}"
-    variant_dir = pair_dir / (label or config.variant)
+@contextmanager
+def _seed_map(jobs: int):
+    """The map `run_experiment` spreads seeds with: the builtin `map`, or the
+    `map` of one process pool of `jobs` workers shared by the whole command."""
     if jobs <= 1:
-        report = run_experiment(
-            config, source, target, out_dir=variant_dir,
-            write_latents=latents, progress=print,
-        )
-    else:
-        from .evaluation import MetricsReport
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield pool.map
 
-        report = MetricsReport(
-            source=config.source_subset, target=config.target_subset,
-            variant=label or config.variant, seeds=tuple(config.seeds),
-            n_test_engines=len(target.test_windows),
+
+def _load_pair(data_dir: Path, out_dir: Path, config):
+    """(source, target) datasets, cache first; None after printing why not."""
+    cache_dir = out_dir / "cache"
+    try:
+        return (
+            provide_dataset(data_dir, cache_dir, config.source_subset, SOURCE, config),
+            provide_dataset(data_dir, cache_dir, config.target_subset, TARGET, config),
         )
-        payloads = [
-            {
-                "config": config.to_dict(),
-                "seed": seed,
-                "run_dir": str(variant_dir / str(seed)),
-                "data_dir": str(data_dir),
-                "cache_dir": str(cache_dir) if cache_dir else None,
-                "latents": latents,
-            }
-            for seed in config.seeds
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(_seed_worker, payloads):
-                report.rmse_per_seed.append(result["rmse"])
-                report.score_per_seed.append(result["score"])
-                report.val_rmse_per_seed.append(result["val_rmse"])
-                print(f"seed {result['seed']}: rmse {result['rmse']:.2f}")
-        variant_dir.mkdir(parents=True, exist_ok=True)
-        with open(variant_dir / "report.json", "w") as fh:
-            json.dump(report.to_dict() | {"config_hash": config.hash}, fh, indent=2, sort_keys=True)
-    if label is not None:
-        report.variant = label
-    return report
+    except (FileNotFoundError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _run_variant(config, source, target, out_dir: Path, *, latents: bool, map_fn,
+                 label: str | None = None):
+    pair_dir = out_dir / f"{config.source_subset}-{config.target_subset}"
+    return run_experiment(
+        config, source, target, out_dir=pair_dir / (label or config.variant),
+        write_latents=latents, progress=print, map_fn=map_fn,
+    )
 
 
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     data_dir, out_dir, jobs = _resolve_paths(args, file_cfg)
     config = _build_run_config(args, file_cfg, args.source, args.target, args.variant)
-    cache_dir = out_dir / "cache"
-    try:
-        source, target = provide_domain_pair(data_dir, cache_dir if cache_dir.exists() else None, config)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    pair = _load_pair(data_dir, out_dir, config)
+    if pair is None:
         return 2
-    report = _run_variant(
-        config, source, target, out_dir, latents=not args.no_latents,
-        jobs=jobs, data_dir=data_dir, cache_dir=cache_dir if cache_dir.exists() else None,
-    )
+    with _seed_map(jobs) as map_fn:
+        report = _run_variant(
+            config, *pair, out_dir, latents=not args.no_latents, map_fn=map_fn,
+        )
     print(f"{report.pair} {report.variant}: "
           f"rmse {report.rmse_mean:.2f} +- {report.rmse_sd:.2f} over {len(report.rmse_per_seed)} seeds")
     if report.failures:
@@ -283,24 +251,22 @@ def cmd_ablate(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     data_dir, out_dir, jobs = _resolve_paths(args, file_cfg)
     base = _build_run_config(args, file_cfg, args.source, args.target, "lamanet")
-    cache_dir = out_dir / "cache"
-    try:
-        source, target = provide_domain_pair(data_dir, cache_dir if cache_dir.exists() else None, base)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    pair = _load_pair(data_dir, out_dir, base)
+    if pair is None:
         return 2
 
     reports = []
     failed = False
-    for label, weight_overrides in ABLATION_ROWS:
-        config = replace(base, weights=replace(base.weights, **weight_overrides))
-        report = _run_variant(
-            config, source, target, out_dir, latents=not args.no_latents,
-            jobs=jobs, data_dir=data_dir, cache_dir=None, label=f"ablate-{label}",
-        )
-        report.variant = label
-        reports.append(report)
-        failed = failed or bool(report.failures)
+    with _seed_map(jobs) as map_fn:
+        for label, weight_overrides in ABLATION_ROWS:
+            config = replace(base, weights=replace(base.weights, **weight_overrides))
+            report = _run_variant(
+                config, *pair, out_dir, latents=not args.no_latents, map_fn=map_fn,
+                label=f"ablate-{label}",
+            )
+            report.variant = label
+            reports.append(report)
+            failed = failed or bool(report.failures)
 
     pair_dir = out_dir / f"{base.source_subset}-{base.target_subset}" / "ablate"
     write_aggregate(pair_dir, reports)
@@ -349,35 +315,32 @@ def cmd_sweep(args) -> int:
         print("pass --confirm to launch", file=sys.stderr)
         return 2
 
-    cache_dir = out_dir / "cache"
-    try:
-        source, target = provide_domain_pair(data_dir, cache_dir if cache_dir.exists() else None, base)
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    pair = _load_pair(data_dir, out_dir, base)
+    if pair is None:
         return 2
 
     rows = []
     failed = False
-    for values in points:
-        point = dict(zip(keys, values))
-        tag = "_".join(f"{k}={point[k]}" for k in keys)
-        weights = replace(
-            base.weights,
-            lambda_m=point["lambda_m"], lambda_r=point["lambda_r"],
-            lambda_s=point["lambda_s"], gamma_noise=point["gamma_noise"],
-        )
-        model = replace(base.model, recon_cell=point["autoencoder"])
-        config = replace(base, weights=weights, model=model)
-        report = _run_variant(
-            config, source, target, out_dir, latents=False, jobs=jobs,
-            data_dir=data_dir, cache_dir=None, label=f"sweep-{tag}",
-        )
-        failed = failed or bool(report.failures)
-        mean_val = (
-            float(np.mean(report.val_rmse_per_seed)) if report.val_rmse_per_seed else math.inf
-        )
-        rows.append({**point, "val_rmse": mean_val, "tag": tag})
-        print(f"{tag}: source-val rmse {mean_val:.2f}")
+    with _seed_map(jobs) as map_fn:
+        for values in points:
+            point = dict(zip(keys, values))
+            tag = "_".join(f"{k}={point[k]}" for k in keys)
+            weights = replace(
+                base.weights,
+                lambda_m=point["lambda_m"], lambda_r=point["lambda_r"],
+                lambda_s=point["lambda_s"], gamma_noise=point["gamma_noise"],
+            )
+            model = replace(base.model, recon_cell=point["autoencoder"])
+            config = replace(base, weights=weights, model=model)
+            report = _run_variant(
+                config, *pair, out_dir, latents=False, map_fn=map_fn, label=f"sweep-{tag}",
+            )
+            failed = failed or bool(report.failures)
+            mean_val = (
+                float(np.mean(report.val_rmse_per_seed)) if report.val_rmse_per_seed else math.inf
+            )
+            rows.append({**point, "val_rmse": mean_val, "tag": tag})
+            print(f"{tag}: source-val rmse {mean_val:.2f}")
 
     rows.sort(key=lambda r: r["val_rmse"])  # ranking never touches target labels
     pair_dir = out_dir / f"{base.source_subset}-{base.target_subset}" / "sweep"

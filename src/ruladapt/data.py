@@ -366,8 +366,8 @@ class DomainDataset:
         return self.stats.width
 
 
-def _assemble_dataset(
-    train_mats,  # list of (unit_id, raw (T, f) matrix)
+def dataset_from_matrices(
+    train_mats,  # (unit_id, raw (T, f) matrix) pairs
     test_mats,
     test_truth,
     *,
@@ -375,9 +375,17 @@ def _assemble_dataset(
     role: str,
     window: int,
     rc: float,
-    val_seed: int,
-    val_fraction: float,
+    val_seed: int = 42,
+    val_fraction: float = 0.1,
 ) -> DomainDataset:
+    """Dataset over raw (unit_id, matrix) pairs; serves synthetic tasks whose
+    feature count differs from the 24-column flat layout."""
+    train_mats, test_mats = list(train_mats), list(test_mats)
+    test_truth = np.atleast_1d(np.asarray(test_truth, dtype=np.float64))
+    if len(test_mats) != len(test_truth):
+        raise IntegrityError(
+            f"{subset}: {len(test_mats)} test engines for {len(test_truth)} truth values"
+        )
     stats = fit_normalization_matrix([m for _, m in train_mats], fitted_on=f"{subset}/train")
     train_part, val_part = split_train_val(train_mats, val_seed, val_fraction)
     labelled = role == SOURCE
@@ -389,7 +397,6 @@ def _assemble_dataset(
             out.extend(_windows_from_matrix(mat, unit, window, rc, role, labelled))
         return out
 
-    test_truth = np.asarray(test_truth, dtype=np.float64)
     test_windows = [
         _eval_window(normalize_matrix(raw, stats), unit, window, truth, rc, role)
         for (unit, raw), truth in zip(test_mats, test_truth)
@@ -422,38 +429,9 @@ def build_domain_dataset(
     val_seed: int = 42,
     val_fraction: float = 0.1,
 ) -> DomainDataset:
-    if len(test_trajs) != len(np.atleast_1d(test_truth)):
-        raise IntegrityError("test trajectory count does not match truth vector")
-    return _assemble_dataset(
+    return dataset_from_matrices(
         [(t.unit_id, t.features(feature_mask)) for t in train_trajs],
         [(t.unit_id, t.features(feature_mask)) for t in test_trajs],
-        test_truth,
-        subset=subset,
-        role=role,
-        window=window,
-        rc=rc,
-        val_seed=val_seed,
-        val_fraction=val_fraction,
-    )
-
-
-def dataset_from_matrices(
-    train_mats,
-    test_mats,
-    test_truth,
-    *,
-    subset: str,
-    role: str,
-    window: int,
-    rc: float,
-    val_seed: int = 42,
-    val_fraction: float = 0.1,
-) -> DomainDataset:
-    """Dataset over raw (unit_id, matrix) pairs; serves synthetic tasks whose
-    feature count differs from the 24-column flat layout."""
-    return _assemble_dataset(
-        list(train_mats),
-        list(test_mats),
         test_truth,
         subset=subset,
         role=role,

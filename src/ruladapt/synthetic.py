@@ -183,16 +183,6 @@ def write_benchmark_files(data_dir, subset: str, seed: int = 7, **overrides) -> 
             fh.write(f"{int(value)}\n")
 
 
-def ensure_benchmark_files(data_dir, subsets=("FD001", "FD002", "FD003", "FD004"), seed: int = 7):
-    """Generate any subset whose three files are not already present."""
-    written = []
-    for subset in subsets:
-        if not all(p.exists() for p in subset_paths(data_dir, subset)):
-            write_benchmark_files(data_dir, subset, seed)
-            written.append(subset)
-    return written
-
-
 # ---------------------------------------------------------------------------
 # toy two-domain task
 

@@ -13,8 +13,9 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -218,26 +219,6 @@ def epoch_plan(n_source: int, n_target: int, half: int, rng: np.random.Generator
 
 def steps_per_epoch(n_source: int, n_target: int, batch: int) -> int:
     return math.ceil(max(n_source, n_target) / (batch // 2))
-
-
-def make_batches(
-    source: DomainDataset, target: DomainDataset, batch: int, rng: np.random.Generator
-) -> Iterator[tuple[list, list]]:
-    """One epoch of paired half-batches of window samples (labels only on the
-    source side)."""
-    if batch % 2:
-        raise ValueError(f"batch size must be even, got {batch}")
-    half = batch // 2
-    src_order, tgt_order = epoch_plan(
-        len(source.train_windows), len(target.train_windows), half, rng
-    )
-    for start in range(0, len(src_order), half):
-        src_idx = src_order[start : start + half]
-        tgt_idx = tgt_order[start : start + half]
-        yield (
-            [source.train_windows[i] for i in src_idx],
-            [target.train_windows[i] for i in tgt_idx],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +493,6 @@ def run_single_seed(
     target: DomainDataset,
     *,
     run_dir: Path | None = None,
-    max_iterations: int | None = None,
     write_latents: bool = True,
 ) -> dict:
     """Train one seed to completion and evaluate on the target test set."""
@@ -522,10 +502,7 @@ def run_single_seed(
         run_dir.mkdir(parents=True, exist_ok=True)
         log_writer = RunLogWriter(run_dir / "train_log.csv")
     try:
-        train(
-            state, source, target,
-            max_iterations=max_iterations, log_writer=log_writer,
-        )
+        train(state, source, target, log_writer=log_writer)
     finally:
         if log_writer is not None:
             log_writer.close()
@@ -540,13 +517,36 @@ def run_single_seed(
         if write_latents:
             export_latents(state.model, [source, target], "C", run_dir / "latents_C.csv")
             export_latents(state.model, [source, target], "O", run_dir / "latents_O.csv")
-    return {
-        "seed": seed,
-        "rmse": target_rmse,
-        "score": target_score,
-        "val_rmse": val,
-        "state": state,
-    }
+    return {"seed": seed, "rmse": target_rmse, "score": target_score, "val_rmse": val}
+
+
+def _seed_job(seed, config, source, target, out_dir, write_latents) -> dict | str:
+    """One seed of `run_experiment`: train, evaluate and write its report.json.
+
+    An abort comes back as the failure line instead of being raised, so no
+    exception has to cross a process boundary when `map_fn` is a pool's.
+    """
+    run_dir = Path(out_dir) / str(seed) if out_dir is not None else None
+    try:
+        result = run_single_seed(
+            config, seed, source, target, run_dir=run_dir, write_latents=write_latents,
+        )
+    except TrainingAbort as exc:
+        return f"seed {seed}: {exc}"
+    if run_dir is not None:
+        with open(run_dir / "report.json", "w") as fh:
+            json.dump(
+                {
+                    "config_hash": config.hash,
+                    "config": config.to_dict(),
+                    "seed": seed,
+                    "rmse": result["rmse"],
+                    "score": result["score"] if math.isfinite(result["score"]) else "inf",
+                    "val_rmse": result["val_rmse"],
+                },
+                fh, indent=2, sort_keys=True,
+            )
+    return result
 
 
 def run_experiment(
@@ -555,58 +555,43 @@ def run_experiment(
     target: DomainDataset,
     *,
     out_dir=None,
-    seeds: tuple[int, ...] | None = None,
-    max_iterations: int | None = None,
     write_latents: bool = True,
     progress: Callable[[str], None] | None = None,
+    map_fn=map,
 ) -> MetricsReport:
     """Train every seed, evaluate on the target test set, aggregate.
 
-    A seed run that aborts (non-finite loss) is recorded as a failure and the
-    remaining seeds still run.  Artifacts are written per seed under
+    Seeds are spread with `map_fn` (the builtin `map`, or a process pool's
+    `map`, which pickles the config and both datasets to its workers); the
+    results are consumed in seed order, so every artifact is the same either
+    way.  A seed run that aborts (non-finite loss) is recorded as a failure
+    and the remaining seeds still run.  Artifacts are written per seed under
     out_dir/<seed>/ when out_dir is given.
     """
-    seeds = tuple(seeds if seeds is not None else config.seeds)
     report = MetricsReport(
         source=config.source_subset,
         target=config.target_subset,
         variant=config.variant,
-        seeds=seeds,
+        seeds=tuple(config.seeds),
         n_test_engines=len(target.test_windows),
     )
+    job = partial(
+        _seed_job, config=config, source=source, target=target,
+        out_dir=out_dir, write_latents=write_latents,
+    )
     rows = []
-    for seed in seeds:
-        run_dir = Path(out_dir) / str(seed) if out_dir is not None else None
-        try:
-            result = run_single_seed(
-                config, seed, source, target,
-                run_dir=run_dir, max_iterations=max_iterations,
-                write_latents=write_latents,
-            )
-        except TrainingAbort as exc:
-            report.failures.append(f"seed {seed}: {exc}")
+    for result in map_fn(job, config.seeds):
+        if isinstance(result, str):
+            report.failures.append(result)
             continue
         report.rmse_per_seed.append(result["rmse"])
         report.score_per_seed.append(result["score"])
         report.val_rmse_per_seed.append(result["val_rmse"])
-        rows.append((seed, result["rmse"], result["score"], result["val_rmse"]))
-        if run_dir is not None:
-            with open(run_dir / "report.json", "w") as fh:
-                json.dump(
-                    {
-                        "config_hash": config.hash,
-                        "config": config.to_dict(),
-                        "seed": seed,
-                        "rmse": result["rmse"],
-                        "score": result["score"] if math.isfinite(result["score"]) else "inf",
-                        "val_rmse": result["val_rmse"],
-                    },
-                    fh, indent=2, sort_keys=True,
-                )
+        rows.append((result["seed"], result["rmse"], result["score"], result["val_rmse"]))
         if progress is not None:
             progress(
                 f"{config.source_subset}->{config.target_subset} {config.variant} "
-                f"seed {seed}: rmse {result['rmse']:.2f}"
+                f"seed {result['seed']}: rmse {result['rmse']:.2f}"
             )
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)

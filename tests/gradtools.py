@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
+from ruladapt import autodiff as ad
+from ruladapt.autodiff import Tensor
 
 
 def pack_params(params: dict[str, Tensor]) -> np.ndarray:

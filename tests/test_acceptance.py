@@ -35,7 +35,6 @@ from ruladapt.data import (
     subset_paths,
 )
 from ruladapt.evaluation import evaluate_target, rmse, score, predict_scaled
-from ruladapt.gradtools import flat_loss_fn
 from ruladapt.losses import (
     KernelSpec,
     LossParts,
@@ -50,6 +49,8 @@ from ruladapt.losses import (
 from ruladapt.model import Model, desk_model_config, tiny_model_config, toy_model_config
 from ruladapt.synthetic import generate_subset, make_toy_domains
 from ruladapt.training import init_state, make_run_config, run_single_seed, train
+
+from gradtools import flat_loss_fn
 
 RUN_SLOW = os.environ.get("RULADAPT_RUN_SLOW", "") not in ("", "0")
 

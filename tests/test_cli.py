@@ -170,6 +170,52 @@ def test_ablate_row_weights_match_term_sets(cmapss_tiny_dir, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# --jobs
+
+JOBS_RUN = ("--toy", "--epochs", "1", "--batch-size", "16", "--seeds", "1,2")
+
+
+def _artifact_tree(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", [("train", "--variant", "lamanet"), ("ablate",)])
+def test_jobs_2_writes_the_jobs_1_tree(cmapss_tiny_dir, tmp_path, command):
+    trees = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        rc = run_cli(
+            *command, "--source", "FD001", "--target", "FD002",
+            "--data-dir", cmapss_tiny_dir, "--out-dir", out, *JOBS_RUN, "--jobs", jobs,
+        )
+        assert rc == 0
+        trees[jobs] = _artifact_tree(out)
+    assert sorted(trees[2]) == sorted(trees[1])
+    for rel, blob in trees[1].items():
+        assert trees[2][rel] == blob, rel
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_diverging_seeds_under_jobs_2_are_recorded_failures(cmapss_tiny_dir, tmp_path, capsys):
+    failures = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        rc = run_cli(
+            "train", "--source", "FD001", "--target", "FD002",
+            "--data-dir", cmapss_tiny_dir, "--out-dir", out, *JOBS_RUN,
+            "--lr", "1e200", "--jobs", jobs,
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "FAILED seed 1" in err and "FAILED seed 2" in err
+        report = json.loads((out / "FD001-FD002" / "lamanet" / "report.json").read_text())
+        failures[jobs] = report["failures"]
+    assert len(failures[1]) == 2
+    assert failures[2] == failures[1]
+
+
+# ---------------------------------------------------------------------------
 # sweep
 
 def test_sweep_requires_confirmation(cmapss_tiny_dir, tmp_path, capsys):

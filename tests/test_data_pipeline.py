@@ -293,6 +293,18 @@ def test_dataset_truth_mismatch_raises():
         )
 
 
+
+def test_dataset_from_matrices_rejects_surplus_test_engines():
+    rng = np.random.default_rng(0)
+    train = [(u, rng.normal(size=(30, 4))) for u in range(1, 5)]
+    test = [(100 + u, rng.normal(size=(20, 4))) for u in range(1, 4)]
+    with pytest.raises(IntegrityError):
+        dp.dataset_from_matrices(
+            train, test, np.array([10.0, 20.0]),
+            subset="TOY", role=dp.TARGET, window=8, rc=125.0,
+        )
+
+
 # ---------------------------------------------------------------------------
 # cache
 

@@ -3,7 +3,6 @@ import pytest
 
 from ruladapt import autodiff as ad
 from ruladapt.autodiff import Tensor, backward, grad_check
-from ruladapt.gradtools import flat_loss_fn
 from ruladapt.model import (
     Model,
     ModelConfig,
@@ -11,6 +10,8 @@ from ruladapt.model import (
     save_checkpoint,
     tiny_model_config,
 )
+
+from gradtools import flat_loss_fn
 
 
 @pytest.fixture

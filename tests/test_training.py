@@ -26,7 +26,6 @@ from ruladapt.training import (
     init_state,
     load_train_checkpoint,
     lr_schedule,
-    make_batches,
     make_run_config,
     run_config_from_dict,
     run_experiment,
@@ -120,34 +119,39 @@ def test_lr_rejects_bad_gamma():
 # ---------------------------------------------------------------------------
 # batching
 
-def test_make_batches_halves_and_labels(toy_domains):
+def test_epoch_slices_are_paired_halves_with_source_labels(toy_domains):
+    """The per-step index slices `train` stacks cover one epoch plan exactly,
+    in halves of the batch, with labels on the source side only."""
     source, target = toy_domains
-    batches = list(make_batches(source, target, 32, np.random.default_rng(0)))
-    expected = steps_per_epoch(len(source.train_windows), len(target.train_windows), 32)
-    assert len(batches) == expected
-    src_half, tgt_half = batches[0]
-    assert len(src_half) == len(tgt_half) == 16
-    assert all(w.rul_scaled is not None for w in src_half)
-    assert all(w.rul_scaled is None for w in tgt_half)
+    n_s, n_t, half = len(source.train_windows), len(target.train_windows), 16
+    src_order, tgt_order = epoch_plan(n_s, n_t, half, np.random.default_rng(0))
+    steps = steps_per_epoch(n_s, n_t, 2 * half)
+    slices = [
+        (src_order[k * half : (k + 1) * half], tgt_order[k * half : (k + 1) * half])
+        for k in range(steps)
+    ]
+    assert sum(len(src) for src, _ in slices) == len(src_order) == len(tgt_order)
+    assert all(len(src) > 0 for src, _ in slices)
+    src_X, src_y = stack_windows(source.train_windows, slices[0][0])
+    tgt_X, tgt_y = stack_windows(target.train_windows, slices[0][1])
+    assert len(src_X) == len(tgt_X) == 16
+    assert src_y.shape == (16, 1)  # stack_windows gives None if any window is unlabeled
+    assert tgt_y is None
+    assert all(target.train_windows[i].rul_scaled is None for i in slices[0][1])
 
 
-def test_make_batches_deterministic_per_seed(toy_domains):
+def test_epoch_plan_deterministic_per_seed(toy_domains):
     source, target = toy_domains
 
-    def ends(seed):
-        return [
-            [w.end_cycle for w in src]
-            for src, _ in make_batches(source, target, 32, np.random.default_rng(seed))
-        ]
+    def orders(seed):
+        return epoch_plan(
+            len(source.train_windows), len(target.train_windows), 16,
+            np.random.default_rng(seed),
+        )
 
-    assert ends(5) == ends(5)
-    assert ends(5) != ends(6)
-
-
-def test_make_batches_rejects_odd_batch(toy_domains):
-    source, target = toy_domains
-    with pytest.raises(ValueError):
-        next(make_batches(source, target, 33, np.random.default_rng(0)))
+    for a, b in zip(orders(5), orders(5)):
+        np.testing.assert_array_equal(a, b)
+    assert any(not np.array_equal(a, b) for a, b in zip(orders(5), orders(6)))
 
 
 def test_epoch_plan_resamples_smaller_pool():
@@ -387,8 +391,7 @@ def test_run_experiment_emits_full_report(tmp_path, toy_domains):
     source, target = toy_domains
     config = toy_config("no_da", epochs=1, seeds=(1, 2))
     report = run_experiment(
-        config, source, target, out_dir=tmp_path / "out", seeds=(1, 2),
-        write_latents=False,
+        config, source, target, out_dir=tmp_path / "out", write_latents=False,
     )
     assert len(report.rmse_per_seed) == 2
     assert report.n_test_engines == len(target.test_windows)
