@@ -8,9 +8,10 @@ float64, the one supported dtype: every array is cast to it on entry.
 The primitive set is deliberately small: elementwise arithmetic, matmul with
 batched operands (a 2-D right operand runs as a single GEMM), shape ops,
 reductions, the usual activations, and two distance helpers (`sqnorm`,
-`pairwise_sqdist`) that the kernel losses build on.  `layer_norm` and
-`attention` are fused primitives with hand-written VJPs, one graph node each
-in place of the 8-12 primitives they would take composed.  `grad_reverse` is
+`pairwise_sqdist`) that the kernel losses build on.  `linear` (affine map),
+`layer_norm`, `attention` and `gru_sequence` (a whole GRU unroll with output
+feedback) are fused primitives with hand-written VJPs, one graph node each in
+place of the chain of primitives they would take composed.  `grad_reverse` is
 the identity forward / sign-flipped backward used by the adversarial
 baseline.
 """
@@ -226,6 +227,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(np.matmul(a.data, b.data), (a, b), vjp)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a 2-D weight (in, out) and bias (out,): one GEMM over all
+    leading rows of x, the bias added in place.  The VJP sums the bias
+    gradient over those rows and skips the input product when x needs no
+    gradient."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = x2 @ w.data
+    out += b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        gx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        return gx, x2.T @ g2, g2.sum(axis=0)
+
+    return _make(out.reshape(x.shape[:-1] + w.shape[-1:]), (x, w, b), vjp)
+
+
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
@@ -344,8 +362,8 @@ def tanh(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _make(a.data * mask, (a,), lambda g: (g * mask,))
+    out = np.maximum(a.data, 0.0)
+    return _make(out, (a,), lambda g: (g * (out > 0),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -414,6 +432,92 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     return _make(np.matmul(probs, v.data), (q, k, v), vjp)
 
 
+def gru_sequence(
+    h0: Tensor,
+    u0: Tensor,
+    w_i: Tensor,
+    w_h: Tensor,
+    b_i: Tensor,
+    b_hn: Tensor,
+    w_out: Tensor,
+    b_out: Tensor,
+    steps: int,
+) -> Tensor:
+    """Unroll a GRU `steps` times from hidden state h0 (n, H) and first input
+    u0 (n, f), feeding each output frame back as the next input.
+
+    Gate weights are stacked in column blocks (z, r, n): w_i (f, 3H) and
+    w_h (H, 3H), input biases b_i (3H,) and the candidate's hidden bias
+    b_hn (H,).  Per step:
+      z, r = sigmoid(u w_i + h w_h + b_i)  (first two blocks)
+      cand = tanh(u w_in + b_in + r * (h w_hn + b_hn))
+      h = (1 - z) cand + z h;  frame = h w_out + b_out;  u = frame.
+    Returns the frames stacked on the last axis, (n, f, steps).  The VJP
+    runs backpropagation through time over the saved gates and forms each
+    weight gradient with one GEMM over all steps.
+    """
+    n, H = h0.shape
+    f = u0.shape[1]
+    us = np.empty((steps + 1, n, f))  # us[t] is step t's input, us[t + 1] its frame
+    hs = np.empty((steps + 1, n, H))  # hs[t] is step t's incoming hidden state
+    zr = np.empty((steps, n, 2 * H))
+    cands = np.empty((steps, n, H))
+    hid_n = np.empty((steps, n, H))  # h w_hn + b_hn
+    us[0], hs[0] = u0.data, h0.data
+    for t in range(steps):
+        pre = us[t] @ w_i.data
+        gh = hs[t] @ w_h.data
+        pre[:, : 2 * H] += gh[:, : 2 * H]
+        pre += b_i.data
+        zr[t] = _sigmoid_values(pre[:, : 2 * H])
+        z, r = zr[t, :, :H], zr[t, :, H:]
+        np.add(gh[:, 2 * H :], b_hn.data, out=hid_n[t])
+        cand = np.tanh(pre[:, 2 * H :] + r * hid_n[t], out=cands[t])
+        hs[t + 1] = (1.0 - z) * cand + z * hs[t]
+        np.matmul(hs[t + 1], w_out.data, out=us[t + 1])
+        us[t + 1] += b_out.data
+
+    def vjp(g):
+        d_pre = np.empty((steps, n, 3 * H))  # cotangents of the u w_i products
+        d_hid = np.empty((steps, n, 3 * H))  # cotangents of the h w_h products
+        d_frames = g.transpose(2, 0, 1).copy()  # (steps, n, f)
+        dh = np.zeros((n, H))
+        du = np.zeros((n, f))
+        for t in reversed(range(steps)):
+            d_frames[t] += du
+            dh = dh + d_frames[t] @ w_out.data.T
+            z, r, cand = zr[t, :, :H], zr[t, :, H:], cands[t]
+            dn = dh * (1.0 - z) * (1.0 - cand * cand)
+            dz = dh * (hs[t] - cand) * z * (1.0 - z)
+            dr = dn * hid_n[t] * r * (1.0 - r)
+            d_pre[t, :, :H] = d_hid[t, :, :H] = dz
+            d_pre[t, :, H : 2 * H] = d_hid[t, :, H : 2 * H] = dr
+            d_pre[t, :, 2 * H :] = dn
+            d_hid[t, :, 2 * H :] = dn * r
+            du = d_pre[t] @ w_i.data.T
+            dh = dh * z + d_hid[t] @ w_h.data.T
+
+        def rows(a):
+            return a.reshape(-1, a.shape[-1])
+
+        return (
+            dh,
+            du,
+            rows(us[:-1]).T @ rows(d_pre),
+            rows(hs[:-1]).T @ rows(d_hid),
+            rows(d_pre).sum(axis=0),
+            rows(d_hid[..., 2 * H :]).sum(axis=0),
+            rows(hs[1:]).T @ rows(d_frames),
+            rows(d_frames).sum(axis=0),
+        )
+
+    return _make(
+        us[1:].transpose(1, 2, 0),
+        (h0, u0, w_i, w_h, b_i, b_hn, w_out, b_out),
+        vjp,
+    )
+
+
 # ---------------------------------------------------------------------------
 # distance helpers
 
@@ -433,7 +537,8 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise GraphError(f"pairwise_sqdist expects (n, d), (m, d); got {a.shape}, {b.shape}")
     diff = a.data[:, None, :] - b.data[None, :, :]
-    out = (diff * diff).sum(axis=2)
+    diff *= diff
+    out = diff.sum(axis=2)
 
     def vjp(g):
         ga = 2.0 * (g.sum(axis=1)[:, None] * a.data - g @ b.data)

@@ -208,13 +208,22 @@ def _load_pair(data_dir: Path, out_dir: Path, config):
         return None
 
 
-def _run_variant(config, source, target, out_dir: Path, *, latents: bool, map_fn,
-                 label: str | None = None):
+def _run_row(config, pair, out_dir: Path, label: str, dirname: str, *, latents: bool, map_fn):
+    """Run one labelled row (a variant, an ablation row, a sweep point) into
+    out_dir/<SOURCE>-<TARGET>/<dirname>/."""
     pair_dir = out_dir / f"{config.source_subset}-{config.target_subset}"
     return run_experiment(
-        config, source, target, out_dir=pair_dir / (label or config.variant),
+        config, *pair, out_dir=pair_dir / dirname, label=label,
         write_latents=latents, progress=print, map_fn=map_fn,
     )
+
+
+def _print_failures(reports) -> int:
+    """One `FAILED <failure>` line on stderr per failed seed; the exit code."""
+    failures = [failure for report in reports for failure in report.failures]
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_train(args) -> int:
@@ -225,16 +234,13 @@ def cmd_train(args) -> int:
     if pair is None:
         return 2
     with _seed_map(jobs) as map_fn:
-        report = _run_variant(
-            config, *pair, out_dir, latents=not args.no_latents, map_fn=map_fn,
+        report = _run_row(
+            config, pair, out_dir, config.variant, config.variant,
+            latents=not args.no_latents, map_fn=map_fn,
         )
     print(f"{report.pair} {report.variant}: "
           f"rmse {report.rmse_mean:.2f} +- {report.rmse_sd:.2f} over {len(report.rmse_per_seed)} seeds")
-    if report.failures:
-        for failure in report.failures:
-            print(f"FAILED {failure}", file=sys.stderr)
-        return 1
-    return 0
+    return _print_failures([report])
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +262,13 @@ def cmd_ablate(args) -> int:
         return 2
 
     reports = []
-    failed = False
     with _seed_map(jobs) as map_fn:
         for label, weight_overrides in ABLATION_ROWS:
             config = replace(base, weights=replace(base.weights, **weight_overrides))
-            report = _run_variant(
-                config, *pair, out_dir, latents=not args.no_latents, map_fn=map_fn,
-                label=f"ablate-{label}",
-            )
-            report.variant = label
-            reports.append(report)
-            failed = failed or bool(report.failures)
+            reports.append(_run_row(
+                config, pair, out_dir, label, f"ablate-{label}",
+                latents=not args.no_latents, map_fn=map_fn,
+            ))
 
     pair_dir = out_dir / f"{base.source_subset}-{base.target_subset}" / "ablate"
     write_aggregate(pair_dir, reports)
@@ -277,7 +279,7 @@ def cmd_ablate(args) -> int:
                 fh.write(f"{report.variant},{seed},{report.rmse_per_seed[i]},{report.score_per_seed[i]}\n")
     for report in reports:
         print(f"{report.variant}: rmse {report.rmse_mean:.2f} +- {report.rmse_sd:.2f}")
-    return 1 if failed else 0
+    return _print_failures(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +322,7 @@ def cmd_sweep(args) -> int:
         return 2
 
     rows = []
-    failed = False
+    reports = []
     with _seed_map(jobs) as map_fn:
         for values in points:
             point = dict(zip(keys, values))
@@ -332,10 +334,10 @@ def cmd_sweep(args) -> int:
             )
             model = replace(base.model, recon_cell=point["autoencoder"])
             config = replace(base, weights=weights, model=model)
-            report = _run_variant(
-                config, *pair, out_dir, latents=False, map_fn=map_fn, label=f"sweep-{tag}",
+            report = _run_row(
+                config, pair, out_dir, tag, f"sweep-{tag}", latents=False, map_fn=map_fn,
             )
-            failed = failed or bool(report.failures)
+            reports.append(report)
             mean_val = (
                 float(np.mean(report.val_rmse_per_seed)) if report.val_rmse_per_seed else math.inf
             )
@@ -350,7 +352,7 @@ def cmd_sweep(args) -> int:
         for row in rows:
             fh.write(",".join(str(row[k]) for k in keys) + f",{row['val_rmse']}\n")
     print(f"best point: {rows[0]['tag']} (source-val rmse {rows[0]['val_rmse']:.2f})")
-    return 1 if failed else 0
+    return _print_failures(reports)
 
 
 # ---------------------------------------------------------------------------

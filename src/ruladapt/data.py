@@ -257,24 +257,6 @@ class WindowSample:
         return np.vstack([pad, self.matrix[:end]]).T
 
 
-def make_windows(
-    traj: Trajectory,
-    K: int,
-    stats: NormalizationStats,
-    rc: float = DEFAULT_RC,
-    *,
-    domain_tag: str = SOURCE,
-    labelled: bool = True,
-    feature_mask: Sequence[int] | None = None,
-) -> list[WindowSample]:
-    """All stride-1 windows of a trajectory: T - K + 1 of them for T >= K,
-    otherwise a single left-padded window ending at the last cycle."""
-    if K < 1:
-        raise ValueError(f"window length must be >= 1, got {K}")
-    mat = normalize_matrix(traj.features(feature_mask), stats)
-    return _windows_from_matrix(mat, traj.unit_id, K, rc, domain_tag, labelled)
-
-
 def _windows_from_matrix(mat, unit_id, K, rc, domain_tag, labelled):
     T = len(mat)
     ends = range(K, T + 1) if T >= K else [T]

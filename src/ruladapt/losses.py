@@ -119,15 +119,21 @@ def smooth_loss(
     predict_fn: Callable[[Tensor], Tensor],
     gamma_noise: float,
     rng: np.random.Generator,
+    *,
+    clean: Tensor | None = None,
 ) -> Tensor:
     """Per-sample squared prediction change under a Gaussian bottleneck
     perturbation: (1/N) ||F(C) - F(C + gamma * delta)||^2, fresh delta each
-    call; gradients flow through both branches."""
+    call; gradients flow through both branches.  `clean` is F(C) when the
+    caller already has it (the forward pass's prediction); otherwise it is
+    computed here."""
     if gamma_noise < 0:
         raise ValueError("gamma_noise must be non-negative")
     delta = rng.standard_normal(size=c.shape)
     perturbed = ad.add(c, ad.constant(gamma_noise * delta))
-    diff = ad.sub(predict_fn(c), predict_fn(perturbed))
+    if clean is None:
+        clean = predict_fn(c)
+    diff = ad.sub(clean, predict_fn(perturbed))
     return ad.scale(ad.sqnorm(diff), 1.0 / c.shape[0])
 
 
@@ -163,8 +169,8 @@ class DomainDiscriminator:
         }
 
     def logits(self, x: Tensor) -> Tensor:
-        h = ad.relu(ad.add(ad.matmul(x, self.params["disc.1.W"]), self.params["disc.1.b"]))
-        return ad.add(ad.matmul(h, self.params["disc.2.W"]), self.params["disc.2.b"])
+        h = ad.relu(ad.linear(x, self.params["disc.1.W"], self.params["disc.1.b"]))
+        return ad.linear(h, self.params["disc.2.W"], self.params["disc.2.b"])
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params

@@ -182,7 +182,7 @@ class Model:
         return self.params[name]
 
     def _affine(self, x: Tensor, name: str) -> Tensor:
-        return ad.add(ad.matmul(x, self._p(f"{name}.W")), self._p(f"{name}.b"))
+        return ad.linear(x, self._p(f"{name}.W"), self._p(f"{name}.b"))
 
     def _layer_norm(self, x: Tensor, name: str, eps: float = 1e-5) -> Tensor:
         return ad.layer_norm(x, self._p(f"{name}.g"), self._p(f"{name}.b"), eps)
@@ -245,19 +245,8 @@ class Model:
         return o, y_hat
 
     def _cell_step(self, u: Tensor, state):
+        """One LSTM or RNN step; the GRU runs as one `gru_sequence` node."""
         p = self._p
-        if self.config.recon_cell == "gru":
-            h = state
-            z = ad.sigmoid(ad.add(ad.add(ad.matmul(u, p("recon.cell.Wiz")),
-                                         ad.matmul(h, p("recon.cell.Whz"))), p("recon.cell.bz")))
-            r = ad.sigmoid(ad.add(ad.add(ad.matmul(u, p("recon.cell.Wir")),
-                                         ad.matmul(h, p("recon.cell.Whr"))), p("recon.cell.br")))
-            cand = ad.tanh(ad.add(
-                ad.add(ad.matmul(u, p("recon.cell.Win")), p("recon.cell.bin")),
-                ad.mul(r, ad.add(ad.matmul(h, p("recon.cell.Whn")), p("recon.cell.bhn"))),
-            ))
-            new_h = ad.add(ad.mul(1.0 - z, cand), ad.mul(z, h))
-            return new_h, new_h
         if self.config.recon_cell == "lstm":
             h, c = state
             gates = {}
@@ -279,6 +268,16 @@ class Model:
         cfg = self.config
         n = c.shape[0]
         h = ad.sigmoid(self._affine(c, "recon.init"))
+        if cfg.recon_cell == "gru":
+            def stacked(*names):
+                return ad.concat([self._p(f"recon.cell.{k}") for k in names], axis=-1)
+
+            return ad.gru_sequence(
+                h, x_first,
+                stacked("Wiz", "Wir", "Win"), stacked("Whz", "Whr", "Whn"),
+                stacked("bz", "br", "bin"), self._p("recon.cell.bhn"),
+                self._p("recon.out.W"), self._p("recon.out.b"), cfg.window,
+            )
         state = (h, ad.constant(np.zeros((n, cfg.recon_hidden)))) if cfg.recon_cell == "lstm" else h
         u = x_first
         steps = []

@@ -55,7 +55,8 @@ DEFAULT_SEEDS = (1, 123074, 2457)
 
 
 class TrainingAbort(RuntimeError):
-    """Raised when the loss goes non-finite; carries the per-term dump."""
+    """Raised when the loss or a gradient goes non-finite; carries the
+    per-term dump."""
 
     def __init__(self, message: str, terms: dict):
         super().__init__(f"{message}; per-term losses: {terms}")
@@ -303,11 +304,14 @@ def train_step(state: TrainState, src_X, src_y, tgt_X) -> dict:
                 return recon_loss(Tensor(src_X), x_hat[:n], Tensor(tgt_X), x_hat[n:])
 
             parts.recon = recon
+            # F(C) of both streams is the forward pass's prediction; only the
+            # perturbed bottlenecks go through expand + decode again.
             parts.smooth = lambda: ad.add(
                 smooth_loss(c_s, model.predict_from_bottleneck,
-                            config.weights.gamma_noise, state.rng_noise),
+                            config.weights.gamma_noise, state.rng_noise, clean=y_hat),
                 smooth_loss(c_t, model.predict_from_bottleneck,
-                            config.weights.gamma_noise, state.rng_noise),
+                            config.weights.gamma_noise, state.rng_noise,
+                            clean=bundle.y_hat[n:]),
             )
         if variant == "dann":
             parts.adversarial = lambda: dann_loss(c_s, c_t, state.discriminator, config.dann_weight)
@@ -319,6 +323,11 @@ def train_step(state: TrainState, src_X, src_y, tgt_X) -> dict:
             f"non-finite loss at iteration {state.iteration}", parts.terms
         )
     backward(loss)
+    for name, p in params.items():
+        if p.grad is not None and not np.isfinite(p.grad).all():
+            raise TrainingAbort(
+                f"non-finite gradient of {name} at iteration {state.iteration}", parts.terms
+            )
     lr = lr_schedule(
         state.iteration, config.lr, config.lr_gamma, config.lr_decay_start,
         state.steps_per_epoch,
@@ -555,6 +564,7 @@ def run_experiment(
     target: DomainDataset,
     *,
     out_dir=None,
+    label: str | None = None,
     write_latents: bool = True,
     progress: Callable[[str], None] | None = None,
     map_fn=map,
@@ -566,12 +576,13 @@ def run_experiment(
     results are consumed in seed order, so every artifact is the same either
     way.  A seed run that aborts (non-finite loss) is recorded as a failure
     and the remaining seeds still run.  Artifacts are written per seed under
-    out_dir/<seed>/ when out_dir is given.
+    out_dir/<seed>/ when out_dir is given.  `label` names the row in the
+    report and the progress lines (default: the config's variant).
     """
     report = MetricsReport(
         source=config.source_subset,
         target=config.target_subset,
-        variant=config.variant,
+        variant=label or config.variant,
         seeds=tuple(config.seeds),
         n_test_engines=len(target.test_windows),
     )
@@ -590,7 +601,7 @@ def run_experiment(
         rows.append((result["seed"], result["rmse"], result["score"], result["val_rmse"]))
         if progress is not None:
             progress(
-                f"{config.source_subset}->{config.target_subset} {config.variant} "
+                f"{config.source_subset}->{config.target_subset} {report.variant} "
                 f"seed {result['seed']}: rmse {result['rmse']:.2f}"
             )
     if out_dir is not None:

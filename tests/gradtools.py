@@ -14,6 +14,17 @@ from ruladapt import autodiff as ad
 from ruladapt.autodiff import Tensor
 
 
+def split_flat(flat: Tensor, shapes) -> list[Tensor]:
+    """Consecutive slices of a flat tensor, reshaped to `shapes`, so that one
+    `grad_check` over `flat` covers every input of a many-input primitive."""
+    pieces, offset = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        pieces.append(ad.reshape(flat[offset : offset + size], shape))
+        offset += size
+    return pieces
+
+
 def pack_params(params: dict[str, Tensor]) -> np.ndarray:
     return np.concatenate([p.data.ravel() for p in params.values()])
 

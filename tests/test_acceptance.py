@@ -27,7 +27,6 @@ from ruladapt.data import (
     build_domain_dataset,
     denormalize,
     fit_normalization,
-    make_windows,
     normalize,
     parse_cmapss,
     rul_label,
@@ -50,8 +49,10 @@ from ruladapt.model import Model, desk_model_config, tiny_model_config, toy_mode
 from ruladapt.synthetic import generate_subset, make_toy_domains
 from ruladapt.training import init_state, make_run_config, run_single_seed, train
 
-from gradtools import flat_loss_fn
+from gradtools import flat_loss_fn, split_flat
+from windowing import make_windows
 
+GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))
 RUN_SLOW = os.environ.get("RULADAPT_RUN_SLOW", "") not in ("", "0")
 
 
@@ -115,6 +116,12 @@ def test_criterion_1_gradient_fidelity():
         "pairwise_sqdist": (
             lambda x: ad.tsum(ad.square(ad.pairwise_sqdist(x, Tensor(m.T)))),
             safe(3, 4),
+        ),
+        "linear": (lambda x: ad.tsum(ad.square(ad.linear(x, Tensor(m), Tensor(m[0])))), a),
+        # every input of a 3-step GRU (n=2, f=3, H=2) packed into one vector
+        "gru_sequence": (
+            lambda x: ad.tsum(ad.square(ad.gru_sequence(*split_flat(x, GRU_SHAPES), steps=3))),
+            rng.uniform(-1, 1, size=sum(int(np.prod(s)) for s in GRU_SHAPES)),
         ),
     }
     worst_name, worst = "", 0.0

@@ -11,6 +11,8 @@ import pytest
 from ruladapt import autodiff as ad
 from ruladapt.autodiff import Tensor, backward, grad_check
 
+from gradtools import split_flat
+
 
 def rand(rng, *shape, low=-2.0, high=2.0):
     return rng.uniform(low, high, size=shape)
@@ -109,6 +111,11 @@ def test_pairwise_sqdist_dimension_mismatch_raises():
 # ---------------------------------------------------------------------------
 # finite-difference sweep over every primitive
 
+# gru_sequence inputs h0, u0, w_i, w_h, b_i, b_hn, w_out, b_out at n=2, f=3, H=2
+GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))
+GRU_FLAT_SIZE = sum(int(np.prod(s)) for s in GRU_SHAPES)
+
+
 def _primitive_cases(rng):
     a23 = rand_safe(rng, 2, 3)
     b23 = rand_safe(rng, 2, 3)
@@ -192,6 +199,22 @@ def _primitive_cases(rng):
             rand(rng, 2, 3, 2),
         ),
         (
+            "linear_x",
+            lambda x: ad.tsum(ad.square(ad.linear(x, Tensor(m34), Tensor(b234[0, 0])))),
+            rand(rng, 2, 2, 3),
+        ),
+        (
+            "linear_w_b",
+            lambda x: ad.tsum(ad.square(ad.linear(Tensor(b234[..., :3]), x[:3], x[3]))),
+            rand(rng, 4, 4),
+        ),
+        (
+            "gru_sequence",
+            lambda x: ad.tsum(ad.mul(ad.gru_sequence(*split_flat(x, GRU_SHAPES), steps=4),
+                                     Tensor(b234))),
+            rand(rng, GRU_FLAT_SIZE, low=-1.0, high=1.0),
+        ),
+        (
             "pairwise_sqdist_a",
             lambda x: ad.tsum(ad.square(ad.pairwise_sqdist(x, Tensor(m34.T)))),
             rand(rng, 2, 3),
@@ -241,6 +264,37 @@ def composed_attention(q, k, v):
     return ad.matmul(ad.softmax(logits, axis=-1), v)
 
 
+def composed_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def composed_gru_sequence(h0, u0, w_i, w_h, b_i, b_hn, w_out, b_out, steps):
+    """The GRU unroll as the model composed it from primitives, one step of
+    about 20 nodes per frame, with the gate blocks sliced out of the
+    stacked weights."""
+    n, H = h0.shape
+    f = u0.shape[1]
+
+    def block(t, k):
+        return t[..., k * H : (k + 1) * H]
+
+    h, u, frames = h0, u0, []
+    for _ in range(steps):
+        z = ad.sigmoid(ad.add(ad.add(ad.matmul(u, block(w_i, 0)),
+                                     ad.matmul(h, block(w_h, 0))), block(b_i, 0)))
+        r = ad.sigmoid(ad.add(ad.add(ad.matmul(u, block(w_i, 1)),
+                                     ad.matmul(h, block(w_h, 1))), block(b_i, 1)))
+        cand = ad.tanh(ad.add(
+            ad.add(ad.matmul(u, block(w_i, 2)), block(b_i, 2)),
+            ad.mul(r, ad.add(ad.matmul(h, block(w_h, 2)), b_hn)),
+        ))
+        h = ad.add(ad.mul(1.0 - z, cand), ad.mul(z, h))
+        frame = ad.add(ad.matmul(h, w_out), b_out)
+        frames.append(ad.reshape(frame, (n, f, 1)))
+        u = frame
+    return ad.concat(frames, axis=2)
+
+
 def batched_matmul(a, b):
     """The 3-D x 2-D product as a batched matmul over a broadcast copy of b."""
     return ad.matmul(a, ad.broadcast_to(b, a.shape[:1] + b.shape))
@@ -264,6 +318,11 @@ def test_fused_ops_match_composed_graphs(seed):
         (ad.attention, composed_attention,
          [rand(rng, n, h, S, d), rand(rng, n, h, T, d), rand(rng, n, h, T, 3)], (n, h, S, 3), {}),
         (ad.matmul, batched_matmul, [rand(rng, n, S, d), rand(rng, d, 6)], (n, S, 6), {}),
+        (ad.linear, composed_linear,
+         [rand(rng, n, S, d), rand(rng, d, 6), rand(rng, 6)], (n, S, 6), {}),
+        (ad.gru_sequence, composed_gru_sequence,
+         [rand(rng, n, 2), rand(rng, n, d), rand(rng, d, 6), rand(rng, 2, 6), rand(rng, 6),
+          rand(rng, 2), rand(rng, 2, d), rand(rng, d)], (n, d, T), {"steps": T}),
     ]
     for fused, composed, arrays, out_shape, kwargs in cases:
         weights = rng.normal(size=out_shape)

@@ -128,6 +128,9 @@ def test_ablate_emits_three_variant_columns(cmapss_tiny_dir, tmp_path, capsys):
         "--data-dir", cmapss_tiny_dir, "--out-dir", out, *TOY_RUN,
     )
     assert rc == 0
+    progress = capsys.readouterr().out
+    for label in ("mmd", "mmd_ae", "full"):
+        assert f"FD001->FD002 {label} seed 1: rmse" in progress
     pair_dir = out / "FD001-FD002" / "ablate"
     rmse_rows = (pair_dir / "rmse.csv").read_text().splitlines()
     header = rmse_rows[0].split(",")
@@ -159,14 +162,29 @@ def test_ablate_row_weights_match_term_sets(cmapss_tiny_dir, tmp_path):
 
     # da_start=200 exceeds this 1-epoch toy budget, so adaptation columns are
     # blank everywhere; the weight columns still differ per row in the config.
-    for row, expect_weights in (
-        ("ablate-mmd", (0.35, 0.0, 0.0)),
-        ("ablate-mmd_ae", (0.35, 0.2, 0.0)),
-        ("ablate-full", (0.35, 0.2, 0.35)),
+    for label, expect_weights in (
+        ("mmd", (0.35, 0.0, 0.0)),
+        ("mmd_ae", (0.35, 0.2, 0.0)),
+        ("full", (0.35, 0.2, 0.35)),
     ):
+        row = f"ablate-{label}"
         report = json.loads((base / row / "1" / "report.json").read_text())
         weights = report["config"]["weights"]
         assert (weights["lambda_m"], weights["lambda_r"], weights["lambda_s"]) == expect_weights
+        assert json.loads((base / row / "report.json").read_text())["variant"] == label
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_ablate_prints_one_failed_line_per_failed_seed(cmapss_tiny_dir, tmp_path, capsys):
+    rc = run_cli(
+        "ablate", "--source", "FD001", "--target", "FD002",
+        "--data-dir", cmapss_tiny_dir, "--out-dir", tmp_path / "runs", *TOY_RUN,
+        "--lr", "1e200",
+    )
+    assert rc == 1
+    failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAILED ")]
+    assert len(failed) == 3 and all(line.startswith("FAILED seed 1: ") for line in failed)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from ruladapt.data import (
     fit_normalization_matrix,
     format_trajectories,
     load_dataset_cache,
-    make_windows,
     normalize,
     normalize_matrix,
     parse_cmapss,
@@ -26,6 +25,8 @@ from ruladapt.data import (
     stack_windows,
     subset_paths,
 )
+
+from windowing import make_windows
 
 
 def toy_trajectory(unit=1, T=50, seed=0):

@@ -275,6 +275,25 @@ def test_smooth_loss_gradient_flows_through_both_branches():
     assert np.any(w.grad != 0.0)
 
 
+def test_smooth_loss_with_given_clean_prediction_matches_recomputing():
+    rng = np.random.default_rng(24)
+    c0, w0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+
+    def value_and_grads(reuse: bool):
+        c = Tensor(c0.copy(), requires_grad=True)
+        w = Tensor(w0.copy(), requires_grad=True)
+        predict = lambda x: ad.tanh(ad.matmul(x, w))
+        clean = {"clean": predict(c)} if reuse else {}
+        value = smooth_loss(c, predict, 0.2, np.random.default_rng(3), **clean)
+        backward(value)
+        return value.item(), c.grad, w.grad
+
+    want, got = value_and_grads(False), value_and_grads(True)
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        np.testing.assert_array_equal(g, w)
+
+
 def test_smooth_loss_gradient_check_with_frozen_noise():
     rng = np.random.default_rng(23)
     w = rng.normal(size=(4, 1))

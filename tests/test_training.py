@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ruladapt import autodiff as ad
+from ruladapt import training
 from ruladapt.autodiff import Tensor, backward
 from ruladapt.data import stack_windows
 from ruladapt.losses import (
@@ -319,6 +320,52 @@ def test_forward_rows_follow_the_target_stream_readers(toy_domains, monkeypatch)
         for _ in range(3):
             train_step(state, src_X, src_y, tgt_X)
         assert rows == expected, variant
+
+
+def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
+    """Interior graph nodes of one toy lamanet step with every term on: 250.
+
+    The same step took 770 nodes with the 16-step GRU unrolled into
+    primitives and each bias add its own node, and decoding F(C) again in
+    the smoothness term costs about 30 nodes per stream."""
+    source, target = toy_domains
+    nodes = []
+
+    def counting_backward(loss):
+        nodes.append(sum(1 for node in ad._topo_order(loss) if node._parents))
+        backward(loss)
+
+    monkeypatch.setattr(training, "backward", counting_backward)
+    state = init_state(toy_config("lamanet", da_start=0), 1)
+    state.steps_per_epoch = 10
+    src_X, src_y = stack_windows(source.train_windows, range(16))
+    tgt_X, _ = stack_windows(target.train_windows, range(16))
+    train_step(state, src_X, src_y, tgt_X)
+    assert nodes[0] <= 250, nodes
+
+
+def test_non_finite_gradient_aborts_before_the_update(toy_domains, monkeypatch):
+    source, target = toy_domains
+    state = init_state(toy_config("lamanet", da_start=0), 1)
+    state.steps_per_epoch = 10
+    state.iteration = 3
+
+    def poisoned_backward(loss):
+        backward(loss)
+        state.model.params["squeeze.2.W"].grad[0, 0] = np.inf
+        state.model.params["head.W"].grad[0, 0] = np.nan
+
+    monkeypatch.setattr(training, "backward", poisoned_backward)
+    params = {name: p.data.copy() for name, p in state.trainable().items()}
+    src_X, src_y = stack_windows(source.train_windows, range(16))
+    tgt_X, _ = stack_windows(target.train_windows, range(16))
+    with pytest.raises(TrainingAbort, match="non-finite gradient of squeeze.2.W at iteration 3"):
+        train_step(state, src_X, src_y, tgt_X)
+    for name, p in state.trainable().items():
+        np.testing.assert_array_equal(p.data, params[name], err_msg=name)
+    assert state.adam.t == 0 and state.iteration == 3
+    assert not any(np.any(m) for m in state.adam.m.values())
+    assert not any(np.any(v) for v in state.adam.v.values())
 
 
 def test_loss_trajectory_bitwise_deterministic(toy_domains):
