@@ -5,15 +5,15 @@ the tape in reverse topological order and accumulates exact vector-Jacobian
 products into every ``requires_grad`` leaf.  All math is plain numpy in
 float64, the one supported dtype: every array is cast to it on entry.
 
-The primitive set is deliberately small: elementwise arithmetic, matmul with
-batched operands (a 2-D right operand runs as a single GEMM), shape ops,
-reductions, the usual activations, and two distance helpers (`sqnorm`,
-`pairwise_sqdist`) that the kernel losses build on.  `linear` (affine map),
-`layer_norm`, `attention` and `gru_sequence` (a whole GRU unroll with output
-feedback) are fused primitives with hand-written VJPs, one graph node each in
-place of the chain of primitives they would take composed.  `grad_reverse` is
-the identity forward / sign-flipped backward used by the adversarial
-baseline.
+The primitive set is deliberately small: elementwise arithmetic, batched
+matmul (numpy's, no GEMM special case), shape ops, reductions, the usual
+activations, and two distance helpers (`sqnorm`, `pairwise_sqdist`) that the
+kernel losses build on.  `linear` (affine map, one GEMM over all leading
+rows), `layer_norm`, `attention` and `gru_sequence` (a whole GRU unroll with
+output feedback) are fused primitives with hand-written VJPs, one graph node
+each in place of the chain of primitives they would take composed.
+`grad_reverse` is the identity forward / sign-flipped backward used by the
+adversarial baseline.
 """
 
 from __future__ import annotations
@@ -79,9 +79,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Return a graph-root copy of the current value (no gradient flow)."""
         return Tensor(self.data.copy(), requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -207,17 +204,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise GraphError(f"matmul requires >=2-D operands, got {a.shape} @ {b.shape}")
-    if b.ndim == 2:
-        # Fold every leading axis of `a` into the rows of one GEMM, forward
-        # and backward, instead of a batched matmul plus a reduction.
-        a2 = a.data.reshape(-1, a.shape[-1])
-
-        def vjp2(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.data.shape), a2.T @ g2
-
-        out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
-        return _make(out, (a, b), vjp2)
 
     def vjp(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
@@ -272,12 +258,14 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def take(a: Tensor, idx) -> Tensor:
-    """Basic slicing/indexing; backward scatter-adds into the source shape."""
+    """Basic slicing/indexing; backward writes the cotangent into a zero
+    array of the source shape.  A basic index selects each element at most
+    once, so a plain assignment is the scatter-add."""
     out = a.data[idx]
 
     def vjp(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        full[idx] = g
         return (full,)
 
     return _make(out, (a,), vjp)

@@ -40,11 +40,10 @@ from .data import (
     subset_paths,
 )
 from .evaluation import write_aggregate
-from .model import desk_model_config, toy_model_config
+from .model import ModelConfig, desk_model_config, toy_model_config
 from .serialization import config_hash
 from .training import (
     VARIANTS,
-    make_run_config,
     run_config_from_dict,
     run_experiment,
     variant_weights,
@@ -52,6 +51,7 @@ from .training import (
 
 PATH_KEYS = ("data_dir", "out_dir", "jobs")
 TOY_FEATURE_MASK = tuple(range(3, 11))  # sensors 1..8
+PRESET_MODELS = {"full": ModelConfig, "desk": desk_model_config, "toy": toy_model_config}
 SWEEP_GRID = {
     "lambda_m": (0.1, 0.2, 0.35, 0.5),
     "lambda_r": (0.1, 0.2, 0.35, 0.5),
@@ -76,52 +76,38 @@ def _resolve_paths(args, file_cfg: dict):
 
 
 def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: str):
+    """The file's run fields under the flags.  The window is `--window`, else
+    the file's, else the preset's; it and the feature-mask width set the
+    model's input shape.  The `toy` preset fixes the feature mask, and the
+    `toy` and `desk` presets fix the other model widths, which a file `model:`
+    mapping sets under `full`."""
     run_cfg = {k: v for k, v in file_cfg.items() if k not in PATH_KEYS}
-
-    preset = getattr(args, "preset", None) or run_cfg.pop("preset", None) or "full"
-    if getattr(args, "toy", False):
-        preset = "toy"
-    overrides: dict = {}
-    if preset == "toy":
-        overrides["feature_mask"] = TOY_FEATURE_MASK
-        overrides["window"] = 16
-        overrides["model"] = toy_model_config(len(TOY_FEATURE_MASK), 16)
-    elif preset == "desk":
-        overrides["model"] = desk_model_config(
-            len(run_cfg.get("feature_mask") or ALL_FEATURES),
-            int(run_cfg.get("window", 40)),
-        )
-    elif preset != "full":
+    file_preset = run_cfg.pop("preset", None)
+    preset = "toy" if getattr(args, "toy", False) else (
+        getattr(args, "preset", None) or file_preset or "full"
+    )
+    if preset not in PRESET_MODELS:
         raise ValueError(f"unknown preset {preset!r}")
+    if preset == "toy":
+        run_cfg["feature_mask"] = TOY_FEATURE_MASK
+    base_model = PRESET_MODELS[preset]()
+    run_cfg["window"] = getattr(args, "window", None) or run_cfg.get("window") or base_model.window
+    run_cfg["model"] = {
+        **asdict(base_model),
+        "n_features": len(run_cfg.get("feature_mask") or ALL_FEATURES),
+        "window": run_cfg["window"],
+        **((run_cfg.get("model") or {}) if preset == "full" else {}),
+    }
 
-    for field in ("window", "epochs", "batch_size", "lr", "rc"):
+    for field in ("epochs", "batch_size", "lr", "rc"):
         value = getattr(args, field, None)
         if value is not None:
-            overrides[field] = value
+            run_cfg[field] = value
     if getattr(args, "seeds", None):
-        overrides["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-
-    merged = {**run_cfg, **overrides}
-    merged.pop("preset", None)
-    merged["source_subset"] = source
-    merged["target_subset"] = target
-    merged["variant"] = variant
-    if "weights" not in merged:
-        merged["weights"] = variant_weights(variant)
-    return run_config_from_dict({**_defaults_dict(), **_normalize(merged)})
-
-
-def _defaults_dict() -> dict:
-    return make_run_config("FD002", "FD001").to_dict()
-
-
-def _normalize(payload: dict) -> dict:
-    out = dict(payload)
-    for key in ("model", "weights", "kernel"):
-        value = out.get(key)
-        if value is not None and not isinstance(value, dict):
-            out[key] = asdict(value)
-    return out
+        run_cfg["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+    run_cfg.update(source_subset=source, target_subset=target, variant=variant)
+    run_cfg.setdefault("weights", variant_weights(variant))
+    return run_config_from_dict(run_cfg)
 
 
 def provide_dataset(data_dir: Path, cache_dir: Path, subset: str, role: str, config):
@@ -239,7 +225,7 @@ def cmd_train(args) -> int:
             latents=not args.no_latents, map_fn=map_fn,
         )
     print(f"{report.pair} {report.variant}: "
-          f"rmse {report.rmse_mean:.2f} +- {report.rmse_sd:.2f} over {len(report.rmse_per_seed)} seeds")
+          f"rmse {report.rmse_mean:.2f} +- {report.rmse_sd:.2f} over {len(report.records)} seeds")
     return _print_failures([report])
 
 
@@ -275,8 +261,8 @@ def cmd_ablate(args) -> int:
     with open(pair_dir / "ablate_points.csv", "w") as fh:
         fh.write("variant,seed,rmse,score\n")
         for report in reports:
-            for i, seed in enumerate(report.seeds[: len(report.rmse_per_seed)]):
-                fh.write(f"{report.variant},{seed},{report.rmse_per_seed[i]},{report.score_per_seed[i]}\n")
+            for r in report.records:
+                fh.write(f"{report.variant},{r['seed']},{r['rmse']},{r['score']}\n")
     for report in reports:
         print(f"{report.variant}: rmse {report.rmse_mean:.2f} +- {report.rmse_sd:.2f}")
     return _print_failures(reports)
@@ -295,7 +281,15 @@ def _parse_grid(text: str | None) -> dict:
         if key not in SWEEP_GRID:
             raise ValueError(f"unknown grid key {key!r}; options: {sorted(SWEEP_GRID)}")
         parsed = [v.strip() for v in values.split(",") if v.strip()]
-        grid[key] = tuple(parsed if key == "autoencoder" else map(float, parsed))
+        if not parsed:
+            raise ValueError(f"grid key {key!r} has no values")
+        if key == "autoencoder":
+            unknown = sorted(set(parsed) - set(SWEEP_GRID[key]))
+            if unknown:
+                raise ValueError(f"unknown autoencoder cell {unknown}; options: {SWEEP_GRID[key]}")
+            grid[key] = tuple(parsed)
+        else:
+            grid[key] = tuple(map(float, parsed))
     for key, default in SWEEP_GRID.items():
         grid.setdefault(key, default)
     return grid

@@ -148,17 +148,6 @@ def parse_cmapss(train_path, test_path, rul_path):
     return train, test, truth
 
 
-def format_trajectories(trajectories: Sequence[Trajectory]) -> str:
-    """Serialize back to the flat layout; reparsing reproduces the input."""
-    lines = []
-    for traj in trajectories:
-        block = np.hstack([traj.op_settings, traj.sensors])
-        for t, row in enumerate(block, start=1):
-            values = " ".join(repr(float(v)) for v in row)
-            lines.append(f"{traj.unit_id} {t} {values}")
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # normalization
 
@@ -197,19 +186,6 @@ def fit_normalization(
     return fit_normalization_matrix(
         [t.features(feature_mask) for t in trajectories], fitted_on
     )
-
-
-def normalize(x: float, j: int, stats: NormalizationStats) -> float:
-    """Min-max scale one value of feature j; constant features map to 0."""
-    if stats.constant[j]:
-        return 0.0
-    return (x - stats.minimum[j]) / (stats.maximum[j] - stats.minimum[j])
-
-
-def denormalize(y: float, j: int, stats: NormalizationStats) -> float:
-    if stats.constant[j]:
-        return float(stats.minimum[j])
-    return y * (stats.maximum[j] - stats.minimum[j]) + stats.minimum[j]
 
 
 def normalize_matrix(features: np.ndarray, stats: NormalizationStats) -> np.ndarray:

@@ -80,21 +80,33 @@ def _sample_sd(values) -> float:
 
 @dataclass
 class MetricsReport:
-    """Per (source, target, variant) results across seeds."""
+    """Per (source, target, variant) results across seeds: one record
+    ({"seed", "rmse", "score", "val_rmse"}) per finished seed, in seed
+    order, and one line per failed seed."""
 
     source: str
     target: str
     variant: str
     seeds: tuple[int, ...]
-    rmse_per_seed: list[float] = field(default_factory=list)
-    score_per_seed: list[float] = field(default_factory=list)
-    val_rmse_per_seed: list[float] = field(default_factory=list)
+    records: list[dict] = field(default_factory=list)
     n_test_engines: int = 0
     failures: list[str] = field(default_factory=list)
 
     @property
     def pair(self) -> str:
         return f"{self.source}->{self.target}"
+
+    @property
+    def rmse_per_seed(self) -> list[float]:
+        return [r["rmse"] for r in self.records]
+
+    @property
+    def score_per_seed(self) -> list[float]:
+        return [r["score"] for r in self.records]
+
+    @property
+    def val_rmse_per_seed(self) -> list[float]:
+        return [r["val_rmse"] for r in self.records]
 
     @property
     def rmse_mean(self) -> float:

@@ -172,9 +172,6 @@ class DomainDiscriminator:
         h = ad.relu(ad.linear(x, self.params["disc.1.W"], self.params["disc.1.b"]))
         return ad.linear(h, self.params["disc.2.W"], self.params["disc.2.b"])
 
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
 
 def dann_loss(
     c_s: Tensor,

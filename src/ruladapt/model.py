@@ -18,7 +18,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .serialization import load_blob, save_blob
 
 
 @dataclass(frozen=True)
@@ -53,17 +52,6 @@ class ModelConfig:
         return (self.n_features + self.window) * self.attn_dim
 
 
-def tiny_model_config(n_features: int = 4, window: int = 8, **overrides) -> ModelConfig:
-    """Widths-8 configuration for gradient checks and fast unit tests."""
-    base = dict(
-        n_features=n_features, window=window, attn_dim=8, n_heads=2,
-        n_encoder_layers=1, n_decoder_layers=1, ffn_dim=16,
-        squeeze_hidden=16, bottleneck=8, head_dim=8,
-    )
-    base.update(overrides)
-    return ModelConfig(**base)
-
-
 def toy_model_config(n_features: int = 8, window: int = 16, **overrides) -> ModelConfig:
     """Shrunk dims used by --toy runs: f=8, K=16, width-8 attention."""
     base = dict(
@@ -89,14 +77,13 @@ def desk_model_config(n_features: int = 24, window: int = 40, **overrides) -> Mo
 @dataclass
 class LatentBundle:
     """Per-batch forward products: encoder latent E, bottleneck C, expanded
-    latent, pre-head representation O, prediction, optional reconstruction."""
+    latent, pre-head representation O and the prediction."""
 
     e: Tensor
     c: Tensor
     e_tilde: Tensor
     o: Tensor
     y_hat: Tensor
-    x_hat: Tensor | None = None
 
 
 def _xavier(rng, fan_in: int, fan_out: int) -> np.ndarray:
@@ -288,15 +275,14 @@ class Model:
             u = frame
         return ad.concat(steps, axis=2)
 
-    def forward(self, X, with_recon: bool = False) -> LatentBundle:
+    def forward(self, X) -> LatentBundle:
         if not isinstance(X, Tensor):
             X = Tensor(X)
         e = self.encode(X)
         c = self.squeeze(e)
         e_tilde = self.expand(c)
         o, y_hat = self.decode_predict(e_tilde)
-        x_hat = self.reconstruct(c, X[:, :, 0]) if with_recon else None
-        return LatentBundle(e=e, c=c, e_tilde=e_tilde, o=o, y_hat=y_hat, x_hat=x_hat)
+        return LatentBundle(e=e, c=c, e_tilde=e_tilde, o=o, y_hat=y_hat)
 
     def predict_from_bottleneck(self, c: Tensor) -> Tensor:
         """The bottleneck-to-prediction map used by the smoothness penalty."""
@@ -304,16 +290,6 @@ class Model:
         return y_hat
 
     # -- parameter plumbing ---------------------------------------------------
-    def parameters(self) -> dict[str, Tensor]:
-        return self.params
-
-    @property
-    def n_params(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params.items()}
-
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
         missing = set(self.params) - set(arrays)
         if missing:
@@ -324,55 +300,3 @@ class Model:
                 raise ValueError(f"{name}: shape {value.shape} != {p.data.shape}")
             p.data = value.astype(p.data.dtype)
             p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# checkpoint file format (shared by the trainer)
-
-def save_checkpoint(
-    path,
-    *,
-    params: dict[str, Tensor],
-    adam_m: dict[str, np.ndarray],
-    adam_v: dict[str, np.ndarray],
-    adam_t: int,
-    iteration: int,
-    config_hash: str,
-    rng_states: dict | None = None,
-    extra_arrays: dict[str, np.ndarray] | None = None,
-    extra_meta: dict | None = None,
-) -> str:
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in params.items():
-        arrays[f"param/{name}"] = p.data
-        arrays[f"adam_m/{name}"] = adam_m[name]
-        arrays[f"adam_v/{name}"] = adam_v[name]
-    for name, value in (extra_arrays or {}).items():
-        arrays[f"extra/{name}"] = value
-    meta = {
-        "kind": "checkpoint",
-        "config_hash": config_hash,
-        "iteration": int(iteration),
-        "adam_t": int(adam_t),
-        "rng_states": rng_states or {},
-        **(extra_meta or {}),
-    }
-    return save_blob(path, arrays, meta)
-
-
-def load_checkpoint(path, expected_config_hash: str | None = None):
-    """Returns (params, adam_m, adam_v, extras, meta); fails when the stored
-    config hash does not match the requested one."""
-    arrays, meta = load_blob(path)
-    if meta.get("kind") != "checkpoint":
-        raise ValueError(f"{path}: not a checkpoint file")
-    if expected_config_hash is not None and meta["config_hash"] != expected_config_hash:
-        raise ValueError(
-            f"{path}: checkpoint config hash {meta['config_hash'][:12]} does not "
-            f"match the requested configuration {expected_config_hash[:12]}"
-        )
-
-    def section(prefix):
-        return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
-
-    return section("param/"), section("adam_m/"), section("adam_v/"), section("extra/"), meta

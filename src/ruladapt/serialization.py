@@ -60,7 +60,3 @@ def load_blob(path) -> tuple[dict[str, np.ndarray], dict]:
         ).reshape(shape).copy()
         offset += nbytes
     return arrays, header["meta"]
-
-
-def blob_hash(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -37,8 +37,8 @@ from .losses import (
     rul_mse,
     smooth_loss,
 )
-from .model import Model, ModelConfig, load_checkpoint, save_checkpoint
-from .serialization import config_hash as _hash_dict
+from .model import Model, ModelConfig
+from .serialization import config_hash as _hash_dict, load_blob, save_blob
 
 # The adaptation terms each variant provides; every one of them reads the
 # target stream.
@@ -436,46 +436,57 @@ def _restore_rng(state_dict: dict) -> np.random.Generator:
 
 
 def save_train_checkpoint(path, state: TrainState) -> str:
-    extra_arrays = {}
+    """Write parameters, Adam moments, the mid-epoch batch plan and the rng
+    states to one blob; returns the sha256 of its bytes."""
+    arrays: dict[str, np.ndarray] = {}
+    for name, p in state.trainable().items():
+        arrays[f"param/{name}"] = p.data
+        arrays[f"adam_m/{name}"] = state.adam.m[name]
+        arrays[f"adam_v/{name}"] = state.adam.v[name]
     if state.src_order is not None:  # mid-epoch: persist the batch plan
-        extra_arrays["plan_src"] = state.src_order.astype(np.int64)
-        extra_arrays["plan_tgt"] = state.tgt_order.astype(np.int64)
-    return save_checkpoint(
-        path,
-        params=state.trainable(),
-        adam_m=state.adam.m,
-        adam_v=state.adam.v,
-        adam_t=state.adam.t,
-        iteration=state.iteration,
-        config_hash=state.config.hash,
-        rng_states={
+        arrays["extra/plan_src"] = state.src_order.astype(np.int64)
+        arrays["extra/plan_tgt"] = state.tgt_order.astype(np.int64)
+    meta = {
+        "kind": "checkpoint",
+        "config_hash": state.config.hash,
+        "iteration": state.iteration,
+        "adam_t": state.adam.t,
+        "rng_states": {
             "shuffle": _rng_state(state.rng_shuffle),
             "noise": _rng_state(state.rng_noise),
         },
-        extra_arrays=extra_arrays,
-        extra_meta={
-            "epoch": state.epoch,
-            "step_in_epoch": state.step_in_epoch,
-            "steps_per_epoch": state.steps_per_epoch,
-            "seed": state.seed,
-        },
-    )
+        "epoch": state.epoch,
+        "step_in_epoch": state.step_in_epoch,
+        "steps_per_epoch": state.steps_per_epoch,
+        "seed": state.seed,
+    }
+    return save_blob(path, arrays, meta)
 
 
 def load_train_checkpoint(path, config: RunConfig) -> TrainState:
-    params_arrays, adam_m, adam_v, extras, meta = load_checkpoint(
-        path, expected_config_hash=config.hash
-    )
+    """The state saved at `path`; fails when the file is not a checkpoint or
+    its config hash does not match `config`."""
+    arrays, meta = load_blob(path)
+    if meta.get("kind") != "checkpoint":
+        raise ValueError(f"{path}: not a checkpoint file")
+    if meta["config_hash"] != config.hash:
+        raise ValueError(
+            f"{path}: checkpoint config hash {meta['config_hash'][:12]} does not "
+            f"match the requested configuration {config.hash[:12]}"
+        )
+
+    def section(prefix):
+        return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+
+    params = section("param/")
     state = init_state(config, int(meta["seed"]))
-    state.model.load_state(
-        {k: v for k, v in params_arrays.items() if not k.startswith("disc.")}
-    )
+    state.model.load_state(params)
     if state.discriminator is not None:
         for name, p in state.discriminator.params.items():
-            p.data = params_arrays[name].copy()
+            p.data = params[name].copy()
             p.grad = None
-    state.adam.m = {k: v.copy() for k, v in adam_m.items()}
-    state.adam.v = {k: v.copy() for k, v in adam_v.items()}
+    state.adam.m = {k: v.copy() for k, v in section("adam_m/").items()}
+    state.adam.v = {k: v.copy() for k, v in section("adam_v/").items()}
     state.adam.t = int(meta["adam_t"])
     state.iteration = int(meta["iteration"])
     state.epoch = int(meta["epoch"])
@@ -483,16 +494,21 @@ def load_train_checkpoint(path, config: RunConfig) -> TrainState:
     state.steps_per_epoch = int(meta["steps_per_epoch"])
     state.rng_shuffle = _restore_rng(meta["rng_states"]["shuffle"])
     state.rng_noise = _restore_rng(meta["rng_states"]["noise"])
-    if "plan_src" in extras:
-        state.src_order = extras["plan_src"]
-        state.tgt_order = extras["plan_tgt"]
+    if "extra/plan_src" in arrays:
+        state.src_order = arrays["extra/plan_src"]
+        state.tgt_order = arrays["extra/plan_tgt"]
     return state
 
 
 # ---------------------------------------------------------------------------
 # experiment orchestration
 
-RUN_FILES = ("report.json", "metrics.csv", "checkpoint.bin", "train_log.csv")
+def _write_metrics(path, records: list[dict]) -> None:
+    """metrics.csv: one row per seed record."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=("seed", "rmse", "score", "val_rmse"))
+        writer.writeheader()
+        writer.writerows(records)
 
 
 def run_single_seed(
@@ -516,17 +532,17 @@ def run_single_seed(
         if log_writer is not None:
             log_writer.close()
     target_rmse, target_score = evaluate_target(state.model, target, config.rc)
-    val = source_val_rmse(state, source)
+    result = {
+        "seed": seed, "rmse": target_rmse, "score": target_score,
+        "val_rmse": source_val_rmse(state, source),
+    }
     if run_dir is not None:
         save_train_checkpoint(run_dir / "checkpoint.bin", state)
-        with open(run_dir / "metrics.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "rmse", "score", "val_rmse"])
-            writer.writerow([seed, target_rmse, target_score, val])
+        _write_metrics(run_dir / "metrics.csv", [result])
         if write_latents:
             export_latents(state.model, [source, target], "C", run_dir / "latents_C.csv")
             export_latents(state.model, [source, target], "O", run_dir / "latents_O.csv")
-    return {"seed": seed, "rmse": target_rmse, "score": target_score, "val_rmse": val}
+    return result
 
 
 def _seed_job(seed, config, source, target, out_dir, write_latents) -> dict | str:
@@ -590,15 +606,11 @@ def run_experiment(
         _seed_job, config=config, source=source, target=target,
         out_dir=out_dir, write_latents=write_latents,
     )
-    rows = []
     for result in map_fn(job, config.seeds):
         if isinstance(result, str):
             report.failures.append(result)
             continue
-        report.rmse_per_seed.append(result["rmse"])
-        report.score_per_seed.append(result["score"])
-        report.val_rmse_per_seed.append(result["val_rmse"])
-        rows.append((result["seed"], result["rmse"], result["score"], result["val_rmse"]))
+        report.records.append(result)
         if progress is not None:
             progress(
                 f"{config.source_subset}->{config.target_subset} {report.variant} "
@@ -611,8 +623,5 @@ def run_experiment(
                 report.to_dict() | {"config_hash": config.hash, "config": config.to_dict()},
                 fh, indent=2, sort_keys=True,
             )
-        with open(Path(out_dir) / "metrics.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["seed", "rmse", "score", "val_rmse"])
-            writer.writerows(rows)
+        _write_metrics(Path(out_dir) / "metrics.csv", report.records)
     return report

@@ -25,9 +25,7 @@ from ruladapt.data import (
     SOURCE,
     TARGET,
     build_domain_dataset,
-    denormalize,
     fit_normalization,
-    normalize,
     parse_cmapss,
     rul_label,
     stack_windows,
@@ -45,11 +43,12 @@ from ruladapt.losses import (
     rul_mse,
     smooth_loss,
 )
-from ruladapt.model import Model, desk_model_config, tiny_model_config, toy_model_config
+from ruladapt.model import Model, desk_model_config, toy_model_config
 from ruladapt.synthetic import generate_subset, make_toy_domains
 from ruladapt.training import init_state, make_run_config, run_single_seed, train
 
 from gradtools import flat_loss_fn, split_flat
+from helpers import denormalize, normalize, tiny_model_config
 from windowing import make_windows
 
 GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))

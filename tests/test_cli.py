@@ -1,14 +1,19 @@
+import hashlib
 import json
 
 import pytest
 import yaml
 
-from ruladapt.cli import main
-from ruladapt.serialization import blob_hash
+from ruladapt import training
+from ruladapt.cli import _build_run_config, build_parser, main
 
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def blob_hash(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 TOY_RUN = (
@@ -118,6 +123,47 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
         )
 
 
+@pytest.mark.parametrize(
+    "flags, file_cfg, window, n_features",
+    [
+        (("--window", "30"), {}, 30, 24),
+        (("--toy", "--window", "20"), {}, 20, 8),
+        (("--preset", "desk", "--window", "30"), {}, 30, 24),
+        ((), {"window": 30}, 30, 24),
+        (("--preset", "desk"), {"window": 30}, 30, 24),
+        (("--window", "20"), {"window": 30}, 20, 24),
+        ((), {"feature_mask": list(range(10))}, 40, 10),
+        (("--preset", "desk"), {"feature_mask": list(range(10))}, 40, 10),
+    ],
+    ids=["flag", "toy-flag", "desk-flag", "file", "desk-file", "flag-over-file",
+         "file-mask", "desk-file-mask"],
+)
+def test_window_and_mask_width_reach_the_model(flags, file_cfg, window, n_features):
+    args = build_parser().parse_args(["train", "--source", "FD001", "--target", "FD002", *flags])
+    config = _build_run_config(args, file_cfg, "FD001", "FD002", "lamanet")
+    assert config.window == config.model.window == window
+    assert config.model.n_features == n_features
+
+
+def test_file_model_mapping_sets_the_other_widths():
+    args = build_parser().parse_args(["train", "--source", "FD001", "--target", "FD002",
+                                      "--window", "30"])
+    file_cfg = {"model": {"attn_dim": 16, "n_heads": 2}}
+    config = _build_run_config(args, file_cfg, "FD001", "FD002", "lamanet")
+    assert (config.model.attn_dim, config.model.n_heads, config.model.window) == (16, 2, 30)
+
+
+def test_train_toy_with_window_flag_runs(cmapss_tiny_dir, tmp_path):
+    out = tmp_path / "runs"
+    rc = run_cli(
+        "train", "--source", "FD001", "--target", "FD002", "--variant", "no_da",
+        "--data-dir", cmapss_tiny_dir, "--out-dir", out, *TOY_RUN, "--window", "12",
+    )
+    assert rc == 0
+    report = json.loads((out / "FD001-FD002" / "no_da" / "1" / "report.json").read_text())
+    assert report["config"]["window"] == report["config"]["model"]["window"] == 12
+
+
 # ---------------------------------------------------------------------------
 # ablate
 
@@ -185,6 +231,33 @@ def test_ablate_prints_one_failed_line_per_failed_seed(cmapss_tiny_dir, tmp_path
     assert rc == 1
     failed = [line for line in capsys.readouterr().err.splitlines() if line.startswith("FAILED ")]
     assert len(failed) == 3 and all(line.startswith("FAILED seed 1: ") for line in failed)
+
+
+def test_ablate_points_skip_a_failed_seed(cmapss_tiny_dir, tmp_path, monkeypatch, capsys):
+    """Seed 1 aborts in every row; each row's points are seed 2's own numbers."""
+    real = training.run_single_seed
+
+    def seed_1_aborts(config, seed, *args, **kwargs):
+        if seed == 1:
+            raise training.TrainingAbort("forced abort", {})
+        return real(config, seed, *args, **kwargs)
+
+    monkeypatch.setattr(training, "run_single_seed", seed_1_aborts)
+    out = tmp_path / "runs"
+    rc = run_cli(
+        "ablate", "--source", "FD001", "--target", "FD002",
+        "--data-dir", cmapss_tiny_dir, "--out-dir", out,
+        "--toy", "--epochs", "1", "--batch-size", "16", "--seeds", "1,2",
+        "--no-latents", "--jobs", "1",
+    )
+    assert rc == 1
+    pair_dir = out / "FD001-FD002"
+    points = (pair_dir / "ablate" / "ablate_points.csv").read_text().splitlines()[1:]
+    assert len(points) == 3
+    for line in points:
+        variant, seed, rmse, _ = line.split(",")
+        metrics = (pair_dir / f"ablate-{variant}" / "metrics.csv").read_text().splitlines()
+        assert seed == "2" and metrics[1].split(",")[:2] == [seed, rmse]
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +344,18 @@ def test_sweep_rejects_unknown_grid_key(cmapss_tiny_dir, tmp_path, capsys):
     )
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid, named", [("lambda_m=", "lambda_m"), ("autoencoder=gru,transformer", "transformer")],
+)
+def test_sweep_rejects_a_bad_grid_before_training(cmapss_tiny_dir, tmp_path, capsys, grid, named):
+    out = tmp_path / "runs"
+    rc = run_cli(
+        "sweep", "--source", "FD001", "--target", "FD002", "--grid", grid, "--confirm",
+        "--data-dir", cmapss_tiny_dir, "--out-dir", out, *TOY_RUN,
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "points" not in captured.out and not out.exists()

@@ -11,11 +11,8 @@ from ruladapt.data import (
     SplitError,
     Trajectory,
     build_domain_dataset,
-    denormalize,
     fit_normalization_matrix,
-    format_trajectories,
     load_dataset_cache,
-    normalize,
     normalize_matrix,
     parse_cmapss,
     parse_trajectory_file,
@@ -26,6 +23,7 @@ from ruladapt.data import (
     subset_paths,
 )
 
+from helpers import denormalize, format_trajectories, normalize
 from windowing import make_windows
 
 

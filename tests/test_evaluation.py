@@ -162,10 +162,13 @@ def test_evaluate_target_requires_truth(toy_setup):
 # reports and aggregation
 
 def make_report(variant, rmses, scores, pair=("FD002", "FD001")):
+    records = [
+        {"seed": seed, "rmse": r, "score": s, "val_rmse": 0.0}
+        for seed, r, s in zip((1, 2, 3), rmses, scores)
+    ]
     return MetricsReport(
         source=pair[0], target=pair[1], variant=variant, seeds=(1, 2, 3),
-        rmse_per_seed=list(rmses), score_per_seed=list(scores),
-        val_rmse_per_seed=[0.0] * len(rmses), n_test_engines=100,
+        records=records, n_test_engines=100,
     )
 
 

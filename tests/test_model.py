@@ -1,17 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ruladapt import autodiff as ad
 from ruladapt.autodiff import Tensor, backward, grad_check
-from ruladapt.model import (
-    Model,
-    ModelConfig,
-    load_checkpoint,
-    save_checkpoint,
-    tiny_model_config,
+from ruladapt.data import Trajectory, save_dataset_cache
+from ruladapt.model import Model, ModelConfig
+from ruladapt.training import (
+    init_state,
+    load_train_checkpoint,
+    make_run_config,
+    save_train_checkpoint,
 )
 
 from gradtools import flat_loss_fn
+from helpers import tiny_model_config
 
 
 @pytest.fixture
@@ -21,6 +25,13 @@ def tiny():
 
 def batch(rng, n, cfg):
     return rng.uniform(0.0, 1.0, size=(n, cfg.n_features, cfg.window))
+
+
+def reconstruct(model, X, c=None):
+    """The recurrent decoder's window from the bottleneck of X (or from `c`)."""
+    if c is None:
+        c = model.forward(X).c
+    return model.reconstruct(c, Tensor(X)[:, :, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +46,13 @@ def test_encode_shape_contract(tiny):
 def test_full_shape_pipeline(tiny):
     cfg = tiny.config
     X = batch(np.random.default_rng(2), 3, cfg)
-    bundle = tiny.forward(X, with_recon=True)
+    bundle = tiny.forward(X)
     assert bundle.e.shape == (3, cfg.latent_dim)
     assert bundle.c.shape == (3, cfg.bottleneck)
     assert bundle.e_tilde.shape == (3, cfg.latent_dim)
     assert bundle.o.shape == (3, cfg.head_dim)
     assert bundle.y_hat.shape == (3, 1)
-    assert bundle.x_hat.shape == (3, cfg.n_features, cfg.window)
+    assert reconstruct(tiny, X, bundle.c).shape == (3, cfg.n_features, cfg.window)
 
 
 def test_squeeze_expand_table_widths():
@@ -96,8 +107,8 @@ def test_batch_permutation_equivariance(tiny):
 
 def test_zero_input_gives_finite_outputs(tiny):
     X = np.zeros((2, tiny.config.n_features, tiny.config.window))
-    bundle = tiny.forward(X, with_recon=True)
-    for t in (bundle.e, bundle.c, bundle.o, bundle.y_hat, bundle.x_hat):
+    bundle = tiny.forward(X)
+    for t in (bundle.e, bundle.c, bundle.o, bundle.y_hat, reconstruct(tiny, X, bundle.c)):
         assert np.all(np.isfinite(t.data))
 
 
@@ -133,7 +144,7 @@ def test_single_step_window_reconstruction():
     cfg = tiny_model_config(window=1)
     model = Model(cfg, np.random.default_rng(0))
     X = batch(np.random.default_rng(7), 2, cfg)
-    x_hat = model.forward(X, with_recon=True).x_hat
+    x_hat = reconstruct(model, X)
     assert x_hat.shape == (2, cfg.n_features, 1)
 
 
@@ -142,15 +153,14 @@ def test_alternative_reconstruction_cells(cell):
     cfg = tiny_model_config(recon_cell=cell)
     model = Model(cfg, np.random.default_rng(0))
     X = batch(np.random.default_rng(8), 2, cfg)
-    x_hat = model.forward(X, with_recon=True).x_hat
+    x_hat = reconstruct(model, X)
     assert x_hat.shape == (2, cfg.n_features, cfg.window)
     assert np.all(np.isfinite(x_hat.data))
 
 
 def test_reconstruction_loss_reaches_init_weights(tiny):
     X = batch(np.random.default_rng(9), 3, tiny.config)
-    bundle = tiny.forward(X, with_recon=True)
-    loss = ad.tmean(ad.square(ad.sub(bundle.x_hat, Tensor(X))))
+    loss = ad.tmean(ad.square(ad.sub(reconstruct(tiny, X), Tensor(X))))
     backward(loss)
     g = tiny.params["recon.init.W"].grad
     assert g is not None and np.any(g != 0.0)
@@ -166,8 +176,7 @@ def test_recon_gradient_matches_finite_difference(tiny):
     def f(w):
         tiny.params[name] = w
         try:
-            bundle = tiny.forward(X, with_recon=True)
-            return ad.tmean(ad.square(ad.sub(bundle.x_hat, Tensor(X))))
+            return ad.tmean(ad.square(ad.sub(reconstruct(tiny, X), Tensor(X))))
         finally:
             tiny.params[name] = original
 
@@ -191,19 +200,28 @@ def test_end_to_end_rul_gradient_check(tiny):
 # ---------------------------------------------------------------------------
 # checkpointing
 
-def test_checkpoint_roundtrip_and_hash_guard(tmp_path, tiny):
+def tiny_run_config():
+    return make_run_config("FD002", "FD001", window=8, model=tiny_model_config())
+
+
+def test_checkpoint_roundtrip_and_hash_guard(tmp_path):
+    config = tiny_run_config()
+    state = init_state(config, 5)
+    state.model.params["enc.fusion.W"].data += 1.0  # differs from a fresh init
+    state.adam.t, state.iteration = 3, 17
     path = tmp_path / "ckpt.bin"
-    zeros = {n: np.zeros_like(p.data) for n, p in tiny.params.items()}
-    save_checkpoint(
-        path, params=tiny.params, adam_m=zeros, adam_v=zeros, adam_t=3,
-        iteration=17, config_hash="abc123", rng_states={"noise": {"x": 1}},
-    )
-    params, m, v, extras, meta = load_checkpoint(path, expected_config_hash="abc123")
-    assert meta["iteration"] == 17 and meta["adam_t"] == 3
-    np.testing.assert_array_equal(params["head.W"], tiny.params["head.W"].data)
-    fresh = Model(tiny.config, np.random.default_rng(99))
-    fresh.load_state(params)
-    np.testing.assert_array_equal(fresh.params["enc.fusion.W"].data,
-                                  tiny.params["enc.fusion.W"].data)
+    save_train_checkpoint(path, state)
+    loaded = load_train_checkpoint(path, config)
+    assert (loaded.iteration, loaded.adam.t, loaded.seed) == (17, 3, 5)
+    for name, p in state.trainable().items():
+        np.testing.assert_array_equal(loaded.trainable()[name].data, p.data)
     with pytest.raises(ValueError, match="hash"):
-        load_checkpoint(path, expected_config_hash="different")
+        load_train_checkpoint(path, replace(config, lr=2e-3))
+
+
+def test_dataset_cache_is_not_a_checkpoint(tmp_path):
+    traj = Trajectory(1, np.zeros((5, 3)), np.ones((5, 21)))
+    path = tmp_path / "FD001.cache"
+    save_dataset_cache(path, [traj], [traj], [10.0], subset="FD001", config={})
+    with pytest.raises(ValueError, match="not a checkpoint file"):
+        load_train_checkpoint(path, tiny_run_config())
