@@ -8,10 +8,12 @@ float64, the one supported dtype: every array is cast to it on entry.
 The primitive set is deliberately small: elementwise arithmetic, batched
 matmul (numpy's, no GEMM special case), shape ops, reductions, the usual
 activations, and two distance helpers (`sqnorm`, `pairwise_sqdist`) that the
-kernel losses build on.  `linear` (affine map, one GEMM over all leading
-rows), `layer_norm`, `attention` and `gru_sequence` (a whole GRU unroll with
-output feedback) are fused primitives with hand-written VJPs, one graph node
-each in place of the chain of primitives they would take composed.
+kernel losses build on.  Fused primitives with hand-written VJPs stand in
+for the chains of primitives they would take composed, one graph node each:
+`linear` (affine map, one GEMM over all leading rows), `add_layer_norm`
+(residual add + layer norm), `self_attention` (multi-head, over packed
+q/k/v), `single_query_attention` (one query per row with the key and value
+maps absorbed) and `gru_sequence` (a whole GRU unroll with output feedback).
 `grad_reverse` is the identity forward / sign-flipped backward used by the
 adversarial baseline.
 """
@@ -225,7 +227,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         g2 = g.reshape(-1, g.shape[-1])
         gx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
-        return gx, x2.T @ g2, g2.sum(axis=0)
+        return gx, x2.T @ g2, np.ones(len(g2)) @ g2
 
     return _make(out.reshape(x.shape[:-1] + w.shape[-1:]), (x, w, b), vjp)
 
@@ -354,70 +356,110 @@ def relu(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (g * (out > 0),))
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (a,), vjp)
-
-
 # ---------------------------------------------------------------------------
 # fused layers
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """(x - mean) / sqrt(var + eps) * gain + bias, normalized over the last
-    axis (biased variance); one node for the composed chain of primitives."""
-    normed = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((normed * normed).mean(axis=-1, keepdims=True) + eps)
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """The residual sum x + y normalized over the last axis (biased variance),
+    times gain plus bias.  Row means are GEMVs against a 1/d vector, and the
+    gain and bias gradients GEMVs against a ones vector."""
+    d = x.shape[-1]
+    inv_d = np.full(d, 1.0 / d)
+    normed = (x.data + y.data).reshape(-1, d)
+    normed -= (normed @ inv_d)[:, None]
+    inv = 1.0 / np.sqrt(((normed * normed) @ inv_d)[:, None] + eps)
     normed *= inv
     out = normed * gain.data
     out += bias.data
 
     def vjp(g):
-        gx = g * gain.data
-        mean_g = gx.mean(axis=-1, keepdims=True)
-        mean_gn = (gx * normed).mean(axis=-1, keepdims=True)
-        gx -= mean_g
-        gx -= normed * mean_gn
+        g2 = g.reshape(-1, d)
+        gx = g2 * gain.data
+        mean_gn = (gx * normed) @ inv_d
+        gx -= (gx @ inv_d)[:, None]
+        gx -= normed * mean_gn[:, None]
         gx *= inv
-        return (
-            gx,
-            _unbroadcast(g * normed, gain.data.shape),
-            _unbroadcast(g, bias.data.shape),
-        )
+        gx = gx.reshape(x.shape)
+        ones = np.ones(len(g2))
+        return gx, gx, ones @ (g2 * normed), ones @ g2
 
-    return _make(out, (x, gain, bias), vjp)
+    return _make(out.reshape(x.shape), (x, y, gain, bias), vjp)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d_k)) v over the last two axes of (..., S_q, d_k),
-    (..., S_k, d_k) and (..., S_k, d_v).  The probabilities are the only
-    intermediate kept for the backward pass; the score-sized temporaries
-    are updated in place."""
-    c = 1.0 / np.sqrt(q.shape[-1])
-    probs = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    probs *= c
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
+def _softmax_keys(scores: np.ndarray) -> np.ndarray:
+    """In-place softmax over the key axis -2, the key sums as GEMVs against ones."""
+    scores -= scores.max(axis=-2, keepdims=True)
+    np.exp(scores, out=scores)
+    scores *= (1.0 / (np.ones(scores.shape[-2]) @ scores))[..., None, :]
+    return scores
+
+
+def self_attention(qkv: Tensor, n_heads: int) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(d_h)) v of a packed (n, S, 3d) input
+    of [q | k | v] column blocks, heads split and merged inside the node;
+    returns (n, S, d).  1/sqrt(d_h) is folded into q, and the scores are
+    key-major, (n, h, S_k, S_q).  The VJP forms the softmax's row dot
+    products p . dp as out . g over the head width."""
+    n, S, d3 = qkv.shape
+    dh = d3 // 3 // n_heads
+    c = 1.0 / np.sqrt(dh)
+    q, k, v = qkv.data.reshape(n, S, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
+    q = q * c
+    probs = _softmax_keys(np.matmul(k, np.swapaxes(q, -1, -2)))
+    out = np.matmul(np.swapaxes(probs, -1, -2), v).transpose(0, 2, 1, 3).reshape(n, S, -1)
 
     def vjp(g):
-        gl = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        gl -= (gl * probs).sum(axis=-1, keepdims=True)
-        gl *= probs
-        gl *= c
-        return (
-            np.matmul(gl, k.data),
-            np.matmul(np.swapaxes(gl, -1, -2), q.data),
-            np.matmul(np.swapaxes(probs, -1, -2), g),
-        )
+        gh = g.reshape(n, S, n_heads, dh).transpose(0, 2, 1, 3)
+        grad = np.empty((n, S, 3, n_heads, dh))
+        gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
+        np.matmul(probs, gh, out=gv)
+        dots = ((out * g).reshape(-1, dh) @ np.ones(dh)).reshape(n, S, n_heads)
+        gs = np.matmul(v, np.swapaxes(gh, -1, -2))
+        gs -= dots.transpose(0, 2, 1)[:, :, None, :]
+        gs *= probs
+        np.matmul(gs, q, out=gk)
+        np.matmul(np.swapaxes(gs, -1, -2), k, out=gq)
+        gq *= c
+        return (grad.reshape(n, S, d3),)
 
-    return _make(np.matmul(probs, v.data), (q, k, v), vjp)
+    return _make(out, (qkv,), vjp)
+
+
+def single_query_attention(
+    q: Tensor, memory: Tensor, w_k: Tensor, w_v: Tensor, b_v: Tensor, n_heads: int
+) -> Tensor:
+    """Multi-head attention of one query per row, q (n, 1, d), over memory
+    tokens M (n, T, d_m) with the key and value maps w_k, w_v (d_m, d)
+    absorbed, so M is never projected.  Head h scores (q_h W_k,h^T) . M_j,
+    and as its weights sum to one it mixes (sum_j p_j M_j) W_v,h + b_v,h.
+    A key bias would add the same q_h . b_k,h to every score of a head and
+    cancel in the softmax, so there is none.  Heads are column blocks of a
+    (h, d) mask; the scores are key-major, (n, T, h)."""
+    (n, _, dm), d = memory.shape, w_k.shape[1]
+    mask = np.kron(np.eye(n_heads), np.ones(d // n_heads))
+    q_mask = mask / np.sqrt(d // n_heads)
+    qm = (q.data.reshape(n, 1, d) * q_mask).reshape(n * n_heads, d)  # a row per head
+    absorbed = (qm @ w_k.data.T).reshape(n, n_heads, dm)
+    probs = _softmax_keys(np.matmul(memory.data, np.swapaxes(absorbed, -1, -2)))
+    pooled = np.matmul(np.swapaxes(probs, -1, -2), memory.data).reshape(n * n_heads, dm)
+    out = ((pooled @ w_v.data).reshape(n, n_heads, d) * mask).sum(axis=1)
+    out += b_v.data
+
+    def vjp(g):
+        g2 = g.reshape(n, d)
+        g_full = (g2[:, None, :] * mask).reshape(n * n_heads, d)
+        g_pooled = (g_full @ w_v.data.T).reshape(n, n_heads, dm)
+        g_probs = np.matmul(memory.data, np.swapaxes(g_pooled, -1, -2))
+        g_probs -= (pooled.reshape(n, n_heads, dm) * g_pooled).sum(axis=-1)[:, None, :]
+        g_probs *= probs
+        g_memory = np.matmul(probs, g_pooled)
+        g_memory += np.matmul(g_probs, absorbed)
+        g_absorbed = np.matmul(np.swapaxes(g_probs, -1, -2), memory.data).reshape(-1, dm)
+        g_qm = (g_absorbed @ w_k.data).reshape(n, n_heads, d)
+        g_q = (g_qm * q_mask).sum(axis=1).reshape(q.shape)
+        return g_q, g_memory, g_absorbed.T @ qm, pooled.T @ g_full, np.ones(n) @ g2
+
+    return _make(out.reshape(q.shape), (q, memory, w_k, w_v, b_v), vjp)
 
 
 def gru_sequence(

@@ -7,7 +7,8 @@ Subcommands:
   sweep    replay the tuning grid, ranked by source validation RMSE
 
 A YAML config file provides defaults for any run field plus the path
-options; command-line flags override it.  Unknown keys are rejected.  All
+options; command-line flags override it.  A config that cannot be built is
+an `error:` line and exit code 2, before any work.  All
 run artifacts land under out_dir/<SOURCE>-<TARGET>/<variant>/<seed>/ with
 fixed file names.
 """
@@ -61,10 +62,14 @@ SWEEP_GRID = {
 }
 
 
+class ConfigError(ValueError):
+    """A run configuration that cannot be built; `main` prints it and exits 2."""
+
+
 def _load_config_file(path) -> dict:
     payload = yaml.safe_load(Path(path).read_text()) or {}
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: config file must hold a mapping")
+        raise ConfigError(f"{path}: config file must hold a mapping")
     return payload
 
 
@@ -80,14 +85,19 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
     the file's, else the preset's; it and the feature-mask width set the
     model's input shape.  The `toy` preset fixes the feature mask, and the
     `toy` and `desk` presets fix the other model widths, which a file `model:`
-    mapping sets under `full`."""
+    mapping sets under `full`; a file setting what its preset fixes is
+    rejected.  Raises ConfigError."""
     run_cfg = {k: v for k, v in file_cfg.items() if k not in PATH_KEYS}
     file_preset = run_cfg.pop("preset", None)
     preset = "toy" if getattr(args, "toy", False) else (
         getattr(args, "preset", None) or file_preset or "full"
     )
     if preset not in PRESET_MODELS:
-        raise ValueError(f"unknown preset {preset!r}")
+        raise ConfigError(f"unknown preset {preset!r}; options: {sorted(PRESET_MODELS)}")
+    if preset == "toy" and run_cfg.get("feature_mask"):
+        raise ConfigError("the toy preset fixes the feature mask; drop feature_mask from the file")
+    if preset != "full" and run_cfg.get("model"):
+        raise ConfigError(f"the {preset} preset fixes the model widths; drop model from the file")
     if preset == "toy":
         run_cfg["feature_mask"] = TOY_FEATURE_MASK
     base_model = PRESET_MODELS[preset]()
@@ -96,7 +106,7 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
         **asdict(base_model),
         "n_features": len(run_cfg.get("feature_mask") or ALL_FEATURES),
         "window": run_cfg["window"],
-        **((run_cfg.get("model") or {}) if preset == "full" else {}),
+        **(run_cfg.get("model") or {}),
     }
 
     for field in ("epochs", "batch_size", "lr", "rc"):
@@ -107,7 +117,10 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
         run_cfg["seeds"] = tuple(int(s) for s in args.seeds.split(","))
     run_cfg.update(source_subset=source, target_subset=target, variant=variant)
     run_cfg.setdefault("weights", variant_weights(variant))
-    return run_config_from_dict(run_cfg)
+    try:
+        return run_config_from_dict(run_cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def provide_dataset(data_dir: Path, cache_dir: Path, subset: str, role: str, config):
@@ -279,17 +292,17 @@ def _parse_grid(text: str | None) -> dict:
         key, _, values = clause.partition("=")
         key = key.strip()
         if key not in SWEEP_GRID:
-            raise ValueError(f"unknown grid key {key!r}; options: {sorted(SWEEP_GRID)}")
+            raise ConfigError(f"unknown grid key {key!r}; options: {sorted(SWEEP_GRID)}")
         parsed = [v.strip() for v in values.split(",") if v.strip()]
         if not parsed:
-            raise ValueError(f"grid key {key!r} has no values")
-        if key == "autoencoder":
-            unknown = sorted(set(parsed) - set(SWEEP_GRID[key]))
-            if unknown:
-                raise ValueError(f"unknown autoencoder cell {unknown}; options: {SWEEP_GRID[key]}")
-            grid[key] = tuple(parsed)
-        else:
-            grid[key] = tuple(map(float, parsed))
+            raise ConfigError(f"grid key {key!r} has no values")
+        try:
+            grid[key] = tuple(parsed) if key == "autoencoder" else tuple(map(float, parsed))
+        except ValueError as exc:
+            raise ConfigError(f"grid key {key!r}: {exc}") from exc
+        unknown = sorted(set(grid[key]) - set(SWEEP_GRID[key])) if key == "autoencoder" else ()
+        if unknown:
+            raise ConfigError(f"unknown autoencoder cell {unknown}; options: {SWEEP_GRID[key]}")
     for key, default in SWEEP_GRID.items():
         grid.setdefault(key, default)
     return grid
@@ -299,11 +312,7 @@ def cmd_sweep(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     data_dir, out_dir, jobs = _resolve_paths(args, file_cfg)
     base = _build_run_config(args, file_cfg, args.source, args.target, "lamanet")
-    try:
-        grid = _parse_grid(args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    grid = _parse_grid(args.grid)
     points = list(itertools.product(*(grid[k] for k in sorted(grid))))
     keys = sorted(grid)
     print(f"sweep grid: {len(points)} points x {len(base.seeds)} seeds")
@@ -414,7 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

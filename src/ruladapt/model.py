@@ -7,7 +7,9 @@ streams, and flattens to the latent width M; a two-layer feed-forward
 squeeze compresses M to the bottleneck B and a mirrored expand restores M.
 A single cross-attention decoder layer with one learned query produces the
 pre-head representation, and a small recurrent decoder (GRU by default)
-reconstructs the input window from the bottleneck.
+reconstructs the input window from the bottleneck.  Attention runs as the
+fused `self_attention` (encoder) and `single_query_attention` (decoder, key
+bias unread) nodes, each residual add + layer norm as one `add_layer_norm`.
 """
 
 from __future__ import annotations
@@ -171,29 +173,31 @@ class Model:
     def _affine(self, x: Tensor, name: str) -> Tensor:
         return ad.linear(x, self._p(f"{name}.W"), self._p(f"{name}.b"))
 
-    def _layer_norm(self, x: Tensor, name: str, eps: float = 1e-5) -> Tensor:
-        return ad.layer_norm(x, self._p(f"{name}.g"), self._p(f"{name}.b"), eps)
+    def _add_norm(self, x: Tensor, y: Tensor, name: str) -> Tensor:
+        return ad.add_layer_norm(x, y, self._p(f"{name}.g"), self._p(f"{name}.b"))
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        n, S, d = x.shape
-        h = self.config.n_heads
-        return ad.transpose(ad.reshape(x, (n, S, h, d // h)), (0, 2, 1, 3))
+    def _self_attention(self, x: Tensor, prefix: str) -> Tensor:
+        """q, k and v from one GEMM over their weights stacked in column blocks."""
+        w, b = (ad.concat([self._p(f"{prefix}.attn.{g}.{part}") for g in "qkv"], axis=-1)
+                for part in "Wb")
+        mixed = ad.self_attention(ad.linear(x, w, b), self.config.n_heads)
+        return self._affine(mixed, f"{prefix}.attn.o")
 
-    def _attention(self, q_in: Tensor, kv_in: Tensor, prefix: str) -> Tensor:
-        q = self._split_heads(self._affine(q_in, f"{prefix}.attn.q"))
-        k = self._split_heads(self._affine(kv_in, f"{prefix}.attn.k"))
-        v = self._split_heads(self._affine(kv_in, f"{prefix}.attn.v"))
-        mixed = ad.attention(q, k, v)
-        n, h, S, hd = mixed.shape
-        merged = ad.reshape(ad.transpose(mixed, (0, 2, 1, 3)), (n, S, h * hd))
-        return self._affine(merged, f"{prefix}.attn.o")
+    def _query_attention(self, x: Tensor, memory: Tensor, prefix: str) -> Tensor:
+        """Key and value maps absorbed; the key bias cancels, so it is not read."""
+        k, v = self._p(f"{prefix}.attn.k.W"), self._p(f"{prefix}.attn.v.W")
+        q = self._affine(x, f"{prefix}.attn.q")
+        mixed = ad.single_query_attention(
+            q, memory, k, v, self._p(f"{prefix}.attn.v.b"), self.config.n_heads)
+        return self._affine(mixed, f"{prefix}.attn.o")
 
     def _ffn(self, x: Tensor, prefix: str) -> Tensor:
         return self._affine(ad.relu(self._affine(x, f"{prefix}.ffn.1")), f"{prefix}.ffn.2")
 
-    def _block(self, x: Tensor, memory: Tensor, prefix: str) -> Tensor:
-        attended = self._layer_norm(ad.add(x, self._attention(x, memory, prefix)), f"{prefix}.ln1")
-        return self._layer_norm(ad.add(attended, self._ffn(attended, prefix)), f"{prefix}.ln2")
+    def _block(self, x: Tensor, attended: Tensor, prefix: str) -> Tensor:
+        """Post-norm residual block around an attention output."""
+        x = self._add_norm(x, attended, f"{prefix}.ln1")
+        return self._add_norm(x, self._ffn(x, prefix), f"{prefix}.ln2")
 
     # -- public forward pieces ----------------------------------------------
     def encode(self, X: Tensor) -> Tensor:
@@ -207,8 +211,9 @@ class Model:
             self._p("enc.time.pos"),
         )
         for i in range(cfg.n_encoder_layers):
-            sensor = self._block(sensor, sensor, f"enc.sensor.{i}")
-            time = self._block(time, time, f"enc.time.{i}")
+            s, t = f"enc.sensor.{i}", f"enc.time.{i}"
+            sensor = self._block(sensor, self._self_attention(sensor, s), s)
+            time = self._block(time, self._self_attention(time, t), t)
         fused = self._affine(ad.concat([sensor, time], axis=1), "enc.fusion")
         return ad.reshape(fused, (n, cfg.latent_dim))
 
@@ -226,7 +231,7 @@ class Model:
         memory = ad.reshape(e_tilde, (n, cfg.n_features + cfg.window, cfg.attn_dim))
         x = ad.broadcast_to(self._p("dec.query"), (n, 1, cfg.attn_dim))
         for i in range(cfg.n_decoder_layers):
-            x = self._block(x, memory, f"dec.{i}")
+            x = self._block(x, self._query_attention(x, memory, f"dec.{i}"), f"dec.{i}")
         o = self._affine(ad.reshape(x, (n, cfg.attn_dim)), "dec.out")
         y_hat = ad.sigmoid(self._affine(o, "head"))
         return o, y_hat

@@ -52,6 +52,8 @@ from helpers import denormalize, normalize, tiny_model_config
 from windowing import make_windows
 
 GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))
+# single_query_attention inputs q, memory, w_k, w_v, b_v
+SQA_SHAPES = ((2, 1, 4), (2, 3, 5), (5, 4), (5, 4), (4,))
 RUN_SLOW = os.environ.get("RULADAPT_RUN_SLOW", "") not in ("", "0")
 
 
@@ -102,15 +104,23 @@ def test_criterion_1_gradient_fidelity():
         "sigmoid": (lambda x: ad.tsum(ad.sigmoid(x)), a),
         "tanh": (lambda x: ad.tsum(ad.tanh(x)), a),
         "relu": (lambda x: ad.tsum(ad.relu(x)), safe(3, 4)),
-        "softmax": (lambda x: ad.tsum(ad.square(ad.softmax(x, axis=1))), a),
         "sqnorm": (lambda x: ad.sqnorm(x), a),
-        "layer_norm": (
-            lambda x: ad.tsum(ad.mul(ad.layer_norm(x, Tensor(m[:, 0]), Tensor(m[:, 1])), Tensor(b))),
+        "add_layer_norm": (
+            lambda x: ad.tsum(ad.mul(ad.add_layer_norm(x, Tensor(pos), Tensor(m[:, 0]),
+                                                       Tensor(m[:, 1])), Tensor(b))),
             a,
         ),
-        "attention": (
-            lambda x: ad.tsum(ad.square(ad.attention(x, Tensor(b), Tensor(pos)))),
-            safe(2, 4),
+        # packed [q | k | v] of 3 tokens, width 4, 2 heads
+        "self_attention": (
+            lambda x: ad.tsum(ad.mul(ad.self_attention(ad.reshape(x, (1, 3, 12)), 2),
+                                     Tensor(b.reshape(1, 3, 4)))),
+            safe(3, 12),
+        ),
+        # every input of a 2-head decoder query (n=2, T=3, d_m=5, d=4) in one vector
+        "single_query_attention": (
+            lambda x: ad.tsum(ad.mul(ad.single_query_attention(*split_flat(x, SQA_SHAPES), 2),
+                                     Tensor(b[:2, None, :]))),
+            rng.uniform(-1, 1, size=sum(int(np.prod(s)) for s in SQA_SHAPES)),
         ),
         "pairwise_sqdist": (
             lambda x: ad.tsum(ad.square(ad.pairwise_sqdist(x, Tensor(m.T)))),

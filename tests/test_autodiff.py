@@ -12,6 +12,7 @@ from ruladapt import autodiff as ad
 from ruladapt.autodiff import Tensor, backward, grad_check
 
 from gradtools import split_flat
+from oracles import attention, layer_norm, softmax
 
 
 def rand(rng, *shape, low=-2.0, high=2.0):
@@ -35,7 +36,7 @@ def test_square_gradient_at_three():
 
 def test_softmax_of_uniform_vector_is_uniform():
     x = Tensor(np.full((1, 5), 0.7))
-    y = ad.softmax(x, axis=1)
+    y = softmax(x, axis=1)
     np.testing.assert_allclose(y.data, np.full((1, 5), 0.2), atol=1e-15)
 
 
@@ -114,6 +115,14 @@ def test_pairwise_sqdist_dimension_mismatch_raises():
 # gru_sequence inputs h0, u0, w_i, w_h, b_i, b_hn, w_out, b_out at n=2, f=3, H=2
 GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))
 GRU_FLAT_SIZE = sum(int(np.prod(s)) for s in GRU_SHAPES)
+# add_layer_norm inputs x, y, gain, bias
+ALN_SHAPES = ((2, 3), (2, 3), (3,), (3,))
+# single_query_attention inputs q, memory, w_k, w_v, b_v at n=2, T=3, d_m=5, d=4
+SQA_SHAPES = ((2, 1, 4), (2, 3, 5), (5, 4), (5, 4), (4,))
+
+
+def flat_size(shapes):
+    return sum(int(np.prod(s)) for s in shapes)
 
 
 def _primitive_cases(rng):
@@ -170,33 +179,24 @@ def _primitive_cases(rng):
         ("sigmoid", lambda x: ad.tsum(ad.sigmoid(x)), a23),
         ("tanh", lambda x: ad.tsum(ad.tanh(x)), a23),
         ("relu", lambda x: ad.tsum(ad.relu(x)), rand_safe(rng, 2, 3)),
-        ("softmax", lambda x: ad.tsum(ad.square(ad.softmax(x, axis=1))), a23),
         ("sqnorm", lambda x: ad.sqnorm(x), a23),
         (
-            "layer_norm_x",
-            lambda x: ad.tsum(ad.mul(ad.layer_norm(x, Tensor(b23[0]), Tensor(m34[0, :3])),
-                                     Tensor(b23))),
-            a23,
+            "add_layer_norm",
+            lambda x: ad.tsum(ad.mul(ad.add_layer_norm(*split_flat(x, ALN_SHAPES)), Tensor(b23))),
+            rand(rng, flat_size(ALN_SHAPES)),
         ),
         (
-            "layer_norm_gain_bias",
-            lambda x: ad.tsum(ad.square(ad.layer_norm(Tensor(b234), x[0], x[1]))),
-            rand(rng, 2, 4),
+            "self_attention",
+            lambda x: ad.tsum(ad.mul(ad.self_attention(x, 2), Tensor(b234))),
+            rand(rng, 2, 3, 12),
         ),
         (
-            "attention_q",
-            lambda x: ad.tsum(ad.square(ad.attention(x, Tensor(b234), Tensor(b234[..., :2])))),
-            rand(rng, 2, 2, 4),
-        ),
-        (
-            "attention_k",
-            lambda x: ad.tsum(ad.square(ad.attention(Tensor(b234[:, :2]), x, Tensor(b234)))),
-            rand(rng, 2, 3, 4),
-        ),
-        (
-            "attention_v",
-            lambda x: ad.tsum(ad.square(ad.attention(Tensor(b234[:, :2]), Tensor(b234), x))),
-            rand(rng, 2, 3, 2),
+            "single_query_attention",
+            lambda x: ad.tsum(ad.mul(
+                ad.single_query_attention(*split_flat(x, SQA_SHAPES), n_heads=2),
+                Tensor(b234[:, :1]),
+            )),
+            rand(rng, flat_size(SQA_SHAPES)),
         ),
         (
             "linear_x",
@@ -261,7 +261,37 @@ def composed_layer_norm(x, gain, bias, eps):
 
 def composed_attention(q, k, v):
     logits = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
-    return ad.matmul(ad.softmax(logits, axis=-1), v)
+    return ad.matmul(softmax(logits, axis=-1), v)
+
+
+def composed_add_layer_norm(x, y, gain, bias, eps):
+    return layer_norm(ad.add(x, y), gain, bias, eps)
+
+
+def split_heads(x, n_heads):
+    n, S, d = x.shape
+    return ad.transpose(ad.reshape(x, (n, S, n_heads, d // n_heads)), (0, 2, 1, 3))
+
+
+def merge_heads(x):
+    n, h, S, dh = x.shape
+    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (n, S, h * dh))
+
+
+def composed_self_attention(qkv, n_heads):
+    """Slice q, k, v out of the packed input, split the heads with
+    reshape/transpose nodes, attend per head and merge."""
+    d = qkv.shape[-1] // 3
+    q, k, v = (split_heads(qkv[..., i * d : (i + 1) * d], n_heads) for i in range(3))
+    return merge_heads(attention(q, k, v))
+
+
+def composed_query_attention(q, memory, w_k, w_v, b_v, n_heads, b_k):
+    """Project every memory token to keys (with the key bias b_k) and
+    values, then attend per head: the graph the absorbed decoder replaces."""
+    k = split_heads(ad.linear(memory, w_k, b_k), n_heads)
+    v = split_heads(ad.linear(memory, w_v, b_v), n_heads)
+    return merge_heads(attention(split_heads(q, n_heads), k, v))
 
 
 def composed_linear(x, w, b):
@@ -312,11 +342,20 @@ def test_fused_ops_match_composed_graphs(seed):
     """Value and every input gradient within 1e-12 of the composed oracle."""
     rng = np.random.default_rng(seed)
     n, h, S, T, d = 3, 2, 5, 7, 4
+    b_k = Tensor(rand(rng, d))  # non-zero: it shifts each head's scores and cancels
     cases = [
-        (ad.layer_norm, composed_layer_norm,
+        (layer_norm, composed_layer_norm,
          [rand(rng, n, S, d), rand(rng, d), rand(rng, d)], (n, S, d), {"eps": 1e-5}),
-        (ad.attention, composed_attention,
+        (attention, composed_attention,
          [rand(rng, n, h, S, d), rand(rng, n, h, T, d), rand(rng, n, h, T, 3)], (n, h, S, 3), {}),
+        (ad.add_layer_norm, composed_add_layer_norm,
+         [rand(rng, n, S, d), rand(rng, n, S, d), rand(rng, d), rand(rng, d)], (n, S, d),
+         {"eps": 1e-5}),
+        (ad.self_attention, composed_self_attention,
+         [rand(rng, n, S, 3 * d)], (n, S, d), {"n_heads": h}),
+        (ad.single_query_attention, lambda *t, n_heads: composed_query_attention(*t, n_heads, b_k),
+         [rand(rng, n, 1, d), rand(rng, n, T, 6), rand(rng, 6, d), rand(rng, 6, d), rand(rng, d)],
+         (n, 1, d), {"n_heads": h}),
         (ad.matmul, batched_matmul, [rand(rng, n, S, d), rand(rng, d, 6)], (n, S, 6), {}),
         (ad.linear, composed_linear,
          [rand(rng, n, S, d), rand(rng, d, 6), rand(rng, 6)], (n, S, 6), {}),
@@ -332,6 +371,20 @@ def test_fused_ops_match_composed_graphs(seed):
         for i, (g, w) in enumerate(zip(got_grads, want_grads)):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12,
                                        err_msg=f"{fused.__name__} input {i}")
+
+
+def test_key_bias_cancels_in_the_composed_decoder():
+    """The projected-keys graph reads a key bias, but each head's scores
+    shift by the same q . b_k, so its gradient is zero up to rounding:
+    `single_query_attention` takes no key bias."""
+    rng = np.random.default_rng(11)
+    b_k = Tensor(rand(rng, 4), requires_grad=True)
+    out = composed_query_attention(
+        Tensor(rand(rng, 3, 1, 4)), Tensor(rand(rng, 3, 7, 6)), Tensor(rand(rng, 6, 4)),
+        Tensor(rand(rng, 6, 4)), Tensor(rand(rng, 4)), 2, b_k,
+    )
+    backward(ad.tsum(ad.mul(out, Tensor(rng.normal(size=(3, 1, 4))))))
+    np.testing.assert_allclose(b_k.grad, 0.0, rtol=0, atol=1e-12)
 
 
 def test_backward_is_linear():

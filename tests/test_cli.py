@@ -114,13 +114,49 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
     )
     assert rc == 0
 
+    capsys.readouterr()
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump({"epochs": 1, "learning_rate_typo": 3}))
-    with pytest.raises(ValueError, match="unknown"):
-        run_cli(
-            "train", "--source", "FD001", "--target", "FD002",
-            "--config", bad, "--data-dir", cmapss_tiny_dir, "--out-dir", out, "--toy",
-        )
+    rc = run_cli(
+        "train", "--source", "FD001", "--target", "FD002",
+        "--config", bad, "--data-dir", cmapss_tiny_dir, "--out-dir", out, "--toy",
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unknown" in err and "learning_rate_typo" in err
+
+
+@pytest.mark.parametrize(
+    "command, flags, file_cfg, message",
+    [
+        ("train", (), {"preset": "huge"}, "unknown preset 'huge'"),
+        ("train", (), {"model": {"window": 30}}, "model window 30 != run window 40"),
+        ("train", ("--toy",), {"feature_mask": list(range(10))}, "fixes the feature mask"),
+        ("ablate", (), {"preset": "toy", "feature_mask": list(range(10))},
+         "fixes the feature mask"),
+        ("train", ("--toy",), {"model": {"attn_dim": 16}}, "toy preset fixes the model widths"),
+        ("sweep", ("--preset", "desk"), {"model": {"n_heads": 4}},
+         "desk preset fixes the model widths"),
+    ],
+    ids=["unknown-preset", "model-window-conflict", "toy-flag-mask", "toy-file-mask",
+         "toy-model", "desk-model"],
+)
+def test_config_errors_exit_2_before_any_work(
+    command, flags, file_cfg, message, cmapss_tiny_dir, tmp_path, capsys
+):
+    """A configuration that cannot be built, or a file setting that the
+    preset would drop, is an `error:` line and exit 2; nothing is written."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(file_cfg))
+    out = tmp_path / "runs"
+    rc = run_cli(
+        command, "--source", "FD001", "--target", "FD002", "--config", cfg,
+        "--data-dir", cmapss_tiny_dir, "--out-dir", out, *flags,
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

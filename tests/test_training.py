@@ -323,11 +323,13 @@ def test_forward_rows_follow_the_target_stream_readers(toy_domains, monkeypatch)
 
 
 def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
-    """Interior graph nodes of one toy lamanet step with every term on: 250.
+    """Interior graph nodes of one toy lamanet step with every term on:
+    exactly 174.
 
     The same step took 770 nodes with the 16-step GRU unrolled into
-    primitives and each bias add its own node, and decoding F(C) again in
-    the smoothness term costs about 30 nodes per stream."""
+    primitives and each bias add its own node, and 250 with separate q/k/v
+    GEMMs, four head split/merge nodes per attention, an `add` before each
+    layer norm and projected decoder keys and values."""
     source, target = toy_domains
     nodes = []
 
@@ -341,7 +343,24 @@ def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
     src_X, src_y = stack_windows(source.train_windows, range(16))
     tgt_X, _ = stack_windows(target.train_windows, range(16))
     train_step(state, src_X, src_y, tgt_X)
-    assert nodes[0] <= 250, nodes
+    assert nodes == [174]
+
+
+def test_decoder_key_bias_gets_no_gradient(toy_domains):
+    """The absorbed decoder never reads its key bias: it gets no gradient
+    and Adam leaves it bitwise at its initial value."""
+    source, target = toy_domains
+    state = init_state(toy_config("lamanet", da_start=0), 1)
+    state.steps_per_epoch = 10
+    key_bias = state.model.params["dec.0.attn.k.b"]
+    initial = key_bias.data.copy()
+    src_X, src_y = stack_windows(source.train_windows, range(16))
+    tgt_X, _ = stack_windows(target.train_windows, range(16))
+    for _ in range(3):
+        train_step(state, src_X, src_y, tgt_X)
+        assert key_bias.grad is None
+        assert state.model.params["dec.0.attn.q.b"].grad is not None
+    assert key_bias.data.tobytes() == initial.tobytes()
 
 
 def test_non_finite_gradient_aborts_before_the_update(toy_domains, monkeypatch):
