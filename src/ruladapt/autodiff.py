@@ -2,17 +2,21 @@
 
 Operations record an implicit DAG as they execute; :func:`backward` replays
 the tape in reverse topological order and accumulates exact vector-Jacobian
-products into every ``requires_grad`` leaf.  All math is plain numpy in
-float64, the one supported dtype: every array is cast to it on entry.
+products into every ``requires_grad`` leaf.  It frees the tape as it goes:
+each interior node drops its cotangent, its VJP closure (with the
+activations that closure saved) and its parent links once its VJP has run,
+so the step's memory falls during backward instead of after it.  All math
+is plain numpy in float64, the one supported dtype: every array is cast to
+it on entry.
 
 The primitive set is deliberately small: elementwise arithmetic, batched
 matmul (numpy's, no GEMM special case), shape ops, reductions, the usual
 activations, and two distance helpers (`sqnorm`, `pairwise_sqdist`) that the
 kernel losses build on.  Fused primitives with hand-written VJPs stand in
 for the chains of primitives they would take composed, one graph node each:
-`linear` (affine map, one GEMM over all leading rows), `add_layer_norm`
-(residual add + layer norm), `self_attention` (multi-head, over packed
-q/k/v), `single_query_attention` (one query per row with the key and value
+`linear` (affine map, one GEMM over all leading rows), `mlp` (two affine
+maps around a ReLU applied in place), `add_layer_norm` (residual add + layer
+norm), `self_attention` (multi-head, over packed q/k/v), `single_query_attention` (one query per row with the key and value
 maps absorbed) and `gru_sequence` (a whole GRU unroll with output feedback).
 `grad_reverse` is the identity forward / sign-flipped backward used by the
 adversarial baseline.
@@ -54,7 +58,8 @@ class Tensor:
 
     `grad` is populated by :func:`backward` and shares the data's shape.
     Internal nodes keep references to their parents plus a closure that maps
-    the output cotangent to per-parent cotangents.
+    the output cotangent to per-parent cotangents, until :func:`backward`
+    has run through them.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_done")
@@ -230,6 +235,28 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, x2.T @ g2, np.ones(len(g2)) @ g2
 
     return _make(out.reshape(x.shape[:-1] + w.shape[-1:]), (x, w, b), vjp)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2, two `linear`s around a ReLU in one node.
+    The ReLU runs in place on the hidden GEMM output, so the pre-activation
+    is never stored; the VJP masks the hidden cotangent with h > 0."""
+    x2 = x.data.reshape(-1, x.shape[-1])
+    h = x2 @ w1.data
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2.data
+    out += b2.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        ones = np.ones(len(g2))
+        gh = g2 @ w2.data.T
+        gh *= h > 0
+        gx = (gh @ w1.data.T).reshape(x.data.shape) if x.requires_grad else None
+        return gx, x2.T @ gh, ones @ gh, h.T @ g2, ones @ g2
+
+    return _make(out.reshape(x.shape[:-1] + w2.shape[-1:]), (x, w1, b1, w2, b2), vjp)
 
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
@@ -609,29 +636,32 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dLeaf into every reachable requires_grad leaf.
 
-    The loss must be scalar.  Calling backward twice on the same graph raises
-    (the recorded tape is single-use; rebuild the graph for a fresh pass).
-    Leaf gradients accumulate across separate graphs until zeroed.
+    The loss must be scalar.  The tape is freed as it is walked: once an
+    interior node's VJP has run, its cotangent, its VJP closure (with the
+    activations it saved) and its parent links are dropped and the node is
+    marked done, so a later backward that reaches it raises (rebuild the
+    graph for a fresh pass).  Leaf gradients accumulate across separate
+    graphs until zeroed.
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if loss._done:
+    order = _topo_order(loss)
+    if any(node._done for node in order):
         raise GraphError("graph already backpropagated; rebuild it before calling again")
 
-    order = _topo_order(loss)
-    for node in order:
-        if node._parents:  # interior nodes start clean; leaves keep accumulating
-            node.grad = None
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._vjp is None or node.grad is None:
+    while order:
+        node = order.pop()
+        if node._vjp is None:  # a leaf
             continue
-        grads = node._vjp(node.grad)
-        for parent, g in zip(node._parents, grads):
-            if g is None or not parent.requires_grad:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
-    loss._done = True
+        if node.grad is not None:
+            for parent, g in zip(node._parents, node._vjp(node.grad)):
+                if g is None or not parent.requires_grad:
+                    continue
+                parent.grad = g if parent.grad is None else parent.grad + g
+        node.grad = node._vjp = None
+        node._parents = ()
+        node._done = True
 
 
 def grad_check(f, x, eps: float = 1e-5) -> float:

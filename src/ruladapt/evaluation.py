@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -220,28 +221,39 @@ def write_aggregate(out_dir, reports: list[MetricsReport]) -> None:
 LATENT_LAYERS = ("C", "O")
 
 
-def export_latents(model, datasets, layer: str, path, batch: int = 256) -> int:
+def export_latents(model, datasets, layer, path, batch: int = 256) -> int:
     """Write one CSV row per training window: latent vector, rul_scaled
     (blank when the domain is unlabeled), domain tag.  `datasets` is one
     DomainDataset or a sequence of them (e.g. source and target together,
-    distinguishable by the domain column).  Returns the row count."""
-    if layer not in LATENT_LAYERS:
-        raise ValueError(f"layer must be one of {LATENT_LAYERS}, got {layer!r}")
+    distinguishable by the domain column).  `layer` is one of LATENT_LAYERS
+    and `path` its CSV, or both are equal-length sequences: each chunk then
+    goes through one forward pass that feeds every layer's file.  Returns
+    the row count of each file."""
+    layers, paths = ((layer,), (path,)) if isinstance(layer, str) else (tuple(layer), tuple(path))
+    for name in layers:
+        if name not in LATENT_LAYERS:
+            raise ValueError(f"layer must be one of {LATENT_LAYERS}, got {name!r}")
+    if len(paths) != len(layers):
+        raise ValueError(f"{len(layers)} layers but {len(paths)} paths")
     if isinstance(datasets, DomainDataset):
         datasets = [datasets]
     windows = [w for ds in datasets for w in ds.train_windows]
-    width = model.config.bottleneck if layer == "C" else model.config.head_dim
-    header = [f"{layer.lower()}_{i:03d}" for i in range(width)] + ["rul_scaled", "domain"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+    with ExitStack() as files:
+        writers = {}
+        for name, out in zip(layers, paths):
+            writers[name] = csv.writer(files.enter_context(open(out, "w", newline="")))
+            width = model.config.bottleneck if name == "C" else model.config.head_dim
+            writers[name].writerow(
+                [f"{name.lower()}_{i:03d}" for i in range(width)] + ["rul_scaled", "domain"])
         with no_grad():
             for start in range(0, len(windows), batch):
                 chunk = windows[start : start + batch]
                 X, _ = stack_windows(chunk)
                 bundle = model.forward(X)
-                values = (bundle.c if layer == "C" else bundle.o).data
-                for sample, row in zip(chunk, values):
-                    label = "" if sample.rul_scaled is None else f"{sample.rul_scaled:.6f}"
-                    writer.writerow([f"{v:.8e}" for v in row] + [label, sample.domain_tag])
+                tails = [["" if s.rul_scaled is None else f"{s.rul_scaled:.6f}", s.domain_tag]
+                         for s in chunk]
+                for name, writer in writers.items():
+                    values = (bundle.c if name == "C" else bundle.o).data
+                    writer.writerows([f"{v:.8e}" for v in row] + tail
+                                     for row, tail in zip(values, tails))
     return len(windows)

@@ -8,8 +8,9 @@ squeeze compresses M to the bottleneck B and a mirrored expand restores M.
 A single cross-attention decoder layer with one learned query produces the
 pre-head representation, and a small recurrent decoder (GRU by default)
 reconstructs the input window from the bottleneck.  Attention runs as the
-fused `self_attention` (encoder) and `single_query_attention` (decoder, key
-bias unread) nodes, each residual add + layer norm as one `add_layer_norm`.
+fused `self_attention` (encoder) and `single_query_attention` (decoder)
+nodes, each residual add + layer norm as one `add_layer_norm`, each ReLU MLP
+as one `mlp`.  No attention reads its key bias: it cancels in the softmax.
 """
 
 from __future__ import annotations
@@ -177,9 +178,12 @@ class Model:
         return ad.add_layer_norm(x, y, self._p(f"{name}.g"), self._p(f"{name}.b"))
 
     def _self_attention(self, x: Tensor, prefix: str) -> Tensor:
-        """q, k and v from one GEMM over their weights stacked in column blocks."""
-        w, b = (ad.concat([self._p(f"{prefix}.attn.{g}.{part}") for g in "qkv"], axis=-1)
-                for part in "Wb")
+        """q, k and v from one GEMM over their weights stacked in column
+        blocks.  A key bias would add the same q . b_k to every score of a
+        query and cancel in the softmax, so a zero block stands in for it."""
+        p, zeros = self._p, ad.constant(np.zeros(self.config.attn_dim))
+        w = ad.concat([p(f"{prefix}.attn.{g}.W") for g in "qkv"], axis=-1)
+        b = ad.concat([p(f"{prefix}.attn.q.b"), zeros, p(f"{prefix}.attn.v.b")], axis=-1)
         mixed = ad.self_attention(ad.linear(x, w, b), self.config.n_heads)
         return self._affine(mixed, f"{prefix}.attn.o")
 
@@ -191,13 +195,16 @@ class Model:
             q, memory, k, v, self._p(f"{prefix}.attn.v.b"), self.config.n_heads)
         return self._affine(mixed, f"{prefix}.attn.o")
 
-    def _ffn(self, x: Tensor, prefix: str) -> Tensor:
-        return self._affine(ad.relu(self._affine(x, f"{prefix}.ffn.1")), f"{prefix}.ffn.2")
+    def _mlp(self, x: Tensor, first: str, second: str) -> Tensor:
+        """Two affine maps around a ReLU, one `mlp` node."""
+        p = self._p
+        return ad.mlp(x, p(f"{first}.W"), p(f"{first}.b"), p(f"{second}.W"), p(f"{second}.b"))
 
     def _block(self, x: Tensor, attended: Tensor, prefix: str) -> Tensor:
         """Post-norm residual block around an attention output."""
         x = self._add_norm(x, attended, f"{prefix}.ln1")
-        return self._add_norm(x, self._ffn(x, prefix), f"{prefix}.ln2")
+        ffn = self._mlp(x, f"{prefix}.ffn.1", f"{prefix}.ffn.2")
+        return self._add_norm(x, ffn, f"{prefix}.ln2")
 
     # -- public forward pieces ----------------------------------------------
     def encode(self, X: Tensor) -> Tensor:
@@ -218,10 +225,10 @@ class Model:
         return ad.reshape(fused, (n, cfg.latent_dim))
 
     def squeeze(self, e: Tensor) -> Tensor:
-        return ad.relu(self._affine(ad.relu(self._affine(e, "squeeze.1")), "squeeze.2"))
+        return ad.relu(self._mlp(e, "squeeze.1", "squeeze.2"))
 
     def expand(self, c: Tensor) -> Tensor:
-        return ad.relu(self._affine(ad.relu(self._affine(c, "expand.1")), "expand.2"))
+        return ad.relu(self._mlp(c, "expand.1", "expand.2"))
 
     def decode_predict(self, e_tilde: Tensor) -> tuple[Tensor, Tensor]:
         """Expanded latent -> (O, Y_hat); one learned query cross-attends over

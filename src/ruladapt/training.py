@@ -22,7 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .data import DomainDataset, stack_windows
-from .evaluation import MetricsReport, evaluate_target, export_latents, predict_scaled, rmse
+from .evaluation import (
+    LATENT_LAYERS, MetricsReport, evaluate_target, export_latents, predict_scaled, rmse,
+)
 from .losses import (
     DomainDiscriminator,
     KernelSpec,
@@ -540,8 +542,8 @@ def run_single_seed(
         save_train_checkpoint(run_dir / "checkpoint.bin", state)
         _write_metrics(run_dir / "metrics.csv", [result])
         if write_latents:
-            export_latents(state.model, [source, target], "C", run_dir / "latents_C.csv")
-            export_latents(state.model, [source, target], "O", run_dir / "latents_O.csv")
+            export_latents(state.model, [source, target], LATENT_LAYERS,
+                           [run_dir / f"latents_{layer}.csv" for layer in LATENT_LAYERS])
     return result
 
 

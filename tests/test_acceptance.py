@@ -54,6 +54,8 @@ from windowing import make_windows
 GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))
 # single_query_attention inputs q, memory, w_k, w_v, b_v
 SQA_SHAPES = ((2, 1, 4), (2, 3, 5), (5, 4), (5, 4), (4,))
+# mlp inputs x, w1, b1, w2, b2 (in 4, hidden 5, out 2)
+MLP_SHAPES = ((3, 4), (4, 5), (5,), (5, 2), (2,))
 RUN_SLOW = os.environ.get("RULADAPT_RUN_SLOW", "") not in ("", "0")
 
 
@@ -127,6 +129,11 @@ def test_criterion_1_gradient_fidelity():
             safe(3, 4),
         ),
         "linear": (lambda x: ad.tsum(ad.square(ad.linear(x, Tensor(m), Tensor(m[0])))), a),
+        # every input of a ReLU MLP packed into one vector
+        "mlp": (
+            lambda x: ad.tsum(ad.square(ad.mlp(*split_flat(x, MLP_SHAPES)))),
+            safe(sum(int(np.prod(s)) for s in MLP_SHAPES)),
+        ),
         # every input of a 3-step GRU (n=2, f=3, H=2) packed into one vector
         "gru_sequence": (
             lambda x: ad.tsum(ad.square(ad.gru_sequence(*split_flat(x, GRU_SHAPES), steps=3))),

@@ -5,6 +5,8 @@ are kept away from relu kinks and log/sqrt singularities so the numerical
 oracle itself is trustworthy.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,44 @@ def test_double_backward_raises():
         backward(loss)
 
 
+def test_backward_frees_interior_activations():
+    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    hidden = ad.tanh(x)
+    saved = weakref.ref(hidden.data)
+    loss = ad.tsum(ad.square(hidden))
+    del hidden
+    assert saved() is not None  # held by the tape
+    backward(loss)
+    assert saved() is None
+
+
+def test_interior_nodes_hold_no_grad_vjp_or_parents_after_backward():
+    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    hidden = ad.tanh(x)
+    loss = ad.tsum(ad.square(hidden))
+    backward(loss)
+    for node in (hidden, loss):
+        assert node.grad is None and node._vjp is None and node._parents == ()
+    np.testing.assert_allclose(x.grad, 2.0 * np.tanh(x.data) * (1.0 - np.tanh(x.data) ** 2))
+
+
+def test_second_loss_over_a_backpropagated_subgraph_raises():
+    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+    hidden = ad.tanh(x)
+    backward(ad.tsum(hidden))
+    first = x.grad.copy()
+    with pytest.raises(ad.GraphError):
+        backward(ad.tsum(ad.square(hidden)))
+    np.testing.assert_array_equal(x.grad, first)
+
+
+def test_leaf_gradients_accumulate_across_graphs():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    backward(ad.tsum(ad.square(x)))
+    backward(ad.tsum(ad.scale(x, 3.0)))
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data + 3.0)
+
+
 def test_matmul_shape_mismatch_raises():
     a = Tensor(np.ones((2, 3)))
     b = Tensor(np.ones(3))
@@ -115,6 +155,8 @@ def test_pairwise_sqdist_dimension_mismatch_raises():
 # gru_sequence inputs h0, u0, w_i, w_h, b_i, b_hn, w_out, b_out at n=2, f=3, H=2
 GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))
 GRU_FLAT_SIZE = sum(int(np.prod(s)) for s in GRU_SHAPES)
+# mlp inputs x, w1, b1, w2, b2 at n=2, in=3, hidden=4, out=2
+MLP_SHAPES = ((2, 3), (3, 4), (4,), (4, 2), (2,))
 # add_layer_norm inputs x, y, gain, bias
 ALN_SHAPES = ((2, 3), (2, 3), (3,), (3,))
 # single_query_attention inputs q, memory, w_k, w_v, b_v at n=2, T=3, d_m=5, d=4
@@ -209,6 +251,11 @@ def _primitive_cases(rng):
             rand(rng, 4, 4),
         ),
         (
+            "mlp",
+            lambda x: ad.tsum(ad.square(ad.mlp(*split_flat(x, MLP_SHAPES)))),
+            rand_safe(rng, flat_size(MLP_SHAPES)),
+        ),
+        (
             "gru_sequence",
             lambda x: ad.tsum(ad.mul(ad.gru_sequence(*split_flat(x, GRU_SHAPES), steps=4),
                                      Tensor(b234))),
@@ -298,6 +345,10 @@ def composed_linear(x, w, b):
     return ad.add(ad.matmul(x, w), b)
 
 
+def composed_mlp(x, w1, b1, w2, b2):
+    return ad.linear(ad.relu(ad.linear(x, w1, b1)), w2, b2)
+
+
 def composed_gru_sequence(h0, u0, w_i, w_h, b_i, b_hn, w_out, b_out, steps):
     """The GRU unroll as the model composed it from primitives, one step of
     about 20 nodes per frame, with the gate blocks sliced out of the
@@ -371,6 +422,14 @@ def test_fused_ops_match_composed_graphs(seed):
         for i, (g, w) in enumerate(zip(got_grads, want_grads)):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12,
                                        err_msg=f"{fused.__name__} input {i}")
+    # mlp runs the same arithmetic as the graph it fuses, so it matches bitwise
+    arrays = [rand(rng, n, S, d), rand(rng, d, 6), rand(rng, 6), rand(rng, 6, 3), rand(rng, 3)]
+    weights = rng.normal(size=(n, S, 3))
+    got, got_grads = _value_and_grads(ad.mlp, arrays, weights)
+    want, want_grads = _value_and_grads(composed_mlp, arrays, weights)
+    np.testing.assert_array_equal(got, want)
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        np.testing.assert_array_equal(g, w, err_msg=f"mlp input {i}")
 
 
 def test_key_bias_cancels_in_the_composed_decoder():

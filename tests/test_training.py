@@ -324,12 +324,13 @@ def test_forward_rows_follow_the_target_stream_readers(toy_domains, monkeypatch)
 
 def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
     """Interior graph nodes of one toy lamanet step with every term on:
-    exactly 174.
+    exactly 152.
 
     The same step took 770 nodes with the 16-step GRU unrolled into
-    primitives and each bias add its own node, and 250 with separate q/k/v
+    primitives and each bias add its own node, 250 with separate q/k/v
     GEMMs, four head split/merge nodes per attention, an `add` before each
-    layer norm and projected decoder keys and values."""
+    layer norm and projected decoder keys and values, and 174 with each
+    ReLU MLP built as `linear`, `relu`, `linear`."""
     source, target = toy_domains
     nodes = []
 
@@ -343,24 +344,41 @@ def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
     src_X, src_y = stack_windows(source.train_windows, range(16))
     tgt_X, _ = stack_windows(target.train_windows, range(16))
     train_step(state, src_X, src_y, tgt_X)
-    assert nodes == [174]
+    assert nodes == [152]
 
 
-def test_decoder_key_bias_gets_no_gradient(toy_domains):
-    """The absorbed decoder never reads its key bias: it gets no gradient
-    and Adam leaves it bitwise at its initial value."""
+def _key_biases_stay_put(toy_domains, select):
+    """Three toy lamanet steps: each selected key bias gets no gradient (its
+    query bias does) and Adam leaves it bitwise at its initial value."""
     source, target = toy_domains
     state = init_state(toy_config("lamanet", da_start=0), 1)
     state.steps_per_epoch = 10
-    key_bias = state.model.params["dec.0.attn.k.b"]
-    initial = key_bias.data.copy()
+    params = state.model.params
+    names = [name for name in params if name.endswith(".attn.k.b") and select(name)]
+    initial = {name: params[name].data.tobytes() for name in names}
     src_X, src_y = stack_windows(source.train_windows, range(16))
     tgt_X, _ = stack_windows(target.train_windows, range(16))
     for _ in range(3):
         train_step(state, src_X, src_y, tgt_X)
-        assert key_bias.grad is None
-        assert state.model.params["dec.0.attn.q.b"].grad is not None
-    assert key_bias.data.tobytes() == initial.tobytes()
+        for name in names:
+            assert params[name].grad is None, name
+            assert params[name.replace(".k.b", ".q.b")].grad is not None, name
+    assert {name: params[name].data.tobytes() for name in names} == initial
+    return names
+
+
+def test_decoder_key_bias_gets_no_gradient(toy_domains):
+    """The absorbed decoder never reads its key bias."""
+    assert _key_biases_stay_put(toy_domains, lambda name: name.startswith("dec.")) == [
+        "dec.0.attn.k.b"]
+
+
+def test_encoder_key_biases_get_no_gradient(toy_domains):
+    """Self-attention packs a zero block in place of the key bias, which
+    would add the same q . b_k to every score of a query and cancel in the
+    softmax."""
+    names = _key_biases_stay_put(toy_domains, lambda name: name.startswith("enc."))
+    assert len(names) == 4  # two streams of two layers
 
 
 def test_non_finite_gradient_aborts_before_the_update(toy_domains, monkeypatch):
