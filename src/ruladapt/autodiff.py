@@ -90,45 +90,8 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; constants are wrapped as gradient-free leaves
-    def __add__(self, other):
-        return add(self, _wrap(other, self))
-
-    def __radd__(self, other):
-        return add(_wrap(other, self), self)
-
-    def __sub__(self, other):
-        return sub(self, _wrap(other, self))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, _wrap(other, self))
-
-    def __rmul__(self, other):
-        return mul(_wrap(other, self), self)
-
-    def __truediv__(self, other):
-        return div(self, _wrap(other, self))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self), self)
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other, self))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-
-def _wrap(value, like: Tensor) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def constant(value) -> Tensor:

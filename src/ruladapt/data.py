@@ -9,6 +9,7 @@ tasks with arbitrary feature counts.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -84,38 +85,60 @@ class Trajectory:
         )
 
 
-def _read_numeric_rows(path: Path, n_columns: int) -> list[list[float]]:
-    rows: list[list[float]] = []
+def _read_numeric_rows(path: Path, n_columns: int) -> np.ndarray:
+    """(rows, n_columns) float64 matrix of a whitespace-separated file, parsed
+    in one bulk call; blank lines are skipped."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # numpy warns on an empty file
+            rows = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError as exc:
+        raise _first_bad_line(path, n_columns, str(exc)) from None
+    if rows.shape[1] != n_columns or len(rows) == 0:
+        raise _first_bad_line(path, n_columns, f"expected {n_columns} columns")
+    return rows
+
+
+def _first_bad_line(path: Path, n_columns: int, reason: str) -> ParseError:
+    """The error for a file the bulk parse rejected, naming its first
+    malformed line; `reason` is used only when no line is malformed for
+    Python's `float`."""
+    seen_row = False
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
                 continue
+            seen_row = True
             if len(tokens) != n_columns:
-                raise ParseError(
+                return ParseError(
                     f"{path}:{line_no}: expected {n_columns} columns, got {len(tokens)}"
                 )
             try:
-                rows.append([float(t) for t in tokens])
+                list(map(float, tokens))
             except ValueError as exc:
-                raise ParseError(f"{path}:{line_no}: non-numeric value ({exc})") from None
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    return rows
+                return ParseError(f"{path}:{line_no}: non-numeric value ({exc})")
+    return ParseError(f"{path}: {reason}" if seen_row else f"{path}: empty file")
 
 
-def _group_trajectories(path: Path, rows: list[list[float]]) -> list[Trajectory]:
-    by_unit: dict[int, list[list[float]]] = {}
-    for row in rows:
-        by_unit.setdefault(int(row[0]), []).append(row)
+def _group_trajectories(path: Path, rows: np.ndarray) -> list[Trajectory]:
+    """Rows grouped by unit, units in first-appearance order, each unit's rows
+    in file order."""
+    if not (np.abs(rows[:, :2]) < 2.0**63).all():
+        raise IntegrityError(f"{path}: unit and cycle columns must be finite integers")
+    ids = rows[:, :2].astype(np.int64)  # truncates toward zero, as int() does
+    order = np.argsort(ids[:, 0], kind="stable")
+    sorted_units = ids[order, 0]
+    groups = np.split(order, np.flatnonzero(sorted_units[1:] != sorted_units[:-1]) + 1)
+    groups.sort(key=lambda g: g[0])
     trajectories = []
-    for unit, unit_rows in by_unit.items():
-        cycles = [int(r[1]) for r in unit_rows]
-        if cycles != list(range(1, len(unit_rows) + 1)):
+    for idx in groups:
+        unit = int(ids[idx[0], 0])
+        if not np.array_equal(ids[idx, 1], np.arange(1, len(idx) + 1)):
             raise IntegrityError(
                 f"{path}: unit {unit}: cycle indices must run 1..T with step 1"
             )
-        block = np.array([r[2:] for r in unit_rows], dtype=np.float64)
+        block = rows[idx, 2:]
         trajectories.append(
             Trajectory(unit, block[:, :N_SETTINGS].copy(), block[:, N_SETTINGS:].copy())
         )
@@ -129,7 +152,7 @@ def parse_trajectory_file(path) -> list[Trajectory]:
 
 def parse_rul_file(path) -> np.ndarray:
     path = Path(path)
-    return np.array([r[0] for r in _read_numeric_rows(path, 1)], dtype=np.float64)
+    return _read_numeric_rows(path, 1)[:, 0]
 
 
 def parse_cmapss(train_path, test_path, rul_path):
@@ -198,15 +221,6 @@ def normalize_matrix(features: np.ndarray, stats: NormalizationStats) -> np.ndar
 # ---------------------------------------------------------------------------
 # labels and windows
 
-def rul_label(T: int, t: int, rc: float) -> float:
-    """Piecewise-linear scaled label: min(T - t, rc) / rc, in [0, 1]."""
-    if rc <= 0:
-        raise ValueError(f"rc must be positive, got {rc}")
-    if not 1 <= t <= T:
-        raise ValueError(f"cycle t={t} outside trajectory of length {T}")
-    return min(T - t, rc) / rc
-
-
 @dataclass(frozen=True)
 class WindowSample:
     """One sliding window ending at `end_cycle` of a normalized trajectory.
@@ -234,18 +248,23 @@ class WindowSample:
 
 
 def _windows_from_matrix(mat, unit_id, K, rc, domain_tag, labelled):
+    """Every stride-1 window of one trajectory; labelled windows carry the
+    piecewise-linear scaled label min(T - t, rc) / rc of their end cycle t."""
     T = len(mat)
-    ends = range(K, T + 1) if T >= K else [T]
+    ends = np.arange(K, T + 1) if T >= K else np.array([T])
+    if labelled and rc <= 0:
+        raise ValueError(f"rc must be positive, got {rc}")
+    labels = (np.minimum(T - ends, rc) / rc).tolist() if labelled else [None] * len(ends)
     return [
         WindowSample(
             unit_id=unit_id,
             end_cycle=t,
             window=K,
             domain_tag=domain_tag,
-            rul_scaled=rul_label(T, t, rc) if labelled else None,
+            rul_scaled=label,
             matrix=mat,
         )
-        for t in ends
+        for t, label in zip(ends.tolist(), labels)
     ]
 
 

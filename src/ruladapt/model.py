@@ -310,5 +310,5 @@ class Model:
             value = np.asarray(arrays[name])
             if value.shape != p.data.shape:
                 raise ValueError(f"{name}: shape {value.shape} != {p.data.shape}")
-            p.data = value.astype(p.data.dtype)
+            p.data = value.astype(p.data.dtype, copy=False)
             p.grad = None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -27,36 +28,50 @@ def config_hash(obj) -> str:
 
 
 def save_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> str:
-    """Write arrays + metadata to `path`; returns the sha256 of the bytes."""
-    manifest = []
-    buffers = []
-    for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        manifest.append({"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)})
-        buffers.append(arr.tobytes())
+    """Write arrays + metadata to `path`; returns the sha256 of the bytes.
+
+    The bytes stream into a temporary file beside `path` that then replaces
+    it, so a failure mid-write leaves any previous file untouched."""
+    path = Path(path)
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    manifest = [{"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
+                for name, arr in arrays.items()]
     header = canonical_json({"meta": meta, "arrays": manifest}).encode()
-    blob = MAGIC + len(header).to_bytes(8, "little") + header + b"".join(buffers)
-    Path(path).write_bytes(blob)
-    return hashlib.sha256(blob).hexdigest()
+    digest = hashlib.sha256()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in (MAGIC, len(header).to_bytes(8, "little"), header, *arrays.values()):
+                fh.write(chunk)
+                digest.update(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return digest.hexdigest()
 
 
 def load_blob(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Inverse of save_blob; every returned array owns its memory.  A file
+    shorter than its header or manifest says is a ValueError naming it."""
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise ValueError(f"{path}: not a ruladapt blob")
-    offset = len(MAGIC)
-    header_len = int.from_bytes(raw[offset : offset + 8], "little")
-    offset += 8
-    header = json.loads(raw[offset : offset + header_len])
-    offset += header_len
+    offset = len(MAGIC) + 8
+    end = offset + int.from_bytes(raw[len(MAGIC) : offset], "little")
+    if len(raw) < end:
+        raise ValueError(f"{path}: truncated blob ({len(raw)} bytes, header ends at {end})")
+    header = json.loads(raw[offset:end])
     arrays: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
         dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
-        count = int(np.prod(shape)) if shape else 1
+        count = int(np.prod(entry["shape"]))
+        offset, end = end, end + count * dtype.itemsize
+        if len(raw) < end:
+            raise ValueError(
+                f"{path}: truncated blob ({len(raw)} bytes, array {entry['name']!r} ends at {end})"
+            )
         arrays[entry["name"]] = np.frombuffer(
             raw, dtype=dtype, count=count, offset=offset
-        ).reshape(shape).copy()
-        offset += nbytes
+        ).reshape(entry["shape"]).copy()
     return arrays, header["meta"]

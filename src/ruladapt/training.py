@@ -485,10 +485,10 @@ def load_train_checkpoint(path, config: RunConfig) -> TrainState:
     state.model.load_state(params)
     if state.discriminator is not None:
         for name, p in state.discriminator.params.items():
-            p.data = params[name].copy()
+            p.data = params[name]
             p.grad = None
-    state.adam.m = {k: v.copy() for k, v in section("adam_m/").items()}
-    state.adam.v = {k: v.copy() for k, v in section("adam_v/").items()}
+    state.adam.m = section("adam_m/")
+    state.adam.v = section("adam_v/")
     state.adam.t = int(meta["adam_t"])
     state.iteration = int(meta["iteration"])
     state.epoch = int(meta["epoch"])

@@ -27,7 +27,6 @@ from ruladapt.data import (
     build_domain_dataset,
     fit_normalization,
     parse_cmapss,
-    rul_label,
     stack_windows,
     subset_paths,
 )
@@ -49,6 +48,7 @@ from ruladapt.training import init_state, make_run_config, run_single_seed, trai
 
 from gradtools import flat_loss_fn, split_flat
 from helpers import denormalize, normalize, tiny_model_config
+from oracles import rul_label
 from windowing import make_windows
 
 GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))

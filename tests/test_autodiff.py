@@ -369,7 +369,7 @@ def composed_gru_sequence(h0, u0, w_i, w_h, b_i, b_hn, w_out, b_out, steps):
             ad.add(ad.matmul(u, block(w_i, 2)), block(b_i, 2)),
             ad.mul(r, ad.add(ad.matmul(h, block(w_h, 2)), b_hn)),
         ))
-        h = ad.add(ad.mul(1.0 - z, cand), ad.mul(z, h))
+        h = ad.add(ad.mul(ad.sub(ad.constant(1.0), z), cand), ad.mul(z, h))
         frame = ad.add(ad.matmul(h, w_out), b_out)
         frames.append(ad.reshape(frame, (n, f, 1)))
         u = frame

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,6 @@ from ruladapt.data import (
     normalize_matrix,
     parse_cmapss,
     parse_trajectory_file,
-    rul_label,
     save_dataset_cache,
     split_train_val,
     stack_windows,
@@ -24,6 +25,9 @@ from ruladapt.data import (
 )
 
 from helpers import denormalize, format_trajectories, normalize
+from oracles import parse_rul_file as oracle_parse_rul_file
+from oracles import parse_trajectory_file as oracle_parse_trajectory_file
+from oracles import rul_label
 from windowing import make_windows
 
 
@@ -102,6 +106,76 @@ def test_parse_roundtrip(cmapss_dir, tmp_path):
     path.write_text(format_trajectories(sample))
     again = parse_trajectory_file(path)
     assert again == sample
+
+
+def _same_trajectories(got, want):
+    assert [t.unit_id for t in got] == [t.unit_id for t in want]
+    for a, b in zip(got, want):
+        for x, y in ((a.op_settings, b.op_settings), (a.sensors, b.sensors)):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("subset", ["FD001", "FD002"])
+def test_bulk_parse_is_bitwise_equal_to_the_row_parser(cmapss_dir, subset):
+    train_path, test_path, rul_path = subset_paths(cmapss_dir, subset)
+    for path in (train_path, test_path):
+        _same_trajectories(parse_trajectory_file(path), oracle_parse_trajectory_file(path))
+    got, want = dp.parse_rul_file(rul_path), oracle_parse_rul_file(rul_path)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_bulk_parse_matches_the_row_parser_on_a_ragged_layout(tmp_path):
+    """Blank lines, trailing whitespace, interleaved units, a single-row unit
+    and fractional ids (truncated as int() does)."""
+
+    def row(unit, cycle, base):
+        return " ".join([unit, cycle] + [f"{base + 0.1 * i:.6g}" for i in range(dp.N_FEATURES)])
+
+    lines = [
+        row("3", "1", 1.5), "", row("1", "1", -2.25) + "   ", row("3", "2", 7e-3),
+        "   \t", row("1.9", "2.0", 1e5) + "\t", row("7", "1", 0.0), row("3", "3.5", -1e-9),
+        "",
+    ]
+    path = tmp_path / "ragged.txt"
+    path.write_text("\n".join(lines))
+    got = parse_trajectory_file(path)
+    assert [(t.unit_id, t.length) for t in got] == [(3, 3), (1, 2), (7, 1)]
+    _same_trajectories(got, oracle_parse_trajectory_file(path))
+
+
+@pytest.mark.parametrize(
+    "token, where", [("#", "bad.txt:2: non-numeric"), ("1_000", "bad.txt: could not convert")]
+)
+def test_token_numpy_rejects_is_a_parse_error(tmp_path, token, where):
+    """`#` is not a comment marker; `1_000`, which Python's float() accepts,
+    is rejected by the bulk parse and the error names the file."""
+    good = ["1", "1"] + ["0.0"] * dp.N_FEATURES
+    bad = ["1", "2"] + ["0.0"] * dp.N_FEATURES
+    bad[4] = token
+    path = tmp_path / "bad.txt"
+    path.write_text(" ".join(good) + "\n" + " ".join(bad) + "\n")
+    with pytest.raises(ParseError, match=where):
+        parse_trajectory_file(path)
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+def test_empty_file_raises_without_warning(tmp_path, text):
+    path = tmp_path / "empty.txt"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="empty.txt: empty file"):
+            parse_trajectory_file(path)
+        with pytest.raises(ParseError, match="empty.txt: empty file"):
+            dp.parse_rul_file(path)
+
+
+def test_non_finite_unit_id_is_an_integrity_error(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text(" ".join(["nan", "1"] + ["0.0"] * dp.N_FEATURES) + "\n")
+    with pytest.raises(IntegrityError, match="nan.txt"):
+        parse_trajectory_file(path)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +294,22 @@ def test_label_monotone_and_saturated():
         if T - w.end_cycle >= rc:
             assert w.rul_scaled == 1.0
     assert labels[-1] == 0.0
+
+
+@pytest.mark.parametrize("T, K, rc", [(12, 30, 125.0), (30, 30, 125.0), (170, 30, 125.0), (9, 4, 3)])
+def test_bulk_labels_equal_rul_label_per_window(T, K, rc):
+    traj = toy_trajectory(T=T)
+    windows = make_windows(traj, K, dp.fit_normalization([traj]), rc)
+    assert len(windows) == max(T - K + 1, 1)
+    for w in windows:
+        expected = rul_label(T, w.end_cycle, rc)
+        assert type(w.rul_scaled) is float and w.rul_scaled.hex() == expected.hex()
+
+
+def test_windows_reject_non_positive_rc():
+    traj = toy_trajectory(T=20)
+    with pytest.raises(ValueError, match="rc must be positive"):
+        make_windows(traj, 5, dp.fit_normalization([traj]), 0.0)
 
 
 def test_stack_windows_shapes_and_missing_labels():

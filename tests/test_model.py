@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -215,6 +216,9 @@ def test_checkpoint_roundtrip_and_hash_guard(tmp_path):
     assert (loaded.iteration, loaded.adam.t, loaded.seed) == (17, 3, 5)
     for name, p in state.trainable().items():
         np.testing.assert_array_equal(loaded.trainable()[name].data, p.data)
+    loaded_arrays = [p.data for p in loaded.trainable().values()]
+    loaded_arrays += [*loaded.adam.m.values(), *loaded.adam.v.values()]
+    assert not any(np.may_share_memory(a, b) for a, b in combinations(loaded_arrays, 2))
     with pytest.raises(ValueError, match="hash"):
         load_train_checkpoint(path, replace(config, lr=2e-3))
 
