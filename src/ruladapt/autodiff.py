@@ -151,17 +151,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    return _make(
-        a.data / b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
-    )
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar treated as a constant."""
     c = float(c)
@@ -311,11 +300,6 @@ def exp(a: Tensor) -> Tensor:
 
 def log(a: Tensor) -> Tensor:
     return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _make(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def square(a: Tensor) -> Tensor:

@@ -16,6 +16,7 @@ fixed file names.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import math
 import os
@@ -42,7 +43,7 @@ from .data import (
 )
 from .evaluation import write_aggregate
 from .model import ModelConfig, desk_model_config, toy_model_config
-from .serialization import config_hash
+from .serialization import atomic_open, config_hash
 from .training import (
     VARIANTS,
     run_config_from_dict,
@@ -123,17 +124,22 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
         raise ConfigError(str(exc)) from exc
 
 
+def _file_digests(paths) -> dict[str, str]:
+    """sha256 of each flat file, keyed by its file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
 def provide_dataset(data_dir: Path, cache_dir: Path, subset: str, role: str, config):
-    """Load trajectories (cache first, else raw flat files) and build windows."""
+    """Load trajectories and build windows.  The cache `ingest` wrote is
+    used only when the sha256 digests it recorded equal those of the flat
+    files under `data_dir`; otherwise the files are parsed."""
+    paths = subset_paths(data_dir, subset)
     cache_path = cache_dir / f"{subset}.cache"
-    if cache_path.exists():
-        train, test, truth, _, _ = load_dataset_cache(cache_path)
+    cached = load_dataset_cache(cache_path) if cache_path.exists() else None
+    if cached is not None and cached[-1].get("source_sha256") == _file_digests(paths):
+        train, test, truth = cached[:3]  # of (train, test, truth, stats, meta)
     else:
-        train_path, test_path, rul_path = subset_paths(data_dir, subset)
-        for p in (train_path, test_path, rul_path):
-            if not p.exists():
-                raise FileNotFoundError(f"missing data file: {p}")
-        train, test, truth = parse_cmapss(train_path, test_path, rul_path)
+        train, test, truth = parse_cmapss(*paths)
     return build_domain_dataset(
         train, test, truth,
         subset=subset, role=role, window=config.window, rc=config.rc,
@@ -150,9 +156,9 @@ def cmd_ingest(args) -> int:
     data_dir, out_dir, _ = _resolve_paths(args, file_cfg)
     subset = args.subset
     window = args.window or int(file_cfg.get("window", 40))
-    train_path, test_path, rul_path = subset_paths(data_dir, subset)
+    paths = subset_paths(data_dir, subset)
     try:
-        train, test, truth = parse_cmapss(train_path, test_path, rul_path)
+        train, test, truth = parse_cmapss(*paths)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -172,6 +178,7 @@ def cmd_ingest(args) -> int:
     digest = save_dataset_cache(
         cache_path, train, test, truth, subset=subset,
         config={**ingest_cfg, "hash": config_hash(ingest_cfg)},
+        source_sha256=_file_digests(paths),
     )
     n_windows = sum(max(t.length - window + 1, 1) for t in train)
     print(f"{subset}: {len(train)} train trajectories, {len(test)} test trajectories")
@@ -271,7 +278,7 @@ def cmd_ablate(args) -> int:
 
     pair_dir = out_dir / f"{base.source_subset}-{base.target_subset}" / "ablate"
     write_aggregate(pair_dir, reports)
-    with open(pair_dir / "ablate_points.csv", "w") as fh:
+    with atomic_open(pair_dir / "ablate_points.csv") as fh:
         fh.write("variant,seed,rmse,score\n")
         for report in reports:
             for r in report.records:
@@ -350,7 +357,7 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: r["val_rmse"])  # ranking never touches target labels
     pair_dir = out_dir / f"{base.source_subset}-{base.target_subset}" / "sweep"
     pair_dir.mkdir(parents=True, exist_ok=True)
-    with open(pair_dir / "sweep_results.csv", "w") as fh:
+    with atomic_open(pair_dir / "sweep_results.csv") as fh:
         fh.write(",".join(keys) + ",val_rmse\n")
         for row in rows:
             fh.write(",".join(str(row[k]) for k in keys) + f",{row['val_rmse']}\n")

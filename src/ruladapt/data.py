@@ -23,10 +23,6 @@ N_SENSORS = 21
 N_FEATURES = N_SETTINGS + N_SENSORS
 N_COLUMNS = 2 + N_FEATURES  # unit, cycle, settings, sensors
 
-FEATURE_NAMES = tuple(
-    [f"setting_{i}" for i in range(1, N_SETTINGS + 1)]
-    + [f"s_{i}" for i in range(1, N_SENSORS + 1)]
-)
 ALL_FEATURES = tuple(range(N_FEATURES))
 DEFAULT_RC = 125.0
 
@@ -422,9 +418,13 @@ def build_domain_dataset(
 # ---------------------------------------------------------------------------
 # trajectory cache
 
-def save_dataset_cache(path, train_trajs, test_trajs, test_truth, *, subset: str, config: dict) -> str:
-    """Cache parsed trajectories plus the training normalization stats;
-    returns the content hash of the file."""
+def save_dataset_cache(
+    path, train_trajs, test_trajs, test_truth, *, subset: str, config: dict,
+    source_sha256: dict | None = None,
+) -> str:
+    """Cache parsed trajectories plus the training normalization stats, and
+    the sha256 of the flat files they came from when given; returns the
+    content hash of the file."""
 
     def pack(trajs, prefix):
         return {
@@ -448,6 +448,7 @@ def save_dataset_cache(path, train_trajs, test_trajs, test_truth, *, subset: str
         "n_test": len(test_trajs),
         "stats_fitted_on": stats.fitted_on,
         "config": config,
+        "source_sha256": source_sha256,
     }
     return save_blob(path, arrays, meta)
 

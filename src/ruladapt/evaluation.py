@@ -11,7 +11,6 @@ overflow beyond float64 is reported as +inf rather than aborting.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -21,6 +20,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .data import DomainDataset, IntegrityError, WindowSample, stack_windows
+from .serialization import atomic_open, write_json
 
 
 def rmse(pred, truth) -> float:
@@ -75,6 +75,12 @@ def evaluate_target(model, dataset: DomainDataset, rc: float) -> tuple[float, fl
     return rmse(pred_cycles, truth_cycles), score(pred_cycles, truth_cycles)
 
 
+def score_to_json(value: float):
+    """JSON form of a score statistic: float64 overflow (+inf) is the string
+    "inf"; every other value, NaN included, is written as it is."""
+    return "inf" if value == math.inf else value
+
+
 def _sample_sd(values) -> float:
     return float(np.std(values, ddof=1)) if len(values) > 1 else float("nan")
 
@@ -123,10 +129,7 @@ class MetricsReport:
 
     @property
     def score_sd(self) -> float:
-        finite = [s for s in self.score_per_seed if math.isfinite(s)]
-        if len(finite) != len(self.score_per_seed):
-            return math.inf
-        return _sample_sd(self.score_per_seed)
+        return math.inf if self.score_saturated else _sample_sd(self.score_per_seed)
 
     @property
     def score_saturated(self) -> bool:
@@ -139,12 +142,12 @@ class MetricsReport:
             "variant": self.variant,
             "seeds": list(self.seeds),
             "rmse_per_seed": self.rmse_per_seed,
-            "score_per_seed": [s if math.isfinite(s) else "inf" for s in self.score_per_seed],
+            "score_per_seed": [score_to_json(s) for s in self.score_per_seed],
             "val_rmse_per_seed": self.val_rmse_per_seed,
             "rmse_mean": self.rmse_mean,
             "rmse_sd": self.rmse_sd,
-            "score_mean": self.score_mean if math.isfinite(self.score_mean) else "inf",
-            "score_sd": self.score_sd if math.isfinite(self.score_sd) else "inf",
+            "score_mean": score_to_json(self.score_mean),
+            "score_sd": score_to_json(self.score_sd),
             "score_saturated": self.score_saturated,
             "n_test_engines": self.n_test_engines,
             "failures": self.failures,
@@ -209,13 +212,13 @@ def write_aggregate(out_dir, reports: list[MetricsReport]) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, rows in aggregate(reports).items():
-        with open(out_dir / f"{name}.csv", "w", newline="") as fh:
+        with atomic_open(out_dir / f"{name}.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()
             writer.writerows(rows)
-    (out_dir / "tables.txt").write_text(render_tables(reports))
-    with open(out_dir / "reports.json", "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+    with atomic_open(out_dir / "tables.txt") as fh:
+        fh.write(render_tables(reports))
+    write_json(out_dir / "reports.json", [r.to_dict() for r in reports])
 
 
 LATENT_LAYERS = ("C", "O")
@@ -227,8 +230,9 @@ def export_latents(model, datasets, layer, path, batch: int = 256) -> int:
     DomainDataset or a sequence of them (e.g. source and target together,
     distinguishable by the domain column).  `layer` is one of LATENT_LAYERS
     and `path` its CSV, or both are equal-length sequences: each chunk then
-    goes through one forward pass that feeds every layer's file.  Returns
-    the row count of each file."""
+    goes through one forward pass that feeds every layer's file, and no file
+    is replaced unless all of them are written.  Returns the row count of
+    each file."""
     layers, paths = ((layer,), (path,)) if isinstance(layer, str) else (tuple(layer), tuple(path))
     for name in layers:
         if name not in LATENT_LAYERS:
@@ -241,7 +245,7 @@ def export_latents(model, datasets, layer, path, batch: int = 256) -> int:
     with ExitStack() as files:
         writers = {}
         for name, out in zip(layers, paths):
-            writers[name] = csv.writer(files.enter_context(open(out, "w", newline="")))
+            writers[name] = csv.writer(files.enter_context(atomic_open(out, "w", newline="")))
             width = model.config.bottleneck if name == "C" else model.config.head_dim
             writers[name].writerow(
                 [f"{name.lower()}_{i:03d}" for i in range(width)] + ["rul_scaled", "domain"])

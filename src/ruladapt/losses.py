@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .model import _xavier
 
 
 @dataclass(frozen=True)
@@ -154,23 +155,20 @@ def coral_loss(o_s: Tensor, o_t: Tensor) -> Tensor:
 
 
 class DomainDiscriminator:
-    """Two-layer feed-forward binary domain classifier on the bottleneck."""
+    """Two-layer feed-forward binary domain classifier on the bottleneck,
+    initialised like the model's affine maps and run as one `mlp` node."""
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator):
-        def xavier(fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
         self.params = {
-            "disc.1.W": Tensor(xavier(in_dim, hidden), requires_grad=True),
+            "disc.1.W": Tensor(_xavier(rng, in_dim, hidden), requires_grad=True),
             "disc.1.b": Tensor(np.zeros(hidden), requires_grad=True),
-            "disc.2.W": Tensor(xavier(hidden, 1), requires_grad=True),
+            "disc.2.W": Tensor(_xavier(rng, hidden, 1), requires_grad=True),
             "disc.2.b": Tensor(np.zeros(1), requires_grad=True),
         }
 
     def logits(self, x: Tensor) -> Tensor:
-        h = ad.relu(ad.linear(x, self.params["disc.1.W"], self.params["disc.1.b"]))
-        return ad.linear(h, self.params["disc.2.W"], self.params["disc.2.b"])
+        p = self.params
+        return ad.mlp(x, p["disc.1.W"], p["disc.1.b"], p["disc.2.W"], p["disc.2.b"])
 
 
 def dann_loss(

@@ -300,15 +300,3 @@ class Model:
         """The bottleneck-to-prediction map used by the smoothness penalty."""
         _, y_hat = self.decode_predict(self.expand(c))
         return y_hat
-
-    # -- parameter plumbing ---------------------------------------------------
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(arrays)
-        if missing:
-            raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:4]} ...")
-        for name, p in self.params.items():
-            value = np.asarray(arrays[name])
-            if value.shape != p.data.shape:
-                raise ValueError(f"{name}: shape {value.shape} != {p.data.shape}")
-            p.data = value.astype(p.data.dtype, copy=False)
-            p.grad = None

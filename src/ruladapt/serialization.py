@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -27,33 +28,52 @@ def config_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def save_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> str:
-    """Write arrays + metadata to `path`; returns the sha256 of the bytes.
-
-    The bytes stream into a temporary file beside `path` that then replaces
-    it, so a failure mid-write leaves any previous file untouched."""
+@contextmanager
+def atomic_open(path, mode: str = "w", **open_kwargs):
+    """Open a temporary file beside `path` that replaces `path` when the
+    block exits cleanly.  On any failure the temporary file is removed and a
+    previous file at `path` is left as it was.  There is no fsync: this
+    guards against a failed writer, not against a lost machine."""
     path = Path(path)
-    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
-    manifest = [{"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
-                for name, arr in arrays.items()]
-    header = canonical_json({"meta": meta, "arrays": manifest}).encode()
-    digest = hashlib.sha256()
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            for chunk in (MAGIC, len(header).to_bytes(8, "little"), header, *arrays.values()):
-                fh.write(chunk)
-                digest.update(chunk)
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path, obj) -> None:
+    """`obj` as indented JSON with sorted keys, replaced atomically."""
+    with atomic_open(path) as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+
+
+def save_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> str:
+    """Write arrays + metadata to `path` through `atomic_open`; returns the
+    sha256 of the bytes.  An object-dtype array is a ValueError naming it,
+    raised before anything is written."""
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    for name, arr in arrays.items():
+        if arr.dtype.hasobject:
+            raise ValueError(f"{path}: array {name!r} has object dtype, which a blob cannot hold")
+    manifest = [{"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
+                for name, arr in arrays.items()]
+    header = canonical_json({"meta": meta, "arrays": manifest}).encode()
+    digest = hashlib.sha256()
+    with atomic_open(path, "wb") as fh:
+        for chunk in (MAGIC, len(header).to_bytes(8, "little"), header, *arrays.values()):
+            fh.write(chunk)
+            digest.update(chunk)
     return digest.hexdigest()
 
 
 def load_blob(path) -> tuple[dict[str, np.ndarray], dict]:
     """Inverse of save_blob; every returned array owns its memory.  A file
-    shorter than its header or manifest says is a ValueError naming it."""
+    shorter than its header or manifest says, or whose header is not the
+    expected JSON, is a ValueError naming it."""
     raw = Path(path).read_bytes()
     if not raw.startswith(MAGIC):
         raise ValueError(f"{path}: not a ruladapt blob")
@@ -61,17 +81,21 @@ def load_blob(path) -> tuple[dict[str, np.ndarray], dict]:
     end = offset + int.from_bytes(raw[len(MAGIC) : offset], "little")
     if len(raw) < end:
         raise ValueError(f"{path}: truncated blob ({len(raw)} bytes, header ends at {end})")
-    header = json.loads(raw[offset:end])
+    try:
+        header = json.loads(raw[offset:end])
+        meta = header["meta"]
+        manifest = [(e["name"], np.dtype(e["dtype"]), e["shape"]) for e in header["arrays"]]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"{path}: corrupt blob header ({type(exc).__name__}: {exc})") from exc
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        dtype = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"]))
+    for name, dtype, shape in manifest:
+        if dtype.hasobject:
+            raise ValueError(f"{path}: array {name!r} has object dtype, which a blob cannot hold")
+        count = int(np.prod(shape))
         offset, end = end, end + count * dtype.itemsize
         if len(raw) < end:
             raise ValueError(
-                f"{path}: truncated blob ({len(raw)} bytes, array {entry['name']!r} ends at {end})"
+                f"{path}: truncated blob ({len(raw)} bytes, array {name!r} ends at {end})"
             )
-        arrays[entry["name"]] = np.frombuffer(
-            raw, dtype=dtype, count=count, offset=offset
-        ).reshape(entry["shape"]).copy()
-    return arrays, header["meta"]
+        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
+    return arrays, meta

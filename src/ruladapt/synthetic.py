@@ -1,16 +1,11 @@
-"""Synthetic run-to-failure generators.
+"""Synthetic run-to-failure generator.
 
-Two flavors:
-
-* ``write_benchmark_files`` emits flat files in the exact turbofan benchmark
-  layout (26 columns, one RUL value per test engine) with the published
-  trajectory counts per subset, so the full ingestion path can be exercised
-  on machines that do not have the original archive.  Multi-condition
-  subsets get clustered operating settings and condition-shifted sensors,
-  which makes cross-subset pairs a real adaptation task.
-* ``make_toy_domains`` builds a small in-memory two-domain task where the
-  target is a mixed affine distortion of the source degradation curves;
-  used by the smoke and ablation checks.
+``write_benchmark_files`` emits flat files in the exact turbofan benchmark
+layout (26 columns, one RUL value per test engine) with the published
+trajectory counts per subset, so the full ingestion path can be exercised on
+machines that do not have the original archive.  Multi-condition subsets get
+clustered operating settings and condition-shifted sensors, which makes
+cross-subset pairs a real adaptation task.
 """
 
 from __future__ import annotations
@@ -21,16 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
-    DomainDataset,
-    N_SENSORS,
-    N_SETTINGS,
-    SOURCE,
-    TARGET,
-    Trajectory,
-    dataset_from_matrices,
-    subset_paths,
-)
+from .data import N_SENSORS, N_SETTINGS, Trajectory, subset_paths
 
 
 @dataclass(frozen=True)
@@ -181,80 +167,6 @@ def write_benchmark_files(data_dir, subset: str, seed: int = 7, **overrides) -> 
     with open(rul_path, "w") as fh:
         for value in truth:
             fh.write(f"{int(value)}\n")
-
-
-# ---------------------------------------------------------------------------
-# toy two-domain task
-
-def _toy_engines(rng, n, n_features, bases, amps, mix, offset, noise, length_range, truncate):
-    mats, truth = [], []
-    lo, hi = length_range
-    for unit in range(1, n + 1):
-        T = int(rng.integers(lo, hi + 1))
-        p = rng.uniform(1.6, 2.4)
-        health = (np.arange(1, T + 1) / T) ** p
-        x = bases + health[:, None] * amps + rng.normal(0.0, noise, size=(T, n_features))
-        x = x @ mix.T + offset
-        if truncate:
-            T_obs = int(rng.integers(max(6, lo // 4), T - 2))
-            mats.append((unit, x[:T_obs].copy()))
-            truth.append(float(T - T_obs))
-        else:
-            mats.append((unit, x))
-    return mats, np.array(truth)
-
-
-def make_toy_domains(
-    seed: int = 1,
-    *,
-    n_features: int = 8,
-    window: int = 16,
-    n_source: int = 24,
-    n_target: int = 24,
-    n_source_test: int = 8,
-    n_target_test: int = 12,
-    rc: float = 60.0,
-    noise: float = 0.02,
-    distortion: float = 0.35,
-    val_seed: int = 42,
-) -> tuple[DomainDataset, DomainDataset]:
-    """Source degradation curves plus a mixed-affine-distorted target domain.
-
-    The distortion mixes features (off-diagonal affine map), so per-feature
-    min-max normalization cannot undo it and latent alignment has real work
-    to do.  Target training windows carry no labels; target test windows are
-    labeled from the held-back truncation truth.
-    """
-    rng = np.random.default_rng([seed, 0xD0])
-    bases = rng.uniform(-0.5, 0.5, size=n_features)
-    amps = rng.choice([-1.0, 1.0], size=n_features) * rng.uniform(0.4, 1.0, size=n_features)
-    identity = np.eye(n_features)
-    target_mix = identity + rng.uniform(-distortion, distortion, size=(n_features, n_features))
-    target_offset = rng.uniform(-0.5 * distortion, 0.5 * distortion, size=n_features)
-    lengths = (45, 90)
-
-    src_train, _ = _toy_engines(
-        rng, n_source, n_features, bases, amps, identity, 0.0, noise, lengths, False
-    )
-    src_test, src_truth = _toy_engines(
-        rng, n_source_test, n_features, bases, amps, identity, 0.0, noise, lengths, True
-    )
-    tgt_train, _ = _toy_engines(
-        rng, n_target, n_features, bases, amps, target_mix, target_offset, noise, lengths, False
-    )
-    tgt_test, tgt_truth = _toy_engines(
-        rng, n_target_test, n_features, bases, amps, target_mix, target_offset, noise, lengths, True
-    )
-
-    source = dataset_from_matrices(
-        src_train, src_test, src_truth,
-        subset="toy-src", role=SOURCE, window=window, rc=rc, val_seed=val_seed,
-    )
-    target = dataset_from_matrices(
-        tgt_train, tgt_test, tgt_truth,
-        subset="toy-tgt", role=TARGET, window=window, rc=rc, val_seed=val_seed,
-    )
-    return source, target
 
 
 def main(argv=None) -> int:

@@ -10,7 +10,6 @@ in float64.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
@@ -24,6 +23,7 @@ from .autodiff import Tensor, backward
 from .data import DomainDataset, stack_windows
 from .evaluation import (
     LATENT_LAYERS, MetricsReport, evaluate_target, export_latents, predict_scaled, rmse,
+    score_to_json,
 )
 from .losses import (
     DomainDiscriminator,
@@ -40,7 +40,7 @@ from .losses import (
     smooth_loss,
 )
 from .model import Model, ModelConfig
-from .serialization import config_hash as _hash_dict, load_blob, save_blob
+from .serialization import atomic_open, config_hash as _hash_dict, load_blob, save_blob, write_json
 
 # The adaptation terms each variant provides; every one of them reads the
 # target stream.
@@ -204,7 +204,7 @@ class Adam:
 # ---------------------------------------------------------------------------
 # batching
 
-def epoch_plan(n_source: int, n_target: int, half: int, rng: np.random.Generator):
+def epoch_plan(n_source: int, n_target: int, rng: np.random.Generator):
     """Index orders for one epoch: the larger pool is permuted, the smaller is
     permuted then resampled with replacement up to the larger pool's size."""
     if n_source < 1 or n_target < 1:
@@ -355,7 +355,9 @@ LOG_COLUMNS = (
 
 class RunLogWriter:
     """Append-only CSV log; one row per iteration plus epoch-end rows with
-    the source validation RMSE."""
+    the source validation RMSE.  Unlike the snapshot artifacts it is not
+    replaced atomically: rows stream into the file so that it can be read
+    while the run grows it."""
 
     def __init__(self, path):
         self._fh = open(path, "w", newline="")
@@ -386,7 +388,6 @@ def train(
     *,
     max_iterations: int | None = None,
     log_writer: RunLogWriter | None = None,
-    epoch_callback: Callable[[TrainState, float], None] | None = None,
 ) -> TrainState:
     """Run the epoch budget (or until `max_iterations`); resumable mid-epoch."""
     config = state.config
@@ -397,8 +398,7 @@ def train(
     while state.epoch < config.epochs:
         if state.src_order is None:
             state.src_order, state.tgt_order = epoch_plan(
-                len(source.train_windows), len(target.train_windows), half,
-                state.rng_shuffle,
+                len(source.train_windows), len(target.train_windows), state.rng_shuffle,
             )
         while state.step_in_epoch < state.steps_per_epoch:
             if max_iterations is not None and state.iteration >= max_iterations:
@@ -412,11 +412,9 @@ def train(
             state.step_in_epoch += 1
             if log_writer is not None:
                 log_writer.write(record)
-        val = source_val_rmse(state, source)
         if log_writer is not None:
-            log_writer.write({"iteration": state.iteration, "epoch": state.epoch, "val_rmse": val})
-        if epoch_callback is not None:
-            epoch_callback(state, val)
+            log_writer.write({"iteration": state.iteration, "epoch": state.epoch,
+                              "val_rmse": source_val_rmse(state, source)})
         state.epoch += 1
         state.step_in_epoch = 0
         state.src_order = None
@@ -466,8 +464,9 @@ def save_train_checkpoint(path, state: TrainState) -> str:
 
 
 def load_train_checkpoint(path, config: RunConfig) -> TrainState:
-    """The state saved at `path`; fails when the file is not a checkpoint or
-    its config hash does not match `config`."""
+    """The state saved at `path`; fails when the file is not a checkpoint,
+    its config hash does not match `config`, or a parameter or Adam moment
+    of the trainable set is missing or has the wrong shape."""
     arrays, meta = load_blob(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint file")
@@ -477,18 +476,18 @@ def load_train_checkpoint(path, config: RunConfig) -> TrainState:
             f"match the requested configuration {config.hash[:12]}"
         )
 
-    def section(prefix):
-        return {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+    def checked(key: str, shape: tuple) -> np.ndarray:
+        if key not in arrays:
+            raise ValueError(f"{path}: checkpoint has no {key!r}")
+        if arrays[key].shape != shape:
+            raise ValueError(f"{path}: {key!r} has shape {arrays[key].shape}, expected {shape}")
+        return arrays[key]
 
-    params = section("param/")
     state = init_state(config, int(meta["seed"]))
-    state.model.load_state(params)
-    if state.discriminator is not None:
-        for name, p in state.discriminator.params.items():
-            p.data = params[name]
-            p.grad = None
-    state.adam.m = section("adam_m/")
-    state.adam.v = section("adam_v/")
+    for name, p in state.trainable().items():
+        p.data = checked(f"param/{name}", p.data.shape).astype(p.data.dtype, copy=False)
+        state.adam.m[name] = checked(f"adam_m/{name}", p.data.shape)
+        state.adam.v[name] = checked(f"adam_v/{name}", p.data.shape)
     state.adam.t = int(meta["adam_t"])
     state.iteration = int(meta["iteration"])
     state.epoch = int(meta["epoch"])
@@ -507,7 +506,7 @@ def load_train_checkpoint(path, config: RunConfig) -> TrainState:
 
 def _write_metrics(path, records: list[dict]) -> None:
     """metrics.csv: one row per seed record."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=("seed", "rmse", "score", "val_rmse"))
         writer.writeheader()
         writer.writerows(records)
@@ -522,7 +521,8 @@ def run_single_seed(
     run_dir: Path | None = None,
     write_latents: bool = True,
 ) -> dict:
-    """Train one seed to completion and evaluate on the target test set."""
+    """Train one seed to completion and evaluate on the target test set;
+    with `run_dir`, write the seed's artifacts there."""
     state = init_state(config, seed)
     log_writer = None
     if run_dir is not None:
@@ -541,6 +541,10 @@ def run_single_seed(
     if run_dir is not None:
         save_train_checkpoint(run_dir / "checkpoint.bin", state)
         _write_metrics(run_dir / "metrics.csv", [result])
+        write_json(run_dir / "report.json", result | {
+            "score": score_to_json(target_score),
+            "config_hash": config.hash, "config": config.to_dict(),
+        })
         if write_latents:
             export_latents(state.model, [source, target], LATENT_LAYERS,
                            [run_dir / f"latents_{layer}.csv" for layer in LATENT_LAYERS])
@@ -548,32 +552,16 @@ def run_single_seed(
 
 
 def _seed_job(seed, config, source, target, out_dir, write_latents) -> dict | str:
-    """One seed of `run_experiment`: train, evaluate and write its report.json.
-
-    An abort comes back as the failure line instead of being raised, so no
-    exception has to cross a process boundary when `map_fn` is a pool's.
-    """
+    """One seed of `run_experiment`.  An abort comes back as the failure
+    line instead of being raised, so no exception has to cross a process
+    boundary when `map_fn` is a pool's."""
     run_dir = Path(out_dir) / str(seed) if out_dir is not None else None
     try:
-        result = run_single_seed(
+        return run_single_seed(
             config, seed, source, target, run_dir=run_dir, write_latents=write_latents,
         )
     except TrainingAbort as exc:
         return f"seed {seed}: {exc}"
-    if run_dir is not None:
-        with open(run_dir / "report.json", "w") as fh:
-            json.dump(
-                {
-                    "config_hash": config.hash,
-                    "config": config.to_dict(),
-                    "seed": seed,
-                    "rmse": result["rmse"],
-                    "score": result["score"] if math.isfinite(result["score"]) else "inf",
-                    "val_rmse": result["val_rmse"],
-                },
-                fh, indent=2, sort_keys=True,
-            )
-    return result
 
 
 def run_experiment(
@@ -620,10 +608,7 @@ def run_experiment(
             )
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        with open(Path(out_dir) / "report.json", "w") as fh:
-            json.dump(
-                report.to_dict() | {"config_hash": config.hash, "config": config.to_dict()},
-                fh, indent=2, sort_keys=True,
-            )
+        write_json(Path(out_dir) / "report.json",
+                   report.to_dict() | {"config_hash": config.hash, "config": config.to_dict()})
         _write_metrics(Path(out_dir) / "metrics.csv", report.records)
     return report

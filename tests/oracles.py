@@ -6,6 +6,9 @@ replacements are checked against.
   over pre-split heads and the plain `layer_norm` without the residual add.
   Each keeps its hand-written VJP and is itself checked against a graph of
   autodiff primitives in test_autodiff.py.
+- The elementwise `div` and `sqrt` primitives, which only the composed
+  layer-norm oracle uses; they stay in the gradient checks of every
+  primitive.
 - The row-by-row flat-file parser (`parse_trajectory_file`,
   `parse_rul_file`) and the per-window label `rul_label`, which the bulk
   numpy parse and window labelling in `ruladapt.data` must match bitwise.
@@ -19,6 +22,22 @@ import numpy as np
 
 from ruladapt.autodiff import Tensor, _make, _unbroadcast
 from ruladapt.data import N_COLUMNS, N_SETTINGS, IntegrityError, ParseError, Trajectory
+
+
+def div(a: Tensor, b: Tensor) -> Tensor:
+    return _make(
+        a.data / b.data,
+        (a, b),
+        lambda g: (
+            _unbroadcast(g / b.data, a.data.shape),
+            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+        ),
+    )
+
+
+def sqrt(a: Tensor) -> Tensor:
+    out = np.sqrt(a.data)
+    return _make(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

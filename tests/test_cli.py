@@ -1,11 +1,14 @@
 import hashlib
 import json
+import shutil
 
 import pytest
 import yaml
 
-from ruladapt import training
+from ruladapt import cli, training
 from ruladapt.cli import _build_run_config, build_parser, main
+from ruladapt.data import TARGET, save_dataset_cache, subset_paths
+from ruladapt.synthetic import write_benchmark_files
 
 
 def run_cli(*argv) -> int:
@@ -42,6 +45,52 @@ def test_ingest_bad_path_names_the_file(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "FD009" in err and "nowhere" in str(err)
+
+
+def _other_fd001_dir(cmapss_tiny_dir, root):
+    """The tiny files with FD001 drawn from another generator seed."""
+    root.mkdir()
+    for path in subset_paths(cmapss_tiny_dir, "FD002"):
+        shutil.copy(path, root / path.name)
+    write_benchmark_files(root, "FD001", seed=8, n_train=8, n_test=4, length_range=(30, 60))
+    return root
+
+
+def test_train_ignores_a_cache_built_from_other_files(cmapss_tiny_dir, tmp_path):
+    other = _other_fd001_dir(cmapss_tiny_dir, tmp_path / "other")
+    cached, fresh = tmp_path / "cached", tmp_path / "fresh"
+    assert run_cli("ingest", "--subset", "FD001", "--data-dir", cmapss_tiny_dir,
+                   "--out-dir", cached) == 0
+    for out in (cached, fresh):
+        assert run_cli("train", "--source", "FD002", "--target", "FD001", "--variant", "no_da",
+                       "--data-dir", other, "--out-dir", out, *TOY_RUN) == 0
+    run = "FD002-FD001/no_da/1/metrics.csv"
+    assert (cached / run).read_bytes() == (fresh / run).read_bytes()
+
+
+@pytest.mark.parametrize("digests", [True, False])
+def test_cache_is_read_only_for_the_files_it_recorded(cmapss_tiny_dir, tmp_path, monkeypatch, digests):
+    """A cache of the same files is read instead of them; one without
+    digests, as written before they were recorded, is not."""
+    cache_dir = tmp_path / "cache"
+    if digests:
+        assert run_cli("ingest", "--subset", "FD001", "--data-dir", cmapss_tiny_dir,
+                       "--out", cache_dir) == 0
+    else:
+        cache_dir.mkdir()
+        train, test, truth = cli.parse_cmapss(*subset_paths(cmapss_tiny_dir, "FD001"))
+        save_dataset_cache(cache_dir / "FD001.cache", train, test, truth, subset="FD001",
+                           config={})
+    calls = []
+    real_parse = cli.parse_cmapss
+    monkeypatch.setattr(cli, "parse_cmapss", lambda *paths: calls.append(paths) or real_parse(*paths))
+    args = build_parser().parse_args(["train", "--source", "FD002", "--target", "FD001", "--toy"])
+    config = _build_run_config(args, {}, "FD002", "FD001", "no_da")
+    dataset = cli.provide_dataset(cmapss_tiny_dir, cache_dir, "FD001", TARGET, config)
+    assert bool(calls) != digests
+    want = cli.provide_dataset(cmapss_tiny_dir, tmp_path / "no_cache", "FD001", TARGET, config)
+    assert [w.features.tobytes() for w in dataset.test_windows] == \
+        [w.features.tobytes() for w in want.test_windows]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import errno
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from ruladapt.evaluation import (
 )
 from ruladapt.autodiff import Tensor
 from ruladapt.model import Model, toy_model_config
-from ruladapt.synthetic import make_toy_domains
+
+from helpers import make_toy_domains
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +186,26 @@ def test_report_saturation_propagates():
     assert report.to_dict()["score_mean"] == "inf"
 
 
+def test_one_seed_report_writes_its_score_sd_as_nan(tmp_path):
+    """One seed has no sample deviation: NaN, as for rmse_sd, not the
+    overflow marker "inf"."""
+    report = make_report("no_da", [1.0], [5.0])
+    stats = report.to_dict()
+    assert not stats["score_saturated"]
+    assert math.isnan(stats["score_sd"]) and math.isnan(stats["rmse_sd"])
+    write_aggregate(tmp_path, [report])
+    text = (tmp_path / "reports.json").read_text()
+    assert '"score_sd": NaN' in text and '"inf"' not in text
+
+
+def test_all_failed_report_writes_its_score_mean_as_nan():
+    report = MetricsReport(source="FD002", target="FD001", variant="no_da", seeds=(1,),
+                           failures=["seed 1: forced abort"])
+    stats = report.to_dict()
+    assert not stats["score_saturated"]
+    assert math.isnan(stats["score_mean"]) and math.isnan(stats["score_sd"])
+
+
 def test_aggregate_grid_shape():
     reports = [
         make_report(v, [1.0, 2.0], [5.0, 5.0], pair=(s, t))
@@ -262,6 +284,31 @@ def test_export_latents_writes_both_layers_from_one_forward_per_chunk(tmp_path, 
     assert calls == [7] * (n // 7) + [n % 7] * (n % 7 > 0)
     for layer in "CO":
         assert both[layer].read_bytes() == singles[layer].read_bytes()
+
+
+class _DiesOnSecondChunk:
+    """A model whose second forward pass fails, after the first chunk's rows
+    are written."""
+
+    def __init__(self, model):
+        self.model, self.config, self.calls = model, model.config, 0
+
+    def forward(self, X):
+        self.calls += 1
+        if self.calls == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.model.forward(X)
+
+
+def test_failed_export_keeps_the_previous_latents(tmp_path, toy_setup):
+    model, source, target = toy_setup
+    paths = [tmp_path / "latents_C.csv", tmp_path / "latents_O.csv"]
+    export_latents(model, [source, target], ("C", "O"), paths, batch=7)
+    before = [p.read_bytes() for p in paths]
+    with pytest.raises(OSError, match="No space left"):
+        export_latents(_DiesOnSecondChunk(model), [source, target], ("C", "O"), paths, batch=7)
+    assert [p.read_bytes() for p in paths] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["latents_C.csv", "latents_O.csv"]
 
 
 def test_export_latents_rejects_a_path_count_mismatch(tmp_path, toy_setup):

@@ -415,6 +415,34 @@ def test_dann_discriminator_learns_separable_clusters():
     assert final < initial
 
 
+def test_discriminator_logits_equal_the_composed_oracle():
+    """The one `mlp` node gives the values and input gradients, bit for bit,
+    of relu(linear) followed by linear."""
+    rng = np.random.default_rng(32)
+    disc = DomainDiscriminator(4, 8, rng)
+    x_data, g = rng.normal(size=(6, 4)), rng.normal(size=(6, 1))
+
+    def run(logits_fn):
+        x = Tensor(x_data.copy(), requires_grad=True)
+        params = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in disc.params.items()}
+        out = logits_fn(x, params)
+        backward(ad.tsum(ad.mul(out, Tensor(g))))
+        return out.data, [x.grad, *(p.grad for p in params.values())]
+
+    def fused(x, params):
+        disc.params = params
+        return disc.logits(x)
+
+    def composed(x, p):
+        h = ad.relu(ad.linear(x, p["disc.1.W"], p["disc.1.b"]))
+        return ad.linear(h, p["disc.2.W"], p["disc.2.b"])
+
+    (value, grads), (want_value, want_grads) = run(fused), run(composed)
+    np.testing.assert_array_equal(value, want_value)
+    for got, want in zip(grads, want_grads):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_dann_discriminator_gradient_check():
     """The discriminator-side path is VJP-faithful (reversal only affects the
     upstream features), so it must pass finite differences."""

@@ -7,6 +7,7 @@ import pytest
 from ruladapt import autodiff as ad
 from ruladapt.autodiff import Tensor, backward, grad_check
 from ruladapt.data import Trajectory, save_dataset_cache
+from ruladapt.serialization import load_blob, save_blob
 from ruladapt.model import Model, ModelConfig
 from ruladapt.training import (
     init_state,
@@ -221,6 +222,22 @@ def test_checkpoint_roundtrip_and_hash_guard(tmp_path):
     assert not any(np.may_share_memory(a, b) for a, b in combinations(loaded_arrays, 2))
     with pytest.raises(ValueError, match="hash"):
         load_train_checkpoint(path, replace(config, lr=2e-3))
+
+
+@pytest.mark.parametrize("damage", ["missing", "wrong_shape"])
+def test_dann_checkpoint_with_a_bad_discriminator_weight_is_rejected(tmp_path, damage):
+    """Discriminator parameters go through the same check as the model's."""
+    config = make_run_config("FD002", "FD001", "dann", window=8, model=tiny_model_config())
+    path = tmp_path / "dann.bin"
+    save_train_checkpoint(path, init_state(config, 5))
+    arrays, meta = load_blob(path)
+    if damage == "missing":
+        del arrays["param/disc.1.W"]
+    else:
+        arrays["param/disc.1.W"] = arrays["param/disc.1.W"][:3]
+    save_blob(path, arrays, meta)
+    with pytest.raises(ValueError, match=r"dann\.bin: .*param/disc\.1\.W"):
+        load_train_checkpoint(path, config)
 
 
 def test_dataset_cache_is_not_a_checkpoint(tmp_path):

@@ -78,3 +78,52 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatc
         save_blob(path, {"other": np.ones(4)}, {"kind": "other"})
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.bin"]
+
+
+def test_object_array_is_rejected_before_anything_is_written(tmp_path):
+    path = tmp_path / "toy.bin"
+    save_blob(path, *toy_checkpoint())
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match=r"toy\.bin: array 'o' has object dtype"):
+        save_blob(path, {"w": np.ones(2), "o": np.array([object()], dtype=object)}, {})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.bin"]
+
+
+def test_object_dtype_in_a_manifest_names_its_path(tmp_path):
+    header = serialization.canonical_json(
+        {"meta": {}, "arrays": [{"name": "o", "dtype": "object", "shape": [1]}]}).encode()
+    path = tmp_path / "made.bin"
+    path.write_bytes(serialization.MAGIC + len(header).to_bytes(8, "little") + header + bytes(8))
+    with pytest.raises(ValueError, match=r"made\.bin: array 'o' has object dtype"):
+        load_blob(path)
+
+
+@pytest.mark.parametrize("flip", [
+    (0, 0x01),  # "{" -> "z": not JSON
+    (0, 0x80),  # not UTF-8
+    (None, 0x01),  # the "arrays" key becomes "arrayr": JSON, but not a blob header
+])
+def test_corrupt_header_names_its_path(tmp_path, flip):
+    path = tmp_path / "toy.bin"
+    save_blob(path, *toy_checkpoint())
+    raw = bytearray(path.read_bytes())
+    at, mask = flip
+    raw[len(serialization.MAGIC) + 8 + at if at is not None else raw.index(b'"arrays"') + 6] ^= mask
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=r"bad\.bin: corrupt blob header"):
+        load_blob(bad)
+
+
+def test_atomic_open_replaces_only_on_success(tmp_path):
+    path = tmp_path / "report.json"
+    serialization.write_json(path, {"b": 1, "a": [1.5, float("nan")]})
+    before = path.read_bytes()
+    assert before == b'{\n  "a": [\n    1.5,\n    NaN\n  ],\n  "b": 1\n}'
+    with pytest.raises(RuntimeError):
+        with serialization.atomic_open(path) as fh:
+            fh.write('{"partial"')
+            raise RuntimeError("writer died")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]

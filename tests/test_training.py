@@ -1,3 +1,5 @@
+import errno
+import json
 import math
 
 import numpy as np
@@ -18,7 +20,6 @@ from ruladapt.losses import (
     smooth_loss,
 )
 from ruladapt.model import Model, toy_model_config
-from ruladapt.synthetic import make_toy_domains
 from ruladapt.training import (
     VARIANTS,
     Adam,
@@ -36,6 +37,8 @@ from ruladapt.training import (
     train_step,
     variant_weights,
 )
+
+from helpers import make_toy_domains
 
 
 def toy_config(variant="lamanet", **overrides):
@@ -125,7 +128,7 @@ def test_epoch_slices_are_paired_halves_with_source_labels(toy_domains):
     in halves of the batch, with labels on the source side only."""
     source, target = toy_domains
     n_s, n_t, half = len(source.train_windows), len(target.train_windows), 16
-    src_order, tgt_order = epoch_plan(n_s, n_t, half, np.random.default_rng(0))
+    src_order, tgt_order = epoch_plan(n_s, n_t, np.random.default_rng(0))
     steps = steps_per_epoch(n_s, n_t, 2 * half)
     slices = [
         (src_order[k * half : (k + 1) * half], tgt_order[k * half : (k + 1) * half])
@@ -146,8 +149,7 @@ def test_epoch_plan_deterministic_per_seed(toy_domains):
 
     def orders(seed):
         return epoch_plan(
-            len(source.train_windows), len(target.train_windows), 16,
-            np.random.default_rng(seed),
+            len(source.train_windows), len(target.train_windows), np.random.default_rng(seed),
         )
 
     for a, b in zip(orders(5), orders(5)):
@@ -157,7 +159,7 @@ def test_epoch_plan_deterministic_per_seed(toy_domains):
 
 def test_epoch_plan_resamples_smaller_pool():
     rng = np.random.default_rng(0)
-    src, tgt = epoch_plan(100, 40, 10, rng)
+    src, tgt = epoch_plan(100, 40, rng)
     assert len(src) == len(tgt) == 100
     assert sorted(src.tolist()) == list(range(100))  # larger pool seen exactly once
     assert set(tgt.tolist()) <= set(range(40))
@@ -486,3 +488,21 @@ def test_run_experiment_emits_full_report(tmp_path, toy_domains):
             assert (run_dir / name).exists()
     assert (tmp_path / "out" / "report.json").exists()
     assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_failed_report_write_keeps_the_previous_report(tmp_path, toy_domains, monkeypatch):
+    source, target = toy_domains
+    config = toy_config("no_da", epochs=1, seeds=(1,))
+    out = tmp_path / "out"
+    run_experiment(config, source, target, out_dir=out, write_latents=False)
+    before = (out / "1" / "report.json").read_bytes()
+
+    def dump_then_fail(obj, fh, **kwargs):
+        fh.write(json.dumps(obj, **kwargs)[:40])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        run_experiment(config, source, target, out_dir=out, write_latents=False)
+    assert (out / "1" / "report.json").read_bytes() == before
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
