@@ -1,22 +1,22 @@
 """Operator entry point.
 
 Subcommands:
-  ingest   parse one subset's flat files, cache trajectories, print counts
+  ingest   load one subset as `train` does and print its counts
   train    run one source->target pair for one variant across seeds
   ablate   run the three-term ablation (alignment / +reconstruction / full)
   sweep    replay the tuning grid, ranked by source validation RMSE
 
 A YAML config file provides defaults for any run field plus the path
 options; command-line flags override it.  A config that cannot be built is
-an `error:` line and exit code 2, before any work.  All
-run artifacts land under out_dir/<SOURCE>-<TARGET>/<variant>/<seed>/ with
-fixed file names.
+an `error:` line and exit code 2, before any work; so are flat files that
+cannot be loaded, before any training.  Trajectories always come from the
+flat files.  All run artifacts land under
+out_dir/<SOURCE>-<TARGET>/<variant>/<seed>/ with fixed file names.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import math
 import os
@@ -32,18 +32,15 @@ from dataclasses import asdict, replace
 
 from .data import (
     ALL_FEATURES,
-    DEFAULT_RC,
     SOURCE,
     TARGET,
     build_domain_dataset,
-    load_dataset_cache,
     parse_cmapss,
-    save_dataset_cache,
     subset_paths,
 )
 from .evaluation import write_aggregate
 from .model import ModelConfig, desk_model_config, toy_model_config
-from .serialization import atomic_open, config_hash
+from .serialization import atomic_open
 from .training import (
     VARIANTS,
     run_config_from_dict,
@@ -64,7 +61,8 @@ SWEEP_GRID = {
 
 
 class ConfigError(ValueError):
-    """A run configuration that cannot be built; `main` prints it and exits 2."""
+    """A command that cannot start: a run configuration that cannot be built,
+    or flat files that cannot be loaded.  `main` prints it and exits 2."""
 
 
 def _load_config_file(path) -> dict:
@@ -76,8 +74,8 @@ def _load_config_file(path) -> dict:
 
 def _resolve_paths(args, file_cfg: dict):
     data_dir = args.data_dir or file_cfg.get("data_dir") or os.environ.get("RULADAPT_DATA_DIR", "data")
-    out_dir = args.out_dir or file_cfg.get("out_dir") or "runs"
-    jobs = args.jobs or int(file_cfg.get("jobs") or 1)
+    out_dir = getattr(args, "out_dir", None) or file_cfg.get("out_dir") or "runs"
+    jobs = getattr(args, "jobs", None) or int(file_cfg.get("jobs") or 1)
     return Path(data_dir), Path(out_dir), jobs
 
 
@@ -102,7 +100,10 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
     if preset == "toy":
         run_cfg["feature_mask"] = TOY_FEATURE_MASK
     base_model = PRESET_MODELS[preset]()
-    run_cfg["window"] = getattr(args, "window", None) or run_cfg.get("window") or base_model.window
+    run_cfg["window"] = next(
+        w for w in (getattr(args, "window", None), run_cfg.get("window"), base_model.window)
+        if w is not None
+    )
     run_cfg["model"] = {
         **asdict(base_model),
         "n_features": len(run_cfg.get("feature_mask") or ALL_FEATURES),
@@ -115,7 +116,10 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
         if value is not None:
             run_cfg[field] = value
     if getattr(args, "seeds", None):
-        run_cfg["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        try:
+            run_cfg["seeds"] = tuple(int(s) for s in args.seeds.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"--seeds {args.seeds!r}: {exc}") from exc
     run_cfg.update(source_subset=source, target_subset=target, variant=variant)
     run_cfg.setdefault("weights", variant_weights(variant))
     try:
@@ -124,66 +128,36 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
         raise ConfigError(str(exc)) from exc
 
 
-def _file_digests(paths) -> dict[str, str]:
-    """sha256 of each flat file, keyed by its file name."""
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
-
-
-def provide_dataset(data_dir: Path, cache_dir: Path, subset: str, role: str, config):
-    """Load trajectories and build windows.  The cache `ingest` wrote is
-    used only when the sha256 digests it recorded equal those of the flat
-    files under `data_dir`; otherwise the files are parsed."""
-    paths = subset_paths(data_dir, subset)
-    cache_path = cache_dir / f"{subset}.cache"
-    cached = load_dataset_cache(cache_path) if cache_path.exists() else None
-    if cached is not None and cached[-1].get("source_sha256") == _file_digests(paths):
-        train, test, truth = cached[:3]  # of (train, test, truth, stats, meta)
-    else:
-        train, test, truth = parse_cmapss(*paths)
-    return build_domain_dataset(
-        train, test, truth,
-        subset=subset, role=role, window=config.window, rc=config.rc,
-        feature_mask=config.feature_mask,
-        val_seed=config.val_seed, val_fraction=config.val_fraction,
-    )
+def provide_dataset(data_dir: Path, subset: str, role: str, config):
+    """Parse one subset's flat files and build its windows as `config` asks.
+    A missing or malformed file is a ConfigError naming it."""
+    try:
+        train, test, truth = parse_cmapss(*subset_paths(data_dir, subset))
+        return build_domain_dataset(
+            train, test, truth,
+            subset=subset, role=role, window=config.window, rc=config.rc,
+            feature_mask=config.feature_mask,
+            val_seed=config.val_seed, val_fraction=config.val_fraction,
+        )
+    except (FileNotFoundError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # ingest
 
 def cmd_ingest(args) -> int:
+    """Load one subset through `provide_dataset`, as `train` loads its
+    source, and print its trajectory and window counts; writes nothing."""
     file_cfg = _load_config_file(args.config) if args.config else {}
-    data_dir, out_dir, _ = _resolve_paths(args, file_cfg)
+    data_dir, _, _ = _resolve_paths(args, file_cfg)
     subset = args.subset
-    window = args.window or int(file_cfg.get("window", 40))
-    paths = subset_paths(data_dir, subset)
-    try:
-        train, test, truth = parse_cmapss(*paths)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    ingest_cfg = {
-        "subset": subset,
-        "window": window,
-        "rc": args.rc or DEFAULT_RC,
-        "feature_mask": None,
-    }
-    cache_dir = Path(args.out or (out_dir / "cache"))
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    cache_path = cache_dir / f"{subset}.cache"
-    digest = save_dataset_cache(
-        cache_path, train, test, truth, subset=subset,
-        config={**ingest_cfg, "hash": config_hash(ingest_cfg)},
-        source_sha256=_file_digests(paths),
-    )
-    n_windows = sum(max(t.length - window + 1, 1) for t in train)
-    print(f"{subset}: {len(train)} train trajectories, {len(test)} test trajectories")
-    print(f"{subset}: {n_windows} train windows (K={window})")
-    print(f"cache: {cache_path} sha256={digest[:16]}")
+    config = _build_run_config(args, file_cfg, subset, subset, "lamanet")
+    dataset = provide_dataset(data_dir, subset, SOURCE, config)
+    n_train = len(dataset.train_units) + len(dataset.val_units)
+    n_windows = len(dataset.train_windows) + len(dataset.val_windows)
+    print(f"{subset}: {n_train} train trajectories, {len(dataset.test_windows)} test trajectories")
+    print(f"{subset}: {n_windows} train windows (K={config.window})")
     return 0
 
 
@@ -201,17 +175,12 @@ def _seed_map(jobs: int):
         yield pool.map
 
 
-def _load_pair(data_dir: Path, out_dir: Path, config):
-    """(source, target) datasets, cache first; None after printing why not."""
-    cache_dir = out_dir / "cache"
-    try:
-        return (
-            provide_dataset(data_dir, cache_dir, config.source_subset, SOURCE, config),
-            provide_dataset(data_dir, cache_dir, config.target_subset, TARGET, config),
-        )
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _load_pair(data_dir: Path, config):
+    """(source, target) datasets; raises ConfigError."""
+    return (
+        provide_dataset(data_dir, config.source_subset, SOURCE, config),
+        provide_dataset(data_dir, config.target_subset, TARGET, config),
+    )
 
 
 def _run_row(config, pair, out_dir: Path, label: str, dirname: str, *, latents: bool, map_fn):
@@ -236,9 +205,7 @@ def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     data_dir, out_dir, jobs = _resolve_paths(args, file_cfg)
     config = _build_run_config(args, file_cfg, args.source, args.target, args.variant)
-    pair = _load_pair(data_dir, out_dir, config)
-    if pair is None:
-        return 2
+    pair = _load_pair(data_dir, config)
     with _seed_map(jobs) as map_fn:
         report = _run_row(
             config, pair, out_dir, config.variant, config.variant,
@@ -263,9 +230,7 @@ def cmd_ablate(args) -> int:
     file_cfg = _load_config_file(args.config) if args.config else {}
     data_dir, out_dir, jobs = _resolve_paths(args, file_cfg)
     base = _build_run_config(args, file_cfg, args.source, args.target, "lamanet")
-    pair = _load_pair(data_dir, out_dir, base)
-    if pair is None:
-        return 2
+    pair = _load_pair(data_dir, base)
 
     reports = []
     with _seed_map(jobs) as map_fn:
@@ -327,9 +292,7 @@ def cmd_sweep(args) -> int:
         print("pass --confirm to launch", file=sys.stderr)
         return 2
 
-    pair = _load_pair(data_dir, out_dir, base)
-    if pair is None:
-        return 2
+    pair = _load_pair(data_dir, base)
 
     rows = []
     reports = []
@@ -371,11 +334,11 @@ def cmd_sweep(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML config file with defaults")
     parser.add_argument("--data-dir", help="directory with the flat data files")
-    parser.add_argument("--out-dir", help="artifact root (default ./runs)")
-    parser.add_argument("--jobs", type=int, help="parallel runs (default 1)")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out-dir", help="artifact root (default ./runs)")
+    parser.add_argument("--jobs", type=int, help="parallel runs (default 1)")
     parser.add_argument("--seeds", help="comma-separated seeds (default 1,123074,2457)")
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--batch-size", type=int, dest="batch_size")
@@ -394,11 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_ingest = sub.add_parser("ingest", help="parse and cache one subset")
+    p_ingest = sub.add_parser("ingest", help="load one subset as train does and print its counts")
     p_ingest.add_argument("--subset", required=True)
     p_ingest.add_argument("--window", type=int)
-    p_ingest.add_argument("--rc", type=float)
-    p_ingest.add_argument("--out", help="cache directory (default out_dir/cache)")
     _add_common(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
 

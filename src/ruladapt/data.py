@@ -16,8 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .serialization import load_blob, save_blob
-
 N_SETTINGS = 3
 N_SENSORS = 21
 N_FEATURES = N_SETTINGS + N_SENSORS
@@ -177,7 +175,6 @@ class NormalizationStats:
     minimum: np.ndarray
     maximum: np.ndarray
     constant: np.ndarray  # bool mask of max == min columns
-    fitted_on: str = ""
 
     def __post_init__(self):
         if np.any(self.maximum < self.minimum):
@@ -188,23 +185,13 @@ class NormalizationStats:
         return len(self.minimum)
 
 
-def fit_normalization_matrix(matrices: Sequence[np.ndarray], fitted_on: str = "") -> NormalizationStats:
+def fit_normalization_matrix(matrices: Sequence[np.ndarray]) -> NormalizationStats:
     if not matrices:
         raise ValueError("cannot fit normalization on an empty trajectory list")
     stacked = np.vstack(matrices)
     lo = stacked.min(axis=0)
     hi = stacked.max(axis=0)
-    return NormalizationStats(lo, hi, hi == lo, fitted_on)
-
-
-def fit_normalization(
-    trajectories: Sequence[Trajectory],
-    feature_mask: Sequence[int] | None = None,
-    fitted_on: str = "",
-) -> NormalizationStats:
-    return fit_normalization_matrix(
-        [t.features(feature_mask) for t in trajectories], fitted_on
-    )
+    return NormalizationStats(lo, hi, hi == lo)
 
 
 def normalize_matrix(features: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -359,7 +346,7 @@ def dataset_from_matrices(
         raise IntegrityError(
             f"{subset}: {len(test_mats)} test engines for {len(test_truth)} truth values"
         )
-    stats = fit_normalization_matrix([m for _, m in train_mats], fitted_on=f"{subset}/train")
+    stats = fit_normalization_matrix([m for _, m in train_mats])
     train_part, val_part = split_train_val(train_mats, val_seed, val_fraction)
     labelled = role == SOURCE
 
@@ -413,76 +400,6 @@ def build_domain_dataset(
         val_seed=val_seed,
         val_fraction=val_fraction,
     )
-
-
-# ---------------------------------------------------------------------------
-# trajectory cache
-
-def save_dataset_cache(
-    path, train_trajs, test_trajs, test_truth, *, subset: str, config: dict,
-    source_sha256: dict | None = None,
-) -> str:
-    """Cache parsed trajectories plus the training normalization stats, and
-    the sha256 of the flat files they came from when given; returns the
-    content hash of the file."""
-
-    def pack(trajs, prefix):
-        return {
-            f"{prefix}_units": np.array([t.unit_id for t in trajs], dtype=np.int64),
-            f"{prefix}_lengths": np.array([t.length for t in trajs], dtype=np.int64),
-            f"{prefix}_settings": np.vstack([t.op_settings for t in trajs]),
-            f"{prefix}_sensors": np.vstack([t.sensors for t in trajs]),
-        }
-
-    mask = config.get("feature_mask")
-    stats = fit_normalization(train_trajs, mask, fitted_on=f"{subset}/train")
-    arrays = {**pack(train_trajs, "train"), **pack(test_trajs, "test")}
-    arrays["test_rul"] = np.asarray(test_truth, dtype=np.float64)
-    arrays["stats_min"] = stats.minimum
-    arrays["stats_max"] = stats.maximum
-    arrays["stats_constant"] = stats.constant.astype(np.int8)
-    meta = {
-        "kind": "trajectory_cache",
-        "subset": subset,
-        "n_train": len(train_trajs),
-        "n_test": len(test_trajs),
-        "stats_fitted_on": stats.fitted_on,
-        "config": config,
-        "source_sha256": source_sha256,
-    }
-    return save_blob(path, arrays, meta)
-
-
-def load_dataset_cache(path):
-    """Inverse of save_dataset_cache: (train, test, truth, stats, meta)."""
-    arrays, meta = load_blob(path)
-    if meta.get("kind") != "trajectory_cache":
-        raise IntegrityError(f"{path}: not a trajectory cache")
-
-    def unpack(prefix):
-        units = arrays[f"{prefix}_units"]
-        lengths = arrays[f"{prefix}_lengths"]
-        settings = arrays[f"{prefix}_settings"]
-        sensors = arrays[f"{prefix}_sensors"]
-        out, offset = [], 0
-        for unit, length in zip(units, lengths):
-            out.append(
-                Trajectory(
-                    int(unit),
-                    settings[offset : offset + length].copy(),
-                    sensors[offset : offset + length].copy(),
-                )
-            )
-            offset += length
-        return out
-
-    stats = NormalizationStats(
-        arrays["stats_min"],
-        arrays["stats_max"],
-        arrays["stats_constant"].astype(bool),
-        meta.get("stats_fitted_on", ""),
-    )
-    return unpack("train"), unpack("test"), arrays["test_rul"], stats, meta
 
 
 def subset_paths(data_dir, subset: str) -> tuple[Path, Path, Path]:

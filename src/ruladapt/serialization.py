@@ -1,4 +1,4 @@
-"""Deterministic binary container used for dataset caches and checkpoints.
+"""Deterministic binary container used for checkpoints.
 
 Layout: magic, little-endian uint64 header length, a canonical JSON header
 (``{"meta": ..., "arrays": [{name, dtype, shape}, ...]}`` with sorted keys),

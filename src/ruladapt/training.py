@@ -106,6 +106,10 @@ class RunConfig:
             raise ValueError("batch_size must be even and positive")
         if self.epochs < 1 or self.lr <= 0:
             raise ValueError("epochs must be >= 1 and lr positive")
+        if self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be non-empty and distinct, got {list(self.seeds)}")
         if self.model.window != self.window:
             raise ValueError(
                 f"model window {self.model.window} != run window {self.window}"
@@ -512,6 +516,15 @@ def _write_metrics(path, records: list[dict]) -> None:
         writer.writerows(records)
 
 
+LATENT_FILES = tuple(f"latents_{layer}.csv" for layer in LATENT_LAYERS)
+SEED_SNAPSHOTS = ("report.json", "metrics.csv", "checkpoint.bin", *LATENT_FILES)
+
+
+def _remove_artifacts(run_dir: Path, names) -> None:
+    for name in names:
+        (run_dir / name).unlink(missing_ok=True)
+
+
 def run_single_seed(
     config: RunConfig,
     seed: int,
@@ -522,7 +535,11 @@ def run_single_seed(
     write_latents: bool = True,
 ) -> dict:
     """Train one seed to completion and evaluate on the target test set;
-    with `run_dir`, write the seed's artifacts there."""
+    with `run_dir`, write the seed's artifacts there.  A rerun leaves no
+    artifact of the earlier run beside its own `train_log.csv`: the earlier
+    snapshots are removed when training does not finish, and the earlier
+    latents when this run writes none.  A failed snapshot write still keeps
+    the earlier file, as `atomic_open` does."""
     state = init_state(config, seed)
     log_writer = None
     if run_dir is not None:
@@ -530,6 +547,10 @@ def run_single_seed(
         log_writer = RunLogWriter(run_dir / "train_log.csv")
     try:
         train(state, source, target, log_writer=log_writer)
+    except BaseException:
+        if run_dir is not None:
+            _remove_artifacts(run_dir, SEED_SNAPSHOTS)
+        raise
     finally:
         if log_writer is not None:
             log_writer.close()
@@ -547,7 +568,9 @@ def run_single_seed(
         })
         if write_latents:
             export_latents(state.model, [source, target], LATENT_LAYERS,
-                           [run_dir / f"latents_{layer}.csv" for layer in LATENT_LAYERS])
+                           [run_dir / name for name in LATENT_FILES])
+        else:
+            _remove_artifacts(run_dir, LATENT_FILES)
     return result
 
 

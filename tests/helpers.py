@@ -1,6 +1,7 @@
 """Test-only helpers: a widths-8 model configuration, a writer for the flat
-trajectory layout, scalar min-max normalization as the reference for
-`normalize_matrix`, and a small in-memory two-domain task."""
+trajectory layout, min-max stats fitted on trajectories, scalar min-max
+normalization as the reference for `normalize_matrix`, and a small
+in-memory two-domain task."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from ruladapt.data import (
     NormalizationStats,
     Trajectory,
     dataset_from_matrices,
+    fit_normalization_matrix,
 )
 from ruladapt.model import ModelConfig
 
@@ -39,6 +41,11 @@ def format_trajectories(trajectories: Sequence[Trajectory]) -> str:
             values = " ".join(repr(float(v)) for v in row)
             lines.append(f"{traj.unit_id} {t} {values}")
     return "\n".join(lines) + "\n"
+
+
+def fit_normalization(trajectories: Sequence[Trajectory], feature_mask=None) -> NormalizationStats:
+    """Min-max stats over the trajectories' (masked) feature matrices."""
+    return fit_normalization_matrix([t.features(feature_mask) for t in trajectories])
 
 
 def normalize(x: float, j: int, stats: NormalizationStats) -> float:

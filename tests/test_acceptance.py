@@ -25,7 +25,6 @@ from ruladapt.data import (
     SOURCE,
     TARGET,
     build_domain_dataset,
-    fit_normalization,
     parse_cmapss,
     stack_windows,
     subset_paths,
@@ -47,7 +46,7 @@ from ruladapt.synthetic import generate_subset
 from ruladapt.training import init_state, make_run_config, run_single_seed, train
 
 from gradtools import flat_loss_fn, split_flat
-from helpers import denormalize, make_toy_domains, normalize, tiny_model_config
+from helpers import denormalize, fit_normalization, make_toy_domains, normalize, tiny_model_config
 from oracles import div, rul_label, sqrt
 from windowing import make_windows
 

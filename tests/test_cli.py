@@ -5,10 +5,9 @@ import shutil
 import pytest
 import yaml
 
-from ruladapt import cli, training
+from ruladapt import training
 from ruladapt.cli import _build_run_config, build_parser, main
-from ruladapt.data import TARGET, save_dataset_cache, subset_paths
-from ruladapt.synthetic import write_benchmark_files
+from ruladapt.data import parse_cmapss, subset_paths
 
 
 def run_cli(*argv) -> int:
@@ -19,25 +18,23 @@ def blob_hash(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-TOY_RUN = (
-    "--toy", "--epochs", "1", "--batch-size", "16", "--seeds", "1",
-    "--no-latents",
-)
+TOY_FAST = ("--toy", "--epochs", "1", "--batch-size", "16")
+TOY_RUN = (*TOY_FAST, "--seeds", "1", "--no-latents")
 
 
 # ---------------------------------------------------------------------------
 # ingest
 
-def test_ingest_prints_counts_and_is_hash_stable(cmapss_dir, tmp_path, capsys):
-    out = tmp_path / "cache"
-    assert run_cli("ingest", "--subset", "FD001", "--window", "40",
-                   "--data-dir", cmapss_dir, "--out", out) == 0
+def test_ingest_prints_counts_and_is_hash_stable(cmapss_dir, capsys):
+    argv = ("ingest", "--subset", "FD001", "--window", "40", "--data-dir", cmapss_dir)
+    assert run_cli(*argv) == 0
     first = capsys.readouterr().out
     assert "100 train trajectories" in first and "100 test trajectories" in first
-    h1 = blob_hash(out / "FD001.cache")
-    assert run_cli("ingest", "--subset", "FD001", "--window", "40",
-                   "--data-dir", cmapss_dir, "--out", out) == 0
-    assert blob_hash(out / "FD001.cache") == h1
+    train, _, _ = parse_cmapss(*subset_paths(cmapss_dir, "FD001"))
+    n_windows = sum(max(t.length - 40 + 1, 1) for t in train)
+    assert f"FD001: {n_windows} train windows (K=40)" in first
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_ingest_bad_path_names_the_file(tmp_path, capsys):
@@ -47,50 +44,36 @@ def test_ingest_bad_path_names_the_file(tmp_path, capsys):
     assert "FD009" in err and "nowhere" in str(err)
 
 
-def _other_fd001_dir(cmapss_tiny_dir, root):
-    """The tiny files with FD001 drawn from another generator seed."""
-    root.mkdir()
-    for path in subset_paths(cmapss_tiny_dir, "FD002"):
-        shutil.copy(path, root / path.name)
-    write_benchmark_files(root, "FD001", seed=8, n_train=8, n_test=4, length_range=(30, 60))
-    return root
+def test_ingest_writes_nothing(cmapss_tiny_dir, tmp_path, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run_cli("ingest", "--subset", "FD001", "--data-dir", cmapss_tiny_dir) == 0
+    assert list(cwd.iterdir()) == []
 
 
-def test_train_ignores_a_cache_built_from_other_files(cmapss_tiny_dir, tmp_path):
-    other = _other_fd001_dir(cmapss_tiny_dir, tmp_path / "other")
-    cached, fresh = tmp_path / "cached", tmp_path / "fresh"
-    assert run_cli("ingest", "--subset", "FD001", "--data-dir", cmapss_tiny_dir,
-                   "--out-dir", cached) == 0
-    for out in (cached, fresh):
-        assert run_cli("train", "--source", "FD002", "--target", "FD001", "--variant", "no_da",
-                       "--data-dir", other, "--out-dir", out, *TOY_RUN) == 0
-    run = "FD002-FD001/no_da/1/metrics.csv"
-    assert (cached / run).read_bytes() == (fresh / run).read_bytes()
+def test_ingest_windows_follow_the_file_preset(cmapss_tiny_dir, tmp_path, capsys):
+    """A file `preset: toy` sets the window to the toy preset's 16, as it
+    does for `train`."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"preset": "toy"}))
+    assert run_cli("ingest", "--subset", "FD001", "--config", cfg,
+                   "--data-dir", cmapss_tiny_dir) == 0
+    train, _, _ = parse_cmapss(*subset_paths(cmapss_tiny_dir, "FD001"))
+    n_windows = sum(max(t.length - 16 + 1, 1) for t in train)
+    assert f"FD001: {n_windows} train windows (K=16)" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("digests", [True, False])
-def test_cache_is_read_only_for_the_files_it_recorded(cmapss_tiny_dir, tmp_path, monkeypatch, digests):
-    """A cache of the same files is read instead of them; one without
-    digests, as written before they were recorded, is not."""
-    cache_dir = tmp_path / "cache"
-    if digests:
-        assert run_cli("ingest", "--subset", "FD001", "--data-dir", cmapss_tiny_dir,
-                       "--out", cache_dir) == 0
-    else:
-        cache_dir.mkdir()
-        train, test, truth = cli.parse_cmapss(*subset_paths(cmapss_tiny_dir, "FD001"))
-        save_dataset_cache(cache_dir / "FD001.cache", train, test, truth, subset="FD001",
-                           config={})
-    calls = []
-    real_parse = cli.parse_cmapss
-    monkeypatch.setattr(cli, "parse_cmapss", lambda *paths: calls.append(paths) or real_parse(*paths))
-    args = build_parser().parse_args(["train", "--source", "FD002", "--target", "FD001", "--toy"])
-    config = _build_run_config(args, {}, "FD002", "FD001", "no_da")
-    dataset = cli.provide_dataset(cmapss_tiny_dir, cache_dir, "FD001", TARGET, config)
-    assert bool(calls) != digests
-    want = cli.provide_dataset(cmapss_tiny_dir, tmp_path / "no_cache", "FD001", TARGET, config)
-    assert [w.features.tobytes() for w in dataset.test_windows] == \
-        [w.features.tobytes() for w in want.test_windows]
+def test_ingest_malformed_file_exits_2_naming_its_line(cmapss_tiny_dir, tmp_path, capsys):
+    for path in subset_paths(cmapss_tiny_dir, "FD001"):
+        shutil.copy(path, tmp_path / path.name)
+    train_path = subset_paths(tmp_path, "FD001")[0]
+    lines = train_path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace(" ", " x ", 1)
+    train_path.write_text("".join(lines))
+    assert run_cli("ingest", "--subset", "FD001", "--data-dir", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{train_path}:3:" in err
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +107,32 @@ def test_train_no_da_log_has_no_adaptation_terms(cmapss_tiny_dir, tmp_path):
     for line in log[1:]:
         cells = line.split(",")
         assert cells[d_col] == "" and cells[r_col] == ""
+
+
+def test_rerun_without_latents_leaves_no_earlier_latents(cmapss_tiny_dir, tmp_path):
+    out = tmp_path / "runs"
+    args = ("train", "--source", "FD001", "--target", "FD002", "--variant", "no_da",
+            "--data-dir", cmapss_tiny_dir, "--out-dir", out, *TOY_FAST, "--seeds", "1")
+    assert run_cli(*args) == 0
+    seed_dir = out / "FD001-FD002" / "no_da" / "1"
+    assert (seed_dir / "latents_C.csv").exists()
+    assert run_cli(*args, "--no-latents", "--lr", "0.002") == 0
+    assert sorted(p.name for p in seed_dir.iterdir()) == [
+        "checkpoint.bin", "metrics.csv", "report.json", "train_log.csv",
+    ]
+    assert json.loads((seed_dir / "report.json").read_text())["config"]["lr"] == 0.002
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_aborted_rerun_leaves_only_its_own_log(cmapss_tiny_dir, tmp_path):
+    out = tmp_path / "runs"
+    args = ("train", "--source", "FD001", "--target", "FD002", "--variant", "no_da",
+            "--data-dir", cmapss_tiny_dir, "--out-dir", out, *TOY_RUN)
+    assert run_cli(*args) == 0
+    assert run_cli(*args, "--lr", "1e200") == 1
+    seed_dir = out / "FD001-FD002" / "no_da" / "1"
+    assert [p.name for p in seed_dir.iterdir()] == ["train_log.csv"]
 
 
 def test_train_is_idempotent(cmapss_tiny_dir, tmp_path):
@@ -186,9 +195,16 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
         ("train", ("--toy",), {"model": {"attn_dim": 16}}, "toy preset fixes the model widths"),
         ("sweep", ("--preset", "desk"), {"model": {"n_heads": 4}},
          "desk preset fixes the model widths"),
+        ("train", ("--seeds", "1,x", *TOY_FAST), {}, "--seeds '1,x'"),
+        ("train", ("--window", "0", *TOY_FAST), {}, "window must be >= 1, got 0"),
+        ("train", ("--window", "-5", *TOY_FAST), {}, "window must be >= 1, got -5"),
+        ("train", ("--seeds", "1,1", *TOY_FAST), {},
+         "seeds must be non-empty and distinct, got [1, 1]"),
+        ("train", TOY_FAST, {"seeds": []}, "seeds must be non-empty and distinct, got []"),
     ],
     ids=["unknown-preset", "model-window-conflict", "toy-flag-mask", "toy-file-mask",
-         "toy-model", "desk-model"],
+         "toy-model", "desk-model", "seeds-not-int", "window-zero", "window-negative",
+         "seeds-repeated", "seeds-empty"],
 )
 def test_config_errors_exit_2_before_any_work(
     command, flags, file_cfg, message, cmapss_tiny_dir, tmp_path, capsys

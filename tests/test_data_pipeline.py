@@ -14,17 +14,15 @@ from ruladapt.data import (
     Trajectory,
     build_domain_dataset,
     fit_normalization_matrix,
-    load_dataset_cache,
     normalize_matrix,
     parse_cmapss,
     parse_trajectory_file,
-    save_dataset_cache,
     split_train_val,
     stack_windows,
     subset_paths,
 )
 
-from helpers import denormalize, format_trajectories, normalize
+from helpers import denormalize, fit_normalization, format_trajectories, normalize
 from oracles import parse_rul_file as oracle_parse_rul_file
 from oracles import parse_trajectory_file as oracle_parse_trajectory_file
 from oracles import rul_label
@@ -227,7 +225,7 @@ def test_normalize_roundtrip(x, lo, span):
 
 def test_windows_fitted_on_same_trajectories_stay_in_unit_range():
     trajs = [toy_trajectory(u, T=60) for u in range(1, 4)]
-    stats = dp.fit_normalization(trajs)
+    stats = fit_normalization(trajs)
     for traj in trajs:
         for w in make_windows(traj, 30, stats):
             assert w.features.min() >= 0.0 and w.features.max() <= 1.0
@@ -254,18 +252,18 @@ def test_rul_label_rejects_cycle_beyond_length():
 
 def test_window_count_small_case():
     traj = toy_trajectory(T=5)
-    windows = make_windows(traj, 3, dp.fit_normalization([traj]))
+    windows = make_windows(traj, 3, fit_normalization([traj]))
     assert [w.end_cycle for w in windows] == [3, 4, 5]
 
 
 def test_single_window_when_length_equals_k():
     traj = toy_trajectory(T=40)
-    assert len(make_windows(traj, 40, dp.fit_normalization([traj]))) == 1
+    assert len(make_windows(traj, 40, fit_normalization([traj]))) == 1
 
 
 def test_short_trajectory_is_left_padded_by_replication():
     traj = toy_trajectory(T=19)
-    stats = dp.fit_normalization([traj])
+    stats = fit_normalization([traj])
     (window,) = make_windows(traj, 40, stats)
     feats = window.features
     assert feats.shape == (dp.N_FEATURES, 40)
@@ -279,7 +277,7 @@ def test_short_trajectory_is_left_padded_by_replication():
 @given(st.integers(1, 160), st.integers(1, 64))
 def test_window_count_property(T, K):
     traj = toy_trajectory(T=T)
-    windows = make_windows(traj, K, dp.fit_normalization([traj]))
+    windows = make_windows(traj, K, fit_normalization([traj]))
     expected = T - K + 1 if T >= K else 1
     assert len(windows) == expected
 
@@ -287,7 +285,7 @@ def test_window_count_property(T, K):
 def test_label_monotone_and_saturated():
     T, K, rc = 170, 30, 125.0
     traj = toy_trajectory(T=T)
-    windows = make_windows(traj, K, dp.fit_normalization([traj]), rc)
+    windows = make_windows(traj, K, fit_normalization([traj]), rc)
     labels = [w.rul_scaled for w in windows]
     assert all(a >= b for a, b in zip(labels, labels[1:]))
     for w in windows:
@@ -299,7 +297,7 @@ def test_label_monotone_and_saturated():
 @pytest.mark.parametrize("T, K, rc", [(12, 30, 125.0), (30, 30, 125.0), (170, 30, 125.0), (9, 4, 3)])
 def test_bulk_labels_equal_rul_label_per_window(T, K, rc):
     traj = toy_trajectory(T=T)
-    windows = make_windows(traj, K, dp.fit_normalization([traj]), rc)
+    windows = make_windows(traj, K, fit_normalization([traj]), rc)
     assert len(windows) == max(T - K + 1, 1)
     for w in windows:
         expected = rul_label(T, w.end_cycle, rc)
@@ -309,12 +307,12 @@ def test_bulk_labels_equal_rul_label_per_window(T, K, rc):
 def test_windows_reject_non_positive_rc():
     traj = toy_trajectory(T=20)
     with pytest.raises(ValueError, match="rc must be positive"):
-        make_windows(traj, 5, dp.fit_normalization([traj]), 0.0)
+        make_windows(traj, 5, fit_normalization([traj]), 0.0)
 
 
 def test_stack_windows_shapes_and_missing_labels():
     traj = toy_trajectory(T=30)
-    stats = dp.fit_normalization([traj])
+    stats = fit_normalization([traj])
     labelled = make_windows(traj, 10, stats)
     X, y = stack_windows(labelled, [0, 3, 5])
     assert X.shape == (3, dp.N_FEATURES, 10) and y.shape == (3, 1)
@@ -392,22 +390,3 @@ def test_dataset_from_matrices_rejects_surplus_test_engines():
             train, test, np.array([10.0, 20.0]),
             subset="TOY", role=dp.TARGET, window=8, rc=125.0,
         )
-
-
-# ---------------------------------------------------------------------------
-# cache
-
-def test_cache_roundtrip_and_stable_hash(tmp_path, cmapss_dir):
-    train, test, truth = parse_cmapss(*subset_paths(cmapss_dir, "FD001"))
-    cfg = {"subset": "FD001", "window": 40}
-    path = tmp_path / "fd001.cache"
-    h1 = save_dataset_cache(path, train[:5], test[:5], truth[:5], subset="FD001", config=cfg)
-    again_train, again_test, again_truth, stats, meta = load_dataset_cache(path)
-    assert again_train == train[:5] and again_test == test[:5]
-    np.testing.assert_array_equal(again_truth, truth[:5])
-    assert meta["subset"] == "FD001" and meta["config"] == cfg
-    expected_stats = dp.fit_normalization(train[:5])
-    np.testing.assert_array_equal(stats.minimum, expected_stats.minimum)
-    np.testing.assert_array_equal(stats.maximum, expected_stats.maximum)
-    h2 = save_dataset_cache(path, train[:5], test[:5], truth[:5], subset="FD001", config=cfg)
-    assert h1 == h2

@@ -271,14 +271,16 @@ def test_export_latents_rejects_unknown_layer(tmp_path, toy_setup):
         export_latents(model, source, "E", tmp_path / "x.csv")
 
 
-def test_export_latents_writes_both_layers_from_one_forward_per_chunk(tmp_path, toy_setup):
+def test_export_latents_writes_both_layers_from_one_forward_per_chunk(
+    tmp_path, toy_setup, monkeypatch
+):
     model, source, target = toy_setup
     singles = {layer: tmp_path / f"single_{layer}.csv" for layer in "CO"}
     for layer, path in singles.items():
         export_latents(model, [source, target], layer, path, batch=7)
     calls = []
     forward = model.forward
-    model.forward = lambda X: calls.append(len(X)) or forward(X)
+    monkeypatch.setattr(model, "forward", lambda X: calls.append(len(X)) or forward(X))
     both = {layer: tmp_path / f"both_{layer}.csv" for layer in "CO"}
     n = export_latents(model, [source, target], ("C", "O"), [both["C"], both["O"]], batch=7)
     assert calls == [7] * (n // 7) + [n % 7] * (n % 7 > 0)

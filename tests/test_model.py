@@ -6,7 +6,6 @@ import pytest
 
 from ruladapt import autodiff as ad
 from ruladapt.autodiff import Tensor, backward, grad_check
-from ruladapt.data import Trajectory, save_dataset_cache
 from ruladapt.serialization import load_blob, save_blob
 from ruladapt.model import Model, ModelConfig
 from ruladapt.training import (
@@ -241,8 +240,9 @@ def test_dann_checkpoint_with_a_bad_discriminator_weight_is_rejected(tmp_path, d
 
 
 def test_dataset_cache_is_not_a_checkpoint(tmp_path):
-    traj = Trajectory(1, np.zeros((5, 3)), np.ones((5, 21)))
+    """A blob of another kind, such as the trajectory caches that earlier
+    versions wrote, is refused by its `kind`."""
     path = tmp_path / "FD001.cache"
-    save_dataset_cache(path, [traj], [traj], [10.0], subset="FD001", config={})
+    save_blob(path, {"train_units": np.arange(3)}, {"kind": "trajectory_cache"})
     with pytest.raises(ValueError, match="not a checkpoint file"):
         load_train_checkpoint(path, tiny_run_config())
