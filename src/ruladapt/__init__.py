@@ -7,7 +7,7 @@ attention network), `losses` (alignment and regularization terms),
 report tables) and `cli` (operator entry point).
 """
 
-from .autodiff import Tensor, backward, grad_check, no_grad
+from .autodiff import Tensor, backward, no_grad
 
-__all__ = ["Tensor", "backward", "grad_check", "no_grad"]
+__all__ = ["Tensor", "backward", "no_grad"]
 __version__ = "0.1.0"

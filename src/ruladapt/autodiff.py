@@ -19,7 +19,8 @@ maps around a ReLU applied in place), `add_layer_norm` (residual add + layer
 norm), `self_attention` (multi-head, over packed q/k/v), `single_query_attention` (one query per row with the key and value
 maps absorbed) and `gru_sequence` (a whole GRU unroll with output feedback).
 `grad_reverse` is the identity forward / sign-flipped backward used by the
-adversarial baseline.
+adversarial baseline.  The finite-difference `grad_check` that verifies
+every VJP lives with the tests, in `tests/gradtools.py`.
 """
 
 from __future__ import annotations
@@ -609,39 +610,3 @@ def backward(loss: Tensor) -> None:
         node.grad = node._vjp = None
         node._parents = ()
         node._done = True
-
-
-def grad_check(f, x, eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    `f` maps a single Tensor to a scalar Tensor and must be differentiable at
-    `x` (pick probe points away from relu/abs kinks).  Error per coordinate is
-    |a - n| / max(1, |a|, |n|); the maximum over coordinates is returned.
-    """
-    if not 1e-6 <= eps <= 1e-3:
-        raise ValueError(f"eps must lie in [1e-6, 1e-3], got {eps}")
-    base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-
-    probe = Tensor(base.copy(), requires_grad=True)
-    out = f(probe)
-    if out.data.size != 1:
-        raise ValueError("grad_check target must be scalar-valued")
-    backward(out)
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
-    analytic = analytic.reshape(-1)
-
-    flat = base.reshape(-1)
-    numeric = np.zeros_like(flat)
-    with no_grad():
-        for i in range(flat.size):
-            bumped = flat.copy()
-            bumped[i] += eps
-            hi = float(f(Tensor(bumped.reshape(base.shape))).data)
-            bumped[i] -= 2.0 * eps
-            lo = float(f(Tensor(bumped.reshape(base.shape))).data)
-            numeric[i] = (hi - lo) / (2.0 * eps)
-
-    if flat.size == 0:
-        return 0.0
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    return float(np.max(np.abs(analytic - numeric) / denom))

@@ -6,12 +6,12 @@ Subcommands:
   ablate   run the three-term ablation (alignment / +reconstruction / full)
   sweep    replay the tuning grid, ranked by source validation RMSE
 
-A YAML config file provides defaults for any run field plus the path
-options; command-line flags override it.  A config that cannot be built is
-an `error:` line and exit code 2, before any work; so are flat files that
-cannot be loaded, before any training.  Trajectories always come from the
-flat files.  All run artifacts land under
-out_dir/<SOURCE>-<TARGET>/<variant>/<seed>/ with fixed file names.
+Each setting is its flag if given, else the YAML config file's value if
+set, else its default (`_pick`, `_setup`).  A setting that cannot be used is
+an `error:` line and exit code 2 before any data is read; so are flat files
+that cannot be loaded, before any training.  `train`, `ablate` and `sweep`
+run their rows through `_run_rows`: all run artifacts land under
+out_dir/<SOURCE>-<TARGET>/<row>/<seed>/ with fixed file names.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .training import (
     variant_weights,
 )
 
-PATH_KEYS = ("data_dir", "out_dir", "jobs")
+COMMAND_KEYS = ("data_dir", "out_dir", "jobs", "preset")  # file keys that are not run fields
 TOY_FEATURE_MASK = tuple(range(3, 11))  # sensors 1..8
 PRESET_MODELS = {"full": ModelConfig, "desk": desk_model_config, "toy": toy_model_config}
 SWEEP_GRID = {
@@ -66,31 +66,30 @@ class ConfigError(ValueError):
 
 
 def _load_config_file(path) -> dict:
-    payload = yaml.safe_load(Path(path).read_text()) or {}
-    if not isinstance(payload, dict):
+    try:
+        payload = None if path is None else yaml.safe_load(Path(path).read_text())
+    except (OSError, yaml.YAMLError) as exc:
+        raise ConfigError(f"--config {path}: {exc}") from exc
+    if not isinstance(payload, (dict, type(None))):
         raise ConfigError(f"{path}: config file must hold a mapping")
-    return payload
+    return {} if payload is None else payload
 
 
-def _resolve_paths(args, file_cfg: dict):
-    data_dir = args.data_dir or file_cfg.get("data_dir") or os.environ.get("RULADAPT_DATA_DIR", "data")
-    out_dir = getattr(args, "out_dir", None) or file_cfg.get("out_dir") or "runs"
-    jobs = getattr(args, "jobs", None) or int(file_cfg.get("jobs") or 1)
-    return Path(data_dir), Path(out_dir), jobs
+def _pick(args, file_cfg: dict, key: str, default):
+    """The one precedence rule: the flag if it is not None, else the file's
+    value if that is not None, else `default`."""
+    flag, in_file = getattr(args, key, None), file_cfg.get(key)
+    return flag if flag is not None else (in_file if in_file is not None else default)
 
 
 def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: str):
-    """The file's run fields under the flags.  The window is `--window`, else
-    the file's, else the preset's; it and the feature-mask width set the
-    model's input shape.  The `toy` preset fixes the feature mask, and the
-    `toy` and `desk` presets fix the other model widths, which a file `model:`
-    mapping sets under `full`; a file setting what its preset fixes is
-    rejected.  Raises ConfigError."""
-    run_cfg = {k: v for k, v in file_cfg.items() if k not in PATH_KEYS}
-    file_preset = run_cfg.pop("preset", None)
-    preset = "toy" if getattr(args, "toy", False) else (
-        getattr(args, "preset", None) or file_preset or "full"
-    )
+    """The file's run fields under the flags.  The window and the
+    feature-mask width set the model's input shape.  The `toy` preset fixes
+    the feature mask, and the `toy` and `desk` presets fix the other model
+    widths, which a file `model:` mapping sets under `full`; a file setting
+    what its preset fixes is rejected.  Raises ConfigError."""
+    run_cfg = {k: v for k, v in file_cfg.items() if k not in COMMAND_KEYS}
+    preset = "toy" if getattr(args, "toy", False) else _pick(args, file_cfg, "preset", "full")
     if preset not in PRESET_MODELS:
         raise ConfigError(f"unknown preset {preset!r}; options: {sorted(PRESET_MODELS)}")
     if preset == "toy" and run_cfg.get("feature_mask"):
@@ -100,10 +99,7 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
     if preset == "toy":
         run_cfg["feature_mask"] = TOY_FEATURE_MASK
     base_model = PRESET_MODELS[preset]()
-    run_cfg["window"] = next(
-        w for w in (getattr(args, "window", None), run_cfg.get("window"), base_model.window)
-        if w is not None
-    )
+    run_cfg["window"] = _pick(args, run_cfg, "window", base_model.window)
     run_cfg["model"] = {
         **asdict(base_model),
         "n_features": len(run_cfg.get("feature_mask") or ALL_FEATURES),
@@ -115,7 +111,7 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
         value = getattr(args, field, None)
         if value is not None:
             run_cfg[field] = value
-    if getattr(args, "seeds", None):
+    if getattr(args, "seeds", None) is not None:
         try:
             run_cfg["seeds"] = tuple(int(s) for s in args.seeds.split(","))
         except ValueError as exc:
@@ -126,6 +122,22 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
         return run_config_from_dict(run_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _setup(args, variant: str, source: str, target: str):
+    """(config, data_dir, out_dir, jobs) of one command, each by `_pick`.
+    The defaults: $RULADAPT_DATA_DIR, else `data`; `runs`; 1 job.  `jobs`
+    must be an integer >= 1.  Raises ConfigError before any data is read."""
+    file_cfg = _load_config_file(args.config)
+    config = _build_run_config(args, file_cfg, source, target, variant)
+    try:
+        jobs = int(_pick(args, file_cfg, "jobs", 1))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"jobs: {exc}") from exc
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    data_dir = _pick(args, file_cfg, "data_dir", os.environ.get("RULADAPT_DATA_DIR", "data"))
+    return config, Path(data_dir), Path(_pick(args, file_cfg, "out_dir", "runs")), jobs
 
 
 def provide_dataset(data_dir: Path, subset: str, role: str, config):
@@ -149,10 +161,8 @@ def provide_dataset(data_dir: Path, subset: str, role: str, config):
 def cmd_ingest(args) -> int:
     """Load one subset through `provide_dataset`, as `train` loads its
     source, and print its trajectory and window counts; writes nothing."""
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    data_dir, _, _ = _resolve_paths(args, file_cfg)
     subset = args.subset
-    config = _build_run_config(args, file_cfg, subset, subset, "lamanet")
+    config, data_dir, _, _ = _setup(args, "lamanet", subset, subset)
     dataset = provide_dataset(data_dir, subset, SOURCE, config)
     n_train = len(dataset.train_units) + len(dataset.val_units)
     n_windows = len(dataset.train_windows) + len(dataset.val_windows)
@@ -175,22 +185,22 @@ def _seed_map(jobs: int):
         yield pool.map
 
 
-def _load_pair(data_dir: Path, config):
-    """(source, target) datasets; raises ConfigError."""
-    return (
-        provide_dataset(data_dir, config.source_subset, SOURCE, config),
-        provide_dataset(data_dir, config.target_subset, TARGET, config),
+def _run_rows(base, data_dir: Path, out_dir: Path, jobs: int, rows, *, latents: bool):
+    """Yield the report of each (label, dirname, config) row -- a variant, an
+    ablation row, a sweep point -- run into out_dir/<SOURCE>-<TARGET>/<dirname>/.
+    The pair is loaded once, as `base` asks, and one seed map serves every
+    row; a pair that cannot be loaded is a ConfigError before any training."""
+    pair = (
+        provide_dataset(data_dir, base.source_subset, SOURCE, base),
+        provide_dataset(data_dir, base.target_subset, TARGET, base),
     )
-
-
-def _run_row(config, pair, out_dir: Path, label: str, dirname: str, *, latents: bool, map_fn):
-    """Run one labelled row (a variant, an ablation row, a sweep point) into
-    out_dir/<SOURCE>-<TARGET>/<dirname>/."""
-    pair_dir = out_dir / f"{config.source_subset}-{config.target_subset}"
-    return run_experiment(
-        config, *pair, out_dir=pair_dir / dirname, label=label,
-        write_latents=latents, progress=print, map_fn=map_fn,
-    )
+    pair_dir = out_dir / f"{base.source_subset}-{base.target_subset}"
+    with _seed_map(jobs) as map_fn:
+        for label, dirname, config in rows:
+            yield run_experiment(
+                config, *pair, out_dir=pair_dir / dirname, label=label,
+                write_latents=latents, progress=print, map_fn=map_fn,
+            )
 
 
 def _print_failures(reports) -> int:
@@ -202,15 +212,9 @@ def _print_failures(reports) -> int:
 
 
 def cmd_train(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    data_dir, out_dir, jobs = _resolve_paths(args, file_cfg)
-    config = _build_run_config(args, file_cfg, args.source, args.target, args.variant)
-    pair = _load_pair(data_dir, config)
-    with _seed_map(jobs) as map_fn:
-        report = _run_row(
-            config, pair, out_dir, config.variant, config.variant,
-            latents=not args.no_latents, map_fn=map_fn,
-        )
+    config, data_dir, out_dir, jobs = _setup(args, args.variant, args.source, args.target)
+    row = (config.variant, config.variant, config)
+    (report,) = _run_rows(config, data_dir, out_dir, jobs, [row], latents=not args.no_latents)
     print(f"{report.pair} {report.variant}: "
           f"rmse {report.rmse_mean:.2f} +- {report.rmse_sd:.2f} over {len(report.records)} seeds")
     return _print_failures([report])
@@ -227,20 +231,12 @@ ABLATION_ROWS = (
 
 
 def cmd_ablate(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    data_dir, out_dir, jobs = _resolve_paths(args, file_cfg)
-    base = _build_run_config(args, file_cfg, args.source, args.target, "lamanet")
-    pair = _load_pair(data_dir, base)
-
-    reports = []
-    with _seed_map(jobs) as map_fn:
-        for label, weight_overrides in ABLATION_ROWS:
-            config = replace(base, weights=replace(base.weights, **weight_overrides))
-            reports.append(_run_row(
-                config, pair, out_dir, label, f"ablate-{label}",
-                latents=not args.no_latents, map_fn=map_fn,
-            ))
-
+    base, data_dir, out_dir, jobs = _setup(args, "lamanet", args.source, args.target)
+    rows = [
+        (label, f"ablate-{label}", replace(base, weights=replace(base.weights, **overrides)))
+        for label, overrides in ABLATION_ROWS
+    ]
+    reports = list(_run_rows(base, data_dir, out_dir, jobs, rows, latents=not args.no_latents))
     pair_dir = out_dir / f"{base.source_subset}-{base.target_subset}" / "ablate"
     write_aggregate(pair_dir, reports)
     with atomic_open(pair_dir / "ablate_points.csv") as fh:
@@ -281,41 +277,29 @@ def _parse_grid(text: str | None) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    file_cfg = _load_config_file(args.config) if args.config else {}
-    data_dir, out_dir, jobs = _resolve_paths(args, file_cfg)
-    base = _build_run_config(args, file_cfg, args.source, args.target, "lamanet")
+    base, data_dir, out_dir, jobs = _setup(args, "lamanet", args.source, args.target)
     grid = _parse_grid(args.grid)
-    points = list(itertools.product(*(grid[k] for k in sorted(grid))))
     keys = sorted(grid)
+    points = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
     print(f"sweep grid: {len(points)} points x {len(base.seeds)} seeds")
     if not args.confirm:
         print("pass --confirm to launch", file=sys.stderr)
         return 2
 
-    pair = _load_pair(data_dir, base)
+    runs = []
+    for point in points:
+        tag = "_".join(f"{k}={point[k]}" for k in keys)
+        weights = replace(base.weights, **{k: v for k, v in point.items() if k != "autoencoder"})
+        model = replace(base.model, recon_cell=point["autoencoder"])
+        runs.append((tag, f"sweep-{tag}", replace(base, weights=weights, model=model)))
 
-    rows = []
-    reports = []
-    with _seed_map(jobs) as map_fn:
-        for values in points:
-            point = dict(zip(keys, values))
-            tag = "_".join(f"{k}={point[k]}" for k in keys)
-            weights = replace(
-                base.weights,
-                lambda_m=point["lambda_m"], lambda_r=point["lambda_r"],
-                lambda_s=point["lambda_s"], gamma_noise=point["gamma_noise"],
-            )
-            model = replace(base.model, recon_cell=point["autoencoder"])
-            config = replace(base, weights=weights, model=model)
-            report = _run_row(
-                config, pair, out_dir, tag, f"sweep-{tag}", latents=False, map_fn=map_fn,
-            )
-            reports.append(report)
-            mean_val = (
-                float(np.mean(report.val_rmse_per_seed)) if report.val_rmse_per_seed else math.inf
-            )
-            rows.append({**point, "val_rmse": mean_val, "tag": tag})
-            print(f"{tag}: source-val rmse {mean_val:.2f}")
+    reports, rows = [], []
+    for report, point in zip(_run_rows(base, data_dir, out_dir, jobs, runs, latents=False), points):
+        val = report.val_rmse_per_seed
+        mean_val = float(np.mean(val)) if val else math.inf
+        print(f"{report.variant}: source-val rmse {mean_val:.2f}")
+        reports.append(report)
+        rows.append({**point, "val_rmse": mean_val, "tag": report.variant})
 
     rows.sort(key=lambda r: r["val_rmse"])  # ranking never touches target labels
     pair_dir = out_dir / f"{base.source_subset}-{base.target_subset}" / "sweep"
@@ -363,29 +347,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
 
-    p_train = sub.add_parser("train", help="train one pair/variant across seeds")
-    p_train.add_argument("--source", required=True)
-    p_train.add_argument("--target", required=True)
-    p_train.add_argument("--variant", default="lamanet", choices=VARIANTS)
-    _add_common(p_train)
-    _add_run_options(p_train)
-    p_train.set_defaults(func=cmd_train)
-
-    p_ablate = sub.add_parser("ablate", help="alignment / +reconstruction / full comparison")
-    p_ablate.add_argument("--source", required=True)
-    p_ablate.add_argument("--target", required=True)
-    _add_common(p_ablate)
-    _add_run_options(p_ablate)
-    p_ablate.set_defaults(func=cmd_ablate)
-
-    p_sweep = sub.add_parser("sweep", help="replay the tuning grid")
-    p_sweep.add_argument("--source", required=True)
-    p_sweep.add_argument("--target", required=True)
-    p_sweep.add_argument("--grid", help='e.g. "lambda_m=0.1,0.5;autoencoder=gru"')
-    p_sweep.add_argument("--confirm", action="store_true")
-    _add_common(p_sweep)
-    _add_run_options(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    run_commands = (
+        ("train", cmd_train, "train one pair/variant across seeds",
+         [("--variant", dict(default="lamanet", choices=VARIANTS))]),
+        ("ablate", cmd_ablate, "alignment / +reconstruction / full comparison", []),
+        ("sweep", cmd_sweep, "replay the tuning grid",
+         [("--grid", dict(help='e.g. "lambda_m=0.1,0.5;autoencoder=gru"')),
+          ("--confirm", dict(action="store_true"))]),
+    )
+    for name, func, help_text, own_options in run_commands:
+        p_run = sub.add_parser(name, help=help_text)
+        p_run.add_argument("--source", required=True)
+        p_run.add_argument("--target", required=True)
+        for flag, kwargs in own_options:
+            p_run.add_argument(flag, **kwargs)
+        _add_common(p_run)
+        _add_run_options(p_run)
+        p_run.set_defaults(func=func)
     return parser
 
 

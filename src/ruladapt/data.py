@@ -43,9 +43,10 @@ class SplitError(ValueError):
 # ---------------------------------------------------------------------------
 # trajectories and parsing
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One engine's full cycle record; cycles are implicitly 1..T."""
+    """One engine's full cycle record; cycles are implicitly 1..T.  Records
+    compare by identity; compare their arrays to compare contents."""
 
     unit_id: int
     op_settings: np.ndarray  # (T, 3)
@@ -69,14 +70,6 @@ class Trajectory:
         if mask is None:
             return full
         return full[:, list(mask)]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Trajectory)
-            and self.unit_id == other.unit_id
-            and np.array_equal(self.op_settings, other.op_settings)
-            and np.array_equal(self.sensors, other.sensors)
-        )
 
 
 def _read_numeric_rows(path: Path, n_columns: int) -> np.ndarray:
@@ -320,10 +313,6 @@ class DomainDataset:
         units = [w.unit_id for w in self.test_windows]
         if len(set(units)) != len(units):
             raise IntegrityError("more than one evaluation window for a test engine")
-
-    @property
-    def n_features(self) -> int:
-        return self.stats.width
 
 
 def dataset_from_matrices(

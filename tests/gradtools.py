@@ -1,6 +1,7 @@
-"""Whole-model gradient verification helpers.
+"""Gradient verification helpers.
 
-`grad_check` works on a single tensor, so to check a loss against every
+`grad_check` compares a scalar function's analytic gradient with central
+differences.  It works on a single tensor, so to check a loss against every
 parameter at once we view the parameter set as one flat vector: the model's
 parameter tensors are temporarily replaced by slices of that vector, making
 the loss an ordinary scalar function of it.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ruladapt import autodiff as ad
-from ruladapt.autodiff import Tensor
+from ruladapt.autodiff import Tensor, backward, no_grad
 
 
 def split_flat(flat: Tensor, shapes) -> list[Tensor]:
@@ -54,3 +55,39 @@ def flat_loss_fn(model, build_loss):
             model.params.update(originals)
 
     return f, x0
+
+
+def grad_check(f, x, eps: float = 1e-5) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    `f` maps a single Tensor to a scalar Tensor and must be differentiable at
+    `x` (pick probe points away from relu/abs kinks).  Error per coordinate is
+    |a - n| / max(1, |a|, |n|); the maximum over coordinates is returned.
+    """
+    if not 1e-6 <= eps <= 1e-3:
+        raise ValueError(f"eps must lie in [1e-6, 1e-3], got {eps}")
+    base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+
+    probe = Tensor(base.copy(), requires_grad=True)
+    out = f(probe)
+    if out.data.size != 1:
+        raise ValueError("grad_check target must be scalar-valued")
+    backward(out)
+    analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
+    analytic = analytic.reshape(-1)
+
+    flat = base.reshape(-1)
+    numeric = np.zeros_like(flat)
+    with no_grad():
+        for i in range(flat.size):
+            bumped = flat.copy()
+            bumped[i] += eps
+            hi = float(f(Tensor(bumped.reshape(base.shape))).data)
+            bumped[i] -= 2.0 * eps
+            lo = float(f(Tensor(bumped.reshape(base.shape))).data)
+            numeric[i] = (hi - lo) / (2.0 * eps)
+
+    if flat.size == 0:
+        return 0.0
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+    return float(np.max(np.abs(analytic - numeric) / denom))

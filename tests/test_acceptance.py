@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from ruladapt import autodiff as ad
-from ruladapt.autodiff import Tensor, grad_check, no_grad
+from ruladapt.autodiff import Tensor, no_grad
 from ruladapt.data import (
     SOURCE,
     TARGET,
@@ -45,7 +45,7 @@ from ruladapt.model import Model, desk_model_config, toy_model_config
 from ruladapt.synthetic import generate_subset
 from ruladapt.training import init_state, make_run_config, run_single_seed, train
 
-from gradtools import flat_loss_fn, split_flat
+from gradtools import flat_loss_fn, grad_check, split_flat
 from helpers import denormalize, fit_normalization, make_toy_domains, normalize, tiny_model_config
 from oracles import div, rul_label, sqrt
 from windowing import make_windows

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from ruladapt import autodiff as ad
-from ruladapt.autodiff import Tensor, backward, grad_check
+from ruladapt.autodiff import Tensor, backward
 
-from gradtools import split_flat
+from gradtools import grad_check, split_flat
 from oracles import attention, div, layer_norm, softmax, sqrt
 
 

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 import yaml
 
 from ruladapt import training
-from ruladapt.cli import _build_run_config, build_parser, main
+from ruladapt.cli import _build_run_config, _setup, build_parser, main
 from ruladapt.data import parse_cmapss, subset_paths
 
 
@@ -201,10 +202,16 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
         ("train", ("--seeds", "1,1", *TOY_FAST), {},
          "seeds must be non-empty and distinct, got [1, 1]"),
         ("train", TOY_FAST, {"seeds": []}, "seeds must be non-empty and distinct, got []"),
+        ("train", ("--seeds=", *TOY_FAST), {}, "--seeds '': invalid literal"),
+        ("train", ("--jobs", "0", *TOY_FAST), {}, "jobs must be >= 1, got 0"),
+        ("ablate", ("--jobs", "-1", *TOY_FAST), {}, "jobs must be >= 1, got -1"),
+        ("train", TOY_FAST, {"jobs": "x"}, "jobs: invalid literal for int() with base 10: 'x'"),
+        ("sweep", ("--confirm", *TOY_FAST), {"jobs": 0}, "jobs must be >= 1, got 0"),
     ],
     ids=["unknown-preset", "model-window-conflict", "toy-flag-mask", "toy-file-mask",
          "toy-model", "desk-model", "seeds-not-int", "window-zero", "window-negative",
-         "seeds-repeated", "seeds-empty"],
+         "seeds-repeated", "seeds-empty", "seeds-flag-empty", "jobs-zero", "jobs-negative",
+         "jobs-file-not-int", "jobs-file-zero"],
 )
 def test_config_errors_exit_2_before_any_work(
     command, flags, file_cfg, message, cmapss_tiny_dir, tmp_path, capsys
@@ -221,6 +228,22 @@ def test_config_errors_exit_2_before_any_work(
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message", [(None, "No such file or directory"), ("epochs: [1\n", "while parsing")],
+    ids=["missing", "not-yaml"],
+)
+def test_unreadable_config_file_exits_2_naming_it(text, message, tmp_path, capsys):
+    cfg = tmp_path / "run.yaml"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "runs"
+    assert run_cli("train", "--source", "FD001", "--target", "FD002", "--config", cfg,
+                   "--out-dir", out, *TOY_RUN) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --config {cfg}: ") and message in err, err
     assert not out.exists()
 
 
@@ -244,6 +267,36 @@ def test_window_and_mask_width_reach_the_model(flags, file_cfg, window, n_featur
     config = _build_run_config(args, file_cfg, "FD001", "FD002", "lamanet")
     assert config.window == config.model.window == window
     assert config.model.n_features == n_features
+
+
+def _setup_paths(tmp_path, flags, file_cfg):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(file_cfg))
+    args = build_parser().parse_args(
+        ["train", "--source", "FD001", "--target", "FD002", "--config", str(cfg), *map(str, flags)]
+    )
+    _, data_dir, out_dir, jobs = _setup(args, args.variant, args.source, args.target)
+    return data_dir, out_dir, jobs
+
+
+def test_path_settings_take_the_flag_else_the_file_else_the_default(tmp_path, monkeypatch):
+    """data_dir, out_dir and jobs: the flag, else the file's value, else the
+    default ($RULADAPT_DATA_DIR before `data`); a file key set to null is
+    unset."""
+    monkeypatch.setenv("RULADAPT_DATA_DIR", str(tmp_path / "env-data"))
+    in_file = {"data_dir": str(tmp_path / "file-data"), "out_dir": str(tmp_path / "file-out"),
+               "jobs": 2}
+    assert _setup_paths(tmp_path, (), in_file) == (
+        tmp_path / "file-data", tmp_path / "file-out", 2)
+    flags = ("--data-dir", tmp_path / "flag-data", "--out-dir", tmp_path / "flag-out",
+             "--jobs", 1)
+    assert _setup_paths(tmp_path, flags, in_file) == (
+        tmp_path / "flag-data", tmp_path / "flag-out", 1)
+    unset = {"data_dir": None, "out_dir": None, "jobs": None}
+    for file_cfg in ({}, unset):
+        assert _setup_paths(tmp_path, (), file_cfg) == (tmp_path / "env-data", Path("runs"), 1)
+    monkeypatch.delenv("RULADAPT_DATA_DIR")
+    assert _setup_paths(tmp_path, (), {})[0] == Path("data")
 
 
 def test_file_model_mapping_sets_the_other_widths():

@@ -102,8 +102,7 @@ def test_parse_roundtrip(cmapss_dir, tmp_path):
     sample = train[:3]
     path = tmp_path / "echo.txt"
     path.write_text(format_trajectories(sample))
-    again = parse_trajectory_file(path)
-    assert again == sample
+    _same_trajectories(parse_trajectory_file(path), sample)
 
 
 def _same_trajectories(got, want):

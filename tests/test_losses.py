@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ruladapt import autodiff as ad
-from ruladapt.autodiff import Tensor, backward, grad_check
+from ruladapt.autodiff import Tensor, backward
 from ruladapt.losses import (
     DomainDiscriminator,
     KernelSpec,
@@ -19,6 +19,8 @@ from ruladapt.losses import (
     rul_mse,
     smooth_loss,
 )
+
+from gradtools import grad_check
 
 FIXED = KernelSpec(bandwidth_mode="fixed", bandwidth=1.0)
 MEDIAN = KernelSpec()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ruladapt import autodiff as ad
-from ruladapt.autodiff import Tensor, backward, grad_check
+from ruladapt.autodiff import Tensor, backward
 from ruladapt.serialization import load_blob, save_blob
 from ruladapt.model import Model, ModelConfig
 from ruladapt.training import (
@@ -15,7 +15,7 @@ from ruladapt.training import (
     save_train_checkpoint,
 )
 
-from gradtools import flat_loss_fn
+from gradtools import flat_loss_fn, grad_check
 from helpers import tiny_model_config
 
 
