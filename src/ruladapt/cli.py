@@ -92,17 +92,18 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
     preset = "toy" if getattr(args, "toy", False) else _pick(args, file_cfg, "preset", "full")
     if preset not in PRESET_MODELS:
         raise ConfigError(f"unknown preset {preset!r}; options: {sorted(PRESET_MODELS)}")
-    if preset == "toy" and run_cfg.get("feature_mask"):
+    if preset == "toy" and run_cfg.get("feature_mask") is not None:
         raise ConfigError("the toy preset fixes the feature mask; drop feature_mask from the file")
     if preset != "full" and run_cfg.get("model"):
         raise ConfigError(f"the {preset} preset fixes the model widths; drop model from the file")
     if preset == "toy":
         run_cfg["feature_mask"] = TOY_FEATURE_MASK
     base_model = PRESET_MODELS[preset]()
+    mask = run_cfg.get("feature_mask")
     run_cfg["window"] = _pick(args, run_cfg, "window", base_model.window)
     run_cfg["model"] = {
         **asdict(base_model),
-        "n_features": len(run_cfg.get("feature_mask") or ALL_FEATURES),
+        "n_features": len(ALL_FEATURES if mask is None else mask),
         "window": run_cfg["window"],
         **(run_cfg.get("model") or {}),
     }
@@ -126,18 +127,26 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
 
 def _setup(args, variant: str, source: str, target: str):
     """(config, data_dir, out_dir, jobs) of one command, each by `_pick`.
-    The defaults: $RULADAPT_DATA_DIR, else `data`; `runs`; 1 job.  `jobs`
-    must be an integer >= 1.  Raises ConfigError before any data is read."""
+    The defaults: $RULADAPT_DATA_DIR, else `data`; `runs`; 1 job.  The two
+    directories must be strings and `jobs` an integer >= 1.  Raises
+    ConfigError before any data is read."""
     file_cfg = _load_config_file(args.config)
     config = _build_run_config(args, file_cfg, source, target, variant)
+    jobs = _pick(args, file_cfg, "jobs", 1)
+    if isinstance(jobs, bool) or (isinstance(jobs, float) and not jobs.is_integer()):
+        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
     try:
-        jobs = int(_pick(args, file_cfg, "jobs", 1))
+        jobs = int(jobs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"jobs: {exc}") from exc
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     data_dir = _pick(args, file_cfg, "data_dir", os.environ.get("RULADAPT_DATA_DIR", "data"))
-    return config, Path(data_dir), Path(_pick(args, file_cfg, "out_dir", "runs")), jobs
+    out_dir = _pick(args, file_cfg, "out_dir", "runs")
+    for key, value in (("data_dir", data_dir), ("out_dir", out_dir)):
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a path string, got {value!r}")
+    return config, Path(data_dir), Path(out_dir), jobs
 
 
 def provide_dataset(data_dir: Path, subset: str, role: str, config):

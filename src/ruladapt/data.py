@@ -60,10 +60,6 @@ class Trajectory:
         if len(self.op_settings) != len(self.sensors) or len(self.sensors) == 0:
             raise IntegrityError(f"unit {self.unit_id}: inconsistent or empty cycle record")
 
-    @property
-    def length(self) -> int:
-        return len(self.sensors)
-
     def features(self, mask: Sequence[int] | None = None) -> np.ndarray:
         """(T, f) matrix of the selected columns (settings first, then sensors)."""
         full = np.hstack([self.op_settings, self.sensors])
@@ -172,10 +168,6 @@ class NormalizationStats:
     def __post_init__(self):
         if np.any(self.maximum < self.minimum):
             raise IntegrityError("normalization stats with max < min")
-
-    @property
-    def width(self) -> int:
-        return len(self.minimum)
 
 
 def fit_normalization_matrix(matrices: Sequence[np.ndarray]) -> NormalizationStats:

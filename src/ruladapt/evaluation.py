@@ -226,8 +226,8 @@ LATENT_LAYERS = ("C", "O")
 
 def export_latents(model, datasets, layer, path, batch: int = 256) -> int:
     """Write one CSV row per training window: latent vector, rul_scaled
-    (blank when the domain is unlabeled), domain tag.  `datasets` is one
-    DomainDataset or a sequence of them (e.g. source and target together,
+    (blank when the domain is unlabeled), domain tag.  `datasets` is a
+    sequence of DomainDatasets (e.g. source and target together,
     distinguishable by the domain column).  `layer` is one of LATENT_LAYERS
     and `path` its CSV, or both are equal-length sequences: each chunk then
     goes through one forward pass that feeds every layer's file, and no file
@@ -239,8 +239,6 @@ def export_latents(model, datasets, layer, path, batch: int = 256) -> int:
             raise ValueError(f"layer must be one of {LATENT_LAYERS}, got {name!r}")
     if len(paths) != len(layers):
         raise ValueError(f"{len(layers)} layers but {len(paths)} paths")
-    if isinstance(datasets, DomainDataset):
-        datasets = [datasets]
     windows = [w for ds in datasets for w in ds.train_windows]
     with ExitStack() as files:
         writers = {}

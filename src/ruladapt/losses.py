@@ -6,12 +6,14 @@ k(x, y) = exp(-||x - y||^2 / (2 sigma^2)); in median-heuristic mode
 the concatenated batch, recomputed per call and treated as a constant with
 respect to gradients.  Baseline alternatives (covariance alignment, an
 adversarial domain classifier behind a gradient-reversal layer) share the
-same calling conventions so the trainer can swap them per variant.
+same calling conventions so the trainer can swap them per variant.  The
+trainer builds only the terms that `evaluates_term` passes, and
+`composite_loss` adds them to the label loss as a weighted sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -191,52 +193,33 @@ def dann_loss(
     return ad.scale(ad.add(nll_s, nll_t), 1.0 / n_total)
 
 
-@dataclass
-class LossParts:
-    """Composite-loss inputs; the optional terms are thunks so that gated
-    terms are never evaluated before their start iteration."""
-
-    rul: Tensor
-    discrepancy: Callable[[], Tensor] | None = None
-    recon: Callable[[], Tensor] | None = None
-    smooth: Callable[[], Tensor] | None = None
-    adversarial: Callable[[], Tensor] | None = None
-    terms: dict = field(default_factory=dict)
-
-
-# Weight field of each weighted adaptation term, in the order composite_loss
-# adds them; the adversarial term (added last) carries its weight inside the
+# Weight field of each adaptation term, in the order composite_loss adds
+# them; the adversarial term (added last) carries its weight inside the
 # reversal layer, so it enters with coefficient 1.
-_TERM_WEIGHTS = {"discrepancy": "lambda_m", "recon": "lambda_r", "smooth": "lambda_s"}
+TERM_WEIGHTS = {"discrepancy": "lambda_m", "recon": "lambda_r", "smooth": "lambda_s",
+                "adversarial": None}
 
 
 def evaluates_term(name: str, weights: LossWeights, iteration: int) -> bool:
-    """Whether `composite_loss` evaluates the adaptation term `name`, when
-    provided, at `iteration`."""
-    if iteration < weights.da_start_iteration:
-        return False
-    return name == "adversarial" or getattr(weights, _TERM_WEIGHTS[name]) > 0
-
-
-def composite_loss(parts: LossParts, weights: LossWeights, iteration: int) -> Tensor:
-    """Supervised label loss plus gated, weighted adaptation terms.
-
-    Before `weights.da_start_iteration` the label loss tensor is returned
-    unchanged.  Afterwards each provided term with a positive weight is
-    evaluated once, scaled, and added (see `evaluates_term`).  Evaluated
-    values are recorded in `parts.terms` for logging.
-    """
+    """Whether a step at `iteration` evaluates the adaptation term `name`:
+    the gate is open and the term's weight is positive."""
     if iteration < 0:
         raise ValueError("iteration must be non-negative")
-    parts.terms = {"rul": float(parts.rul.data)}
-    total = parts.rul
-    for name in (*_TERM_WEIGHTS, "adversarial"):
-        thunk = getattr(parts, name)
-        if thunk is None or not evaluates_term(name, weights, iteration):
-            continue
-        term = thunk()
-        parts.terms[name] = float(term.data)
-        if name != "adversarial":
-            term = ad.scale(term, getattr(weights, _TERM_WEIGHTS[name]))
-        total = ad.add(total, term)
+    if iteration < weights.da_start_iteration:
+        return False
+    field = TERM_WEIGHTS[name]
+    return field is None or getattr(weights, field) > 0
+
+
+def composite_loss(rul: Tensor, terms: dict[str, Tensor], weights: LossWeights) -> Tensor:
+    """The label loss plus the weighted sum of the evaluated `terms`, added in
+    `TERM_WEIGHTS` order; with no terms it is `rul` itself."""
+    unknown = sorted(set(terms) - set(TERM_WEIGHTS))
+    if unknown:
+        raise ValueError(f"unknown loss terms {unknown}; options: {list(TERM_WEIGHTS)}")
+    total = rul
+    for name, field in TERM_WEIGHTS.items():
+        if name in terms:
+            term = terms[name] if field is None else ad.scale(terms[name], getattr(weights, field))
+            total = ad.add(total, term)
     return total

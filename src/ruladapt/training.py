@@ -20,15 +20,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .data import DomainDataset, stack_windows
+from .data import N_FEATURES, DomainDataset, stack_windows
 from .evaluation import (
     LATENT_LAYERS, MetricsReport, evaluate_target, export_latents, predict_scaled, rmse,
     score_to_json,
 )
 from .losses import (
+    TERM_WEIGHTS,
     DomainDiscriminator,
     KernelSpec,
-    LossParts,
     LossWeights,
     composite_loss,
     coral_loss,
@@ -42,14 +42,15 @@ from .losses import (
 from .model import Model, ModelConfig
 from .serialization import atomic_open, config_hash as _hash_dict, load_blob, save_blob, write_json
 
-# The adaptation terms each variant provides; every one of them reads the
-# target stream.
+# What each variant trains: its adaptation terms in the order `train_step`
+# builds them, with default weights (`LossWeights` fields; the adversarial
+# one is `RunConfig.dann_weight`).  Every term reads the target stream.
 VARIANT_TERMS = {
-    "lamanet": ("discrepancy", "recon", "smooth"),
-    "no_da": (),
-    "mmd": ("discrepancy",),
-    "coral": ("discrepancy",),
-    "dann": ("adversarial",),
+    "lamanet": {"discrepancy": 0.35, "recon": 0.2, "smooth": 0.35},
+    "no_da": {},
+    "mmd": {"discrepancy": 0.2},
+    "coral": {"discrepancy": 0.2},
+    "dann": {"adversarial": 0.2},
 }
 VARIANTS = tuple(VARIANT_TERMS)
 
@@ -66,15 +67,13 @@ class TrainingAbort(RuntimeError):
 
 
 def variant_weights(variant: str, *, gamma_noise: float = 0.1, da_start: int = 200) -> LossWeights:
-    """Loss-weight column for each variant (the full model uses 0.35/0.2/0.35,
-    the single-term baselines use discrepancy weight 0.2)."""
-    if variant == "lamanet":
-        return LossWeights(0.35, 0.2, 0.35, gamma_noise, da_start)
-    if variant in ("mmd", "coral"):
-        return LossWeights(0.2, 0.0, 0.0, gamma_noise, da_start)
-    if variant in ("dann", "no_da"):
-        return LossWeights(0.0, 0.0, 0.0, gamma_noise, da_start)
-    raise ValueError(f"unknown variant {variant!r}")
+    """The variant's loss weights: each of its `VARIANT_TERMS` at its default
+    weight, every other weighted term at 0."""
+    if variant not in VARIANT_TERMS:
+        raise ValueError(f"unknown variant {variant!r}")
+    lambdas = {field: VARIANT_TERMS[variant].get(name, 0.0)
+               for name, field in TERM_WEIGHTS.items() if field is not None}
+    return LossWeights(**lambdas, gamma_noise=gamma_noise, da_start_iteration=da_start)
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class RunConfig:
     val_seed: int = 42
     val_fraction: float = 0.1
     feature_mask: tuple[int, ...] | None = None
-    dann_weight: float = 0.2
+    dann_weight: float = VARIANT_TERMS["dann"]["adversarial"]
     dann_hidden: int = 64
 
     def __post_init__(self):
@@ -108,22 +107,30 @@ class RunConfig:
             raise ValueError("epochs must be >= 1 and lr positive")
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        if not 0.0 < self.lr_gamma <= 1.0:
+            raise ValueError(f"lr_gamma must lie in (0, 1], got {self.lr_gamma}")
+        if self.lr_decay_start < 0:
+            raise ValueError(f"lr_decay_start must be >= 0, got {self.lr_decay_start}")
+        if self.dann_hidden < 1:
+            raise ValueError(f"dann_hidden must be >= 1, got {self.dann_hidden}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be non-empty and distinct, got {list(self.seeds)}")
         if self.model.window != self.window:
             raise ValueError(
                 f"model window {self.model.window} != run window {self.window}"
             )
-        expected_f = len(self.feature_mask) if self.feature_mask else None
-        if expected_f is not None and self.model.n_features != expected_f:
-            raise ValueError(
-                f"model n_features {self.model.n_features} != mask width {expected_f}"
-            )
+        if self.feature_mask is not None:
+            if not self.feature_mask or not all(0 <= i < N_FEATURES for i in self.feature_mask):
+                raise ValueError(f"feature_mask must be non-empty with indices in "
+                                 f"0..{N_FEATURES - 1}, got {list(self.feature_mask)}")
+            if self.model.n_features != len(self.feature_mask):
+                raise ValueError(f"model n_features {self.model.n_features} != "
+                                 f"mask width {len(self.feature_mask)}")
 
     def to_dict(self) -> dict:
         out = asdict(self)
         out["seeds"] = list(self.seeds)
-        out["feature_mask"] = list(self.feature_mask) if self.feature_mask else None
+        out["feature_mask"] = None if self.feature_mask is None else list(self.feature_mask)
         return out
 
     @property
@@ -280,59 +287,56 @@ def init_state(config: RunConfig, seed: int) -> TrainState:
 def train_step(state: TrainState, src_X, src_y, tgt_X) -> dict:
     """One optimization step over a paired batch; returns the logged record.
 
-    Source and target windows go through the shared weights as one forward
-    pass of 2n rows, sliced into the two streams afterwards.  When no loss
-    term evaluated at this step reads the target stream (variant `no_da`, or
-    before the adaptation gate opens) only the n source rows go through.
-    """
+    The terms that run are decided once: the variant's `VARIANT_TERMS` that
+    pass `evaluates_term`.  Only those are built, in table order, from one
+    forward pass of the 2n source and target rows; with none (`no_da`, or
+    before the gate opens) only the n source rows go through."""
     config = state.config
     params = state.trainable()
     for p in params.values():
         p.grad = None
 
-    model, variant, n = state.model, config.variant, len(src_X)
-    two_stream = any(
-        evaluates_term(term, config.weights, state.iteration) for term in VARIANT_TERMS[variant]
-    )
-    x = Tensor(np.concatenate([src_X, tgt_X]) if two_stream else src_X)
+    model, n = state.model, len(src_X)
+    active = [name for name in VARIANT_TERMS[config.variant]
+              if evaluates_term(name, config.weights, state.iteration)]
+    x = Tensor(np.concatenate([src_X, tgt_X]) if active else src_X)
     bundle = model.forward(x)
-    y_hat = bundle.y_hat[:n] if two_stream else bundle.y_hat
-    parts = LossParts(rul=rul_mse(y_hat, Tensor(src_y)))
-    if two_stream:
+    y_hat = bundle.y_hat[:n] if active else bundle.y_hat
+    rul = rul_mse(y_hat, Tensor(src_y))
+    terms = {}
+    if active:
         c_s, c_t, o_s, o_t = bundle.c[:n], bundle.c[n:], bundle.o[:n], bundle.o[n:]
-        if variant in ("lamanet", "mmd"):
-            parts.discrepancy = lambda: latent_mmd(c_s, c_t, o_s, o_t, config.kernel)
-        elif variant == "coral":
-            parts.discrepancy = lambda: coral_loss(o_s, o_t)
-        if variant == "lamanet":
-            def recon():
-                x_hat = model.reconstruct(bundle.c, x[:, :, 0])
-                return recon_loss(Tensor(src_X), x_hat[:n], Tensor(tgt_X), x_hat[n:])
-
-            parts.recon = recon
+    for name in active:
+        if name == "discrepancy":
+            terms[name] = (coral_loss(o_s, o_t) if config.variant == "coral"
+                           else latent_mmd(c_s, c_t, o_s, o_t, config.kernel))
+        elif name == "recon":
+            x_hat = model.reconstruct(bundle.c, x[:, :, 0])
+            terms[name] = recon_loss(Tensor(src_X), x_hat[:n], Tensor(tgt_X), x_hat[n:])
+        elif name == "smooth":
             # F(C) of both streams is the forward pass's prediction; only the
             # perturbed bottlenecks go through expand + decode again.
-            parts.smooth = lambda: ad.add(
-                smooth_loss(c_s, model.predict_from_bottleneck,
-                            config.weights.gamma_noise, state.rng_noise, clean=y_hat),
-                smooth_loss(c_t, model.predict_from_bottleneck,
-                            config.weights.gamma_noise, state.rng_noise,
-                            clean=bundle.y_hat[n:]),
+            terms[name] = ad.add(
+                smooth_loss(c_s, model.predict_from_bottleneck, config.weights.gamma_noise,
+                            state.rng_noise, clean=y_hat),
+                smooth_loss(c_t, model.predict_from_bottleneck, config.weights.gamma_noise,
+                            state.rng_noise, clean=bundle.y_hat[n:]),
             )
-        if variant == "dann":
-            parts.adversarial = lambda: dann_loss(c_s, c_t, state.discriminator, config.dann_weight)
+        else:  # adversarial
+            terms[name] = dann_loss(c_s, c_t, state.discriminator, config.dann_weight)
+    logged = {"rul": float(rul.data)} | {name: float(term.data) for name, term in terms.items()}
 
-    loss = composite_loss(parts, config.weights, state.iteration)
+    loss = composite_loss(rul, terms, config.weights)
     total = float(loss.data)
     if not math.isfinite(total):
         raise TrainingAbort(
-            f"non-finite loss at iteration {state.iteration}", parts.terms
+            f"non-finite loss at iteration {state.iteration}", logged
         )
     backward(loss)
     for name, p in params.items():
         if p.grad is not None and not np.isfinite(p.grad).all():
             raise TrainingAbort(
-                f"non-finite gradient of {name} at iteration {state.iteration}", parts.terms
+                f"non-finite gradient of {name} at iteration {state.iteration}", logged
             )
     lr = lr_schedule(
         state.iteration, config.lr, config.lr_gamma, config.lr_decay_start,
@@ -345,7 +349,7 @@ def train_step(state: TrainState, src_X, src_y, tgt_X) -> dict:
         "epoch": state.epoch,
         "lr": lr,
         "total": total,
-        **parts.terms,
+        **logged,
     }
     state.history.append(record)
     return record
@@ -531,46 +535,41 @@ def run_single_seed(
     source: DomainDataset,
     target: DomainDataset,
     *,
-    run_dir: Path | None = None,
+    run_dir: Path,
     write_latents: bool = True,
 ) -> dict:
-    """Train one seed to completion and evaluate on the target test set;
-    with `run_dir`, write the seed's artifacts there.  A rerun leaves no
-    artifact of the earlier run beside its own `train_log.csv`: the earlier
-    snapshots are removed when training does not finish, and the earlier
-    latents when this run writes none.  A failed snapshot write still keeps
-    the earlier file, as `atomic_open` does."""
+    """Train one seed to completion, evaluate on the target test set and
+    write the seed's artifacts to `run_dir`.  A rerun leaves no artifact of
+    the earlier run beside its own `train_log.csv`: the earlier snapshots
+    are removed when training does not finish, and the earlier latents when
+    this run writes none.  A failed snapshot write still keeps the earlier
+    file, as `atomic_open` does."""
     state = init_state(config, seed)
-    log_writer = None
-    if run_dir is not None:
-        run_dir.mkdir(parents=True, exist_ok=True)
-        log_writer = RunLogWriter(run_dir / "train_log.csv")
+    run_dir.mkdir(parents=True, exist_ok=True)
+    log_writer = RunLogWriter(run_dir / "train_log.csv")
     try:
         train(state, source, target, log_writer=log_writer)
     except BaseException:
-        if run_dir is not None:
-            _remove_artifacts(run_dir, SEED_SNAPSHOTS)
+        _remove_artifacts(run_dir, SEED_SNAPSHOTS)
         raise
     finally:
-        if log_writer is not None:
-            log_writer.close()
+        log_writer.close()
     target_rmse, target_score = evaluate_target(state.model, target, config.rc)
     result = {
         "seed": seed, "rmse": target_rmse, "score": target_score,
         "val_rmse": source_val_rmse(state, source),
     }
-    if run_dir is not None:
-        save_train_checkpoint(run_dir / "checkpoint.bin", state)
-        _write_metrics(run_dir / "metrics.csv", [result])
-        write_json(run_dir / "report.json", result | {
-            "score": score_to_json(target_score),
-            "config_hash": config.hash, "config": config.to_dict(),
-        })
-        if write_latents:
-            export_latents(state.model, [source, target], LATENT_LAYERS,
-                           [run_dir / name for name in LATENT_FILES])
-        else:
-            _remove_artifacts(run_dir, LATENT_FILES)
+    save_train_checkpoint(run_dir / "checkpoint.bin", state)
+    _write_metrics(run_dir / "metrics.csv", [result])
+    write_json(run_dir / "report.json", result | {
+        "score": score_to_json(target_score),
+        "config_hash": config.hash, "config": config.to_dict(),
+    })
+    if write_latents:
+        export_latents(state.model, [source, target], LATENT_LAYERS,
+                       [run_dir / name for name in LATENT_FILES])
+    else:
+        _remove_artifacts(run_dir, LATENT_FILES)
     return result
 
 
@@ -578,10 +577,10 @@ def _seed_job(seed, config, source, target, out_dir, write_latents) -> dict | st
     """One seed of `run_experiment`.  An abort comes back as the failure
     line instead of being raised, so no exception has to cross a process
     boundary when `map_fn` is a pool's."""
-    run_dir = Path(out_dir) / str(seed) if out_dir is not None else None
     try:
         return run_single_seed(
-            config, seed, source, target, run_dir=run_dir, write_latents=write_latents,
+            config, seed, source, target, run_dir=Path(out_dir) / str(seed),
+            write_latents=write_latents,
         )
     except TrainingAbort as exc:
         return f"seed {seed}: {exc}"
@@ -592,7 +591,7 @@ def run_experiment(
     source: DomainDataset,
     target: DomainDataset,
     *,
-    out_dir=None,
+    out_dir,
     label: str | None = None,
     write_latents: bool = True,
     progress: Callable[[str], None] | None = None,
@@ -605,8 +604,8 @@ def run_experiment(
     results are consumed in seed order, so every artifact is the same either
     way.  A seed run that aborts (non-finite loss) is recorded as a failure
     and the remaining seeds still run.  Artifacts are written per seed under
-    out_dir/<seed>/ when out_dir is given.  `label` names the row in the
-    report and the progress lines (default: the config's variant).
+    out_dir/<seed>/ and the aggregate in out_dir.  `label` names the row in
+    the report and the progress lines (default: the config's variant).
     """
     report = MetricsReport(
         source=config.source_subset,
@@ -629,9 +628,8 @@ def run_experiment(
                 f"{config.source_subset}->{config.target_subset} {report.variant} "
                 f"seed {result['seed']}: rmse {result['rmse']:.2f}"
             )
-    if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        write_json(Path(out_dir) / "report.json",
-                   report.to_dict() | {"config_hash": config.hash, "config": config.to_dict()})
-        _write_metrics(Path(out_dir) / "metrics.csv", report.records)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
+    write_json(Path(out_dir) / "report.json",
+               report.to_dict() | {"config_hash": config.hash, "config": config.to_dict()})
+    _write_metrics(Path(out_dir) / "metrics.csv", report.records)
     return report

@@ -32,7 +32,6 @@ from ruladapt.data import (
 from ruladapt.evaluation import evaluate_target, rmse, score, predict_scaled
 from ruladapt.losses import (
     KernelSpec,
-    LossParts,
     LossWeights,
     composite_loss,
     latent_mmd,
@@ -159,19 +158,18 @@ def test_criterion_1_gradient_fidelity():
         xs_t, ys_t, xt_t = Tensor(xs), Tensor(ys), Tensor(xt)
         bs = m.forward(xs_t)
         bt = m.forward(xt_t)
-        parts = LossParts(
-            rul=rul_mse(bs.y_hat, ys_t),
-            discrepancy=lambda: latent_mmd(bs.c, bt.c, bs.o, bt.o, kernel),
-            recon=lambda: recon_loss(
+        terms = {
+            "discrepancy": latent_mmd(bs.c, bt.c, bs.o, bt.o, kernel),
+            "recon": recon_loss(
                 xs_t, m.reconstruct(bs.c, xs_t[:, :, 0]),
                 xt_t, m.reconstruct(bt.c, xt_t[:, :, 0]),
             ),
-            smooth=lambda: ad.add(
+            "smooth": ad.add(
                 smooth_loss(bs.c, m.predict_from_bottleneck, 0.1, np.random.default_rng(7)),
                 smooth_loss(bt.c, m.predict_from_bottleneck, 0.1, np.random.default_rng(8)),
             ),
-        )
-        return composite_loss(parts, weights, iteration=0)
+        }
+        return composite_loss(rul_mse(bs.y_hat, ys_t), terms, weights)
 
     f, x0 = flat_loss_fn(model, build_loss)
     composite_err = grad_check(f, Tensor(x0), eps=1e-5)
@@ -281,7 +279,7 @@ def test_criterion_4_data_pipeline(cmapss_dir):
     stats = fit_normalization(train1[:10])
     check = np.random.default_rng(4)
     for _ in range(200):
-        j = int(check.integers(0, stats.width))
+        j = int(check.integers(0, len(stats.minimum)))
         if stats.constant[j]:
             continue
         x = float(check.uniform(stats.minimum[j] - 1, stats.maximum[j] + 1))
@@ -447,7 +445,7 @@ def test_criterion_7_ablation_direction():
 
 @pytest.mark.slow
 @pytest.mark.skipif(not RUN_SLOW, reason="set RULADAPT_RUN_SLOW=1 to run (up to ~1h)")
-def test_criterion_8_desk_scale_directional(cmapss_dir):
+def test_criterion_8_desk_scale_directional(cmapss_dir, tmp_path):
     t0 = time.time()
     train2, test2, truth2 = parse_cmapss(*subset_paths(cmapss_dir, "FD002"))
     train1, test1, truth1 = parse_cmapss(*subset_paths(cmapss_dir, "FD001"))
@@ -466,7 +464,8 @@ def test_criterion_8_desk_scale_directional(cmapss_dir):
                 "FD002", "FD001", variant, window=40, epochs=10,
                 batch_size=128, model=desk_model_config(), seeds=(seed,),
             )
-            result = run_single_seed(config, seed, source, target, write_latents=False)
+            result = run_single_seed(config, seed, source, target,
+                                     run_dir=tmp_path / variant / str(seed), write_latents=False)
             rmses[variant].append(result["rmse"])
             print(
                 f"  {variant} seed {seed}: target rmse {result['rmse']:.2f} "

@@ -21,6 +21,7 @@ def blob_hash(path) -> str:
 
 TOY_FAST = ("--toy", "--epochs", "1", "--batch-size", "16")
 TOY_RUN = (*TOY_FAST, "--seeds", "1", "--no-latents")
+DESK_FAST = ("--preset", "desk", "--epochs", "1", "--batch-size", "16")
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +33,7 @@ def test_ingest_prints_counts_and_is_hash_stable(cmapss_dir, capsys):
     first = capsys.readouterr().out
     assert "100 train trajectories" in first and "100 test trajectories" in first
     train, _, _ = parse_cmapss(*subset_paths(cmapss_dir, "FD001"))
-    n_windows = sum(max(t.length - 40 + 1, 1) for t in train)
+    n_windows = sum(max(len(t.sensors) - 40 + 1, 1) for t in train)
     assert f"FD001: {n_windows} train windows (K=40)" in first
     assert run_cli(*argv) == 0
     assert capsys.readouterr().out == first
@@ -61,7 +62,7 @@ def test_ingest_windows_follow_the_file_preset(cmapss_tiny_dir, tmp_path, capsys
     assert run_cli("ingest", "--subset", "FD001", "--config", cfg,
                    "--data-dir", cmapss_tiny_dir) == 0
     train, _, _ = parse_cmapss(*subset_paths(cmapss_tiny_dir, "FD001"))
-    n_windows = sum(max(t.length - 16 + 1, 1) for t in train)
+    n_windows = sum(max(len(t.sensors) - 16 + 1, 1) for t in train)
     assert f"FD001: {n_windows} train windows (K=16)" in capsys.readouterr().out
 
 
@@ -207,11 +208,27 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
         ("ablate", ("--jobs", "-1", *TOY_FAST), {}, "jobs must be >= 1, got -1"),
         ("train", TOY_FAST, {"jobs": "x"}, "jobs: invalid literal for int() with base 10: 'x'"),
         ("sweep", ("--confirm", *TOY_FAST), {"jobs": 0}, "jobs must be >= 1, got 0"),
+        ("train", TOY_FAST, {"jobs": 2.7}, "jobs must be an integer, got 2.7"),
+        ("ablate", TOY_FAST, {"jobs": True}, "jobs must be an integer, got True"),
+        ("train", TOY_FAST, {"lr_gamma": 1.5}, "lr_gamma must lie in (0, 1], got 1.5"),
+        ("train", TOY_FAST, {"lr_gamma": 0.0}, "lr_gamma must lie in (0, 1], got 0.0"),
+        ("train", TOY_FAST, {"lr_decay_start": -1}, "lr_decay_start must be >= 0, got -1"),
+        ("train", ("--variant", "dann", *TOY_FAST), {"dann_hidden": 0},
+         "dann_hidden must be >= 1, got 0"),
+        ("train", DESK_FAST, {"feature_mask": []},
+         "feature_mask must be non-empty with indices in 0..23, got []"),
+        ("train", DESK_FAST, {"feature_mask": [0, 30]},
+         "feature_mask must be non-empty with indices in 0..23, got [0, 30]"),
+        ("sweep", ("--confirm", *DESK_FAST), {"feature_mask": [-1]},
+         "feature_mask must be non-empty with indices in 0..23, got [-1]"),
+        ("train", TOY_FAST, {"feature_mask": []}, "fixes the feature mask"),
     ],
     ids=["unknown-preset", "model-window-conflict", "toy-flag-mask", "toy-file-mask",
          "toy-model", "desk-model", "seeds-not-int", "window-zero", "window-negative",
          "seeds-repeated", "seeds-empty", "seeds-flag-empty", "jobs-zero", "jobs-negative",
-         "jobs-file-not-int", "jobs-file-zero"],
+         "jobs-file-not-int", "jobs-file-zero", "jobs-file-fraction", "jobs-file-bool",
+         "lr-gamma-above-1", "lr-gamma-zero", "lr-decay-start-negative", "dann-hidden-zero",
+         "mask-empty", "mask-out-of-range", "mask-negative", "toy-file-mask-empty"],
 )
 def test_config_errors_exit_2_before_any_work(
     command, flags, file_cfg, message, cmapss_tiny_dir, tmp_path, capsys
@@ -229,6 +246,27 @@ def test_config_errors_exit_2_before_any_work(
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "file_cfg, message",
+    [({"data_dir": 5}, "data_dir must be a path string, got 5"),
+     ({"out_dir": 7}, "out_dir must be a path string, got 7"),
+     ({"out_dir": ["runs"]}, "out_dir must be a path string, got ['runs']")],
+    ids=["data-dir-int", "out-dir-int", "out-dir-list"],
+)
+def test_file_paths_must_be_strings(file_cfg, message, tmp_path, monkeypatch, capsys):
+    """A path key of the file that no flag hides must be a string; otherwise
+    the command is an `error:` line and exit 2, and writes nothing."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(file_cfg))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run_cli("ingest", "--subset", "FD001", "--config", cfg) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize(

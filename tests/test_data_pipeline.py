@@ -137,7 +137,7 @@ def test_bulk_parse_matches_the_row_parser_on_a_ragged_layout(tmp_path):
     path = tmp_path / "ragged.txt"
     path.write_text("\n".join(lines))
     got = parse_trajectory_file(path)
-    assert [(t.unit_id, t.length) for t in got] == [(3, 3), (1, 2), (7, 1)]
+    assert [(t.unit_id, len(t.sensors)) for t in got] == [(3, 3), (1, 2), (7, 1)]
     _same_trajectories(got, oracle_parse_trajectory_file(path))
 
 

@@ -246,7 +246,7 @@ def test_export_latents_widths_and_rows(tmp_path, toy_setup):
     model, source, target = toy_setup
     for layer, width in (("C", model.config.bottleneck), ("O", model.config.head_dim)):
         path = tmp_path / f"latents_{layer}.csv"
-        n = export_latents(model, source, layer, path)
+        n = export_latents(model, [source], layer, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == n + 1  # header + one row per training window
@@ -259,7 +259,7 @@ def test_export_latents_widths_and_rows(tmp_path, toy_setup):
 def test_export_latents_blank_labels_for_target(tmp_path, toy_setup):
     model, _, target = toy_setup
     path = tmp_path / "latents_C.csv"
-    export_latents(model, target, "C", path)
+    export_latents(model, [target], "C", path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[1][-1] == "target" and rows[1][-2] == ""
@@ -268,7 +268,7 @@ def test_export_latents_blank_labels_for_target(tmp_path, toy_setup):
 def test_export_latents_rejects_unknown_layer(tmp_path, toy_setup):
     model, source, _ = toy_setup
     with pytest.raises(ValueError):
-        export_latents(model, source, "E", tmp_path / "x.csv")
+        export_latents(model, [source], "E", tmp_path / "x.csv")
 
 
 def test_export_latents_writes_both_layers_from_one_forward_per_chunk(
@@ -316,4 +316,4 @@ def test_failed_export_keeps_the_previous_latents(tmp_path, toy_setup):
 def test_export_latents_rejects_a_path_count_mismatch(tmp_path, toy_setup):
     model, source, _ = toy_setup
     with pytest.raises(ValueError):
-        export_latents(model, source, ("C", "O"), [tmp_path / "c.csv"])
+        export_latents(model, [source], ("C", "O"), [tmp_path / "c.csv"])

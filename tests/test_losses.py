@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 
 from ruladapt import autodiff as ad
+from ruladapt import training
 from ruladapt.autodiff import Tensor, backward
 from ruladapt.losses import (
+    TERM_WEIGHTS,
     DomainDiscriminator,
     KernelSpec,
-    LossParts,
     LossWeights,
     composite_loss,
     coral_loss,
     dann_loss,
+    evaluates_term,
     latent_mmd,
     mmd2,
     recon_loss,
     rul_mse,
     smooth_loss,
 )
+from ruladapt.model import toy_model_config
 
 from gradtools import grad_check
 
@@ -474,46 +477,53 @@ def unit_part():
 
 def test_composite_before_gate_is_exactly_rul():
     rul = Tensor(np.array(0.123))
-    called = []
-    parts = LossParts(
-        rul=rul,
-        discrepancy=lambda: called.append("d") or unit_part(),
-        recon=lambda: called.append("r") or unit_part(),
-        smooth=lambda: called.append("s") or unit_part(),
-    )
-    out = composite_loss(parts, LossWeights(), iteration=0)
-    assert out is rul  # the gated terms were never evaluated
-    assert called == []
+    weights = LossWeights()
+    assert not any(evaluates_term(name, weights, 0) for name in TERM_WEIGHTS)
+    assert composite_loss(rul, {}, weights) is rul  # no term was built or added
 
 
 def test_composite_with_zero_weights_equals_rul():
     rul = Tensor(np.array(0.7))
-    parts = LossParts(rul=rul, discrepancy=unit_part, recon=unit_part, smooth=unit_part)
     weights = LossWeights(lambda_m=0.0, lambda_r=0.0, lambda_s=0.0)
-    assert composite_loss(parts, weights, iteration=200).item() == pytest.approx(0.7)
+    assert [name for name in TERM_WEIGHTS if evaluates_term(name, weights, 200)] == [
+        "adversarial"]
+    terms = {"discrepancy": unit_part(), "recon": unit_part(), "smooth": unit_part()}
+    assert composite_loss(rul, terms, weights).item() == pytest.approx(0.7)
 
 
 def test_composite_table_weight_arithmetic():
     """Unit part losses with the selected weights: recon and smooth each carry
     a source and a target term (2.0 apiece), so 1 + 0.35 + 0.4 + 0.7 = 2.45."""
-    parts = LossParts(
-        rul=unit_part(),
-        discrepancy=unit_part,
-        recon=lambda: Tensor(np.array(2.0)),
-        smooth=lambda: Tensor(np.array(2.0)),
-    )
-    value = composite_loss(parts, LossWeights(), iteration=200).item()
+    terms = {
+        "discrepancy": unit_part(),
+        "recon": Tensor(np.array(2.0)),
+        "smooth": Tensor(np.array(2.0)),
+    }
+    value = composite_loss(unit_part(), terms, LossWeights()).item()
     assert value == pytest.approx(2.45, rel=1e-12)
 
 
 def test_composite_rejects_negative_weights_and_iterations():
     with pytest.raises(ValueError):
         LossWeights(lambda_m=-0.1)
-    with pytest.raises(ValueError):
-        composite_loss(LossParts(rul=unit_part()), LossWeights(), iteration=-1)
+    with pytest.raises(ValueError, match="iteration must be non-negative"):
+        evaluates_term("discrepancy", LossWeights(), -1)
 
 
-def test_composite_records_term_values():
-    parts = LossParts(rul=unit_part(), discrepancy=lambda: Tensor(np.array(3.0)))
-    composite_loss(parts, LossWeights(), iteration=500)
-    assert parts.terms == {"rul": 1.0, "discrepancy": 3.0}
+def test_composite_rejects_an_unknown_term():
+    with pytest.raises(ValueError, match=r"unknown loss terms \['mmd'\]"):
+        composite_loss(unit_part(), {"discrepancy": unit_part(), "mmd": unit_part()},
+                       LossWeights())
+
+
+def test_composite_records_term_values(monkeypatch):
+    """The step logs the label loss and each evaluated term at its value."""
+    monkeypatch.setattr(training, "rul_mse", lambda y_hat, y: unit_part())
+    monkeypatch.setattr(training, "latent_mmd", lambda *args: Tensor(np.array(3.0)))
+    config = training.make_run_config("a", "b", "mmd", window=16, batch_size=8, seeds=(1,),
+                                      model=toy_model_config(), da_start=0)
+    rng = np.random.default_rng(0)
+    src_X, tgt_X = rng.normal(size=(2, 4, 8, 16))
+    record = training.train_step(training.init_state(config, 1), src_X, np.zeros((4, 1)), tgt_X)
+    assert {k: record[k] for k in ("rul", "discrepancy")} == {"rul": 1.0, "discrepancy": 3.0}
+    assert set(record) == {"iteration", "epoch", "lr", "total", "rul", "discrepancy"}

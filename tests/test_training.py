@@ -10,7 +10,6 @@ from ruladapt import training
 from ruladapt.autodiff import Tensor, backward
 from ruladapt.data import stack_windows
 from ruladapt.losses import (
-    LossParts,
     composite_loss,
     coral_loss,
     dann_loss,
@@ -78,6 +77,17 @@ def test_run_config_validation():
         toy_config(variant="bogus")
     with pytest.raises(ValueError):
         toy_config(window=40)  # model window stays 16
+    for gamma in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="lr_gamma must lie in"):
+            toy_config(lr_gamma=gamma)
+    assert toy_config(lr_gamma=1.0).lr_gamma == 1.0
+    with pytest.raises(ValueError, match="lr_decay_start must be >= 0"):
+        toy_config(lr_decay_start=-1)
+    with pytest.raises(ValueError, match="dann_hidden must be >= 1"):
+        toy_config(dann_hidden=0)
+    for mask in ((), (3, 24), (-1, 3)):
+        with pytest.raises(ValueError, match="feature_mask must be non-empty"):
+            toy_config(feature_mask=mask, model=toy_model_config(n_features=len(mask)))
 
 
 def test_run_config_roundtrip_and_unknown_key_rejection():
@@ -242,38 +252,41 @@ def test_gate_opens_at_da_start(toy_domains):
 def two_pass_loss_and_grads(state, src_X, src_y, tgt_X):
     """train_step's loss built from two separate forward passes, one per
     stream, and backpropagated without an optimizer update: the oracle for
-    the one-pass step.  Returns (logged terms, {name: gradient})."""
+    the one-pass step with the gate open and the variant's default weights.
+    Returns (logged terms, {name: gradient})."""
     config, model = state.config, state.model
     xs, ys, xt = Tensor(src_X), Tensor(src_y), Tensor(tgt_X)
     bundle_s = model.forward(xs)
     bundle_t = model.forward(xt)
-    parts = LossParts(rul=rul_mse(bundle_s.y_hat, ys))
+    rul = rul_mse(bundle_s.y_hat, ys)
+    terms = {}
     variant = config.variant
     if variant in ("lamanet", "mmd"):
-        parts.discrepancy = lambda: latent_mmd(
+        terms["discrepancy"] = latent_mmd(
             bundle_s.c, bundle_t.c, bundle_s.o, bundle_t.o, config.kernel
         )
     elif variant == "coral":
-        parts.discrepancy = lambda: coral_loss(bundle_s.o, bundle_t.o)
+        terms["discrepancy"] = coral_loss(bundle_s.o, bundle_t.o)
     if variant == "lamanet":
-        parts.recon = lambda: recon_loss(
+        terms["recon"] = recon_loss(
             xs, model.reconstruct(bundle_s.c, xs[:, :, 0]),
             xt, model.reconstruct(bundle_t.c, xt[:, :, 0]),
         )
-        parts.smooth = lambda: ad.add(
+        terms["smooth"] = ad.add(
             smooth_loss(bundle_s.c, model.predict_from_bottleneck,
                         config.weights.gamma_noise, state.rng_noise),
             smooth_loss(bundle_t.c, model.predict_from_bottleneck,
                         config.weights.gamma_noise, state.rng_noise),
         )
     if variant == "dann":
-        parts.adversarial = lambda: dann_loss(
+        terms["adversarial"] = dann_loss(
             bundle_s.c, bundle_t.c, state.discriminator, config.dann_weight
         )
-    loss = composite_loss(parts, config.weights, state.iteration)
+    loss = composite_loss(rul, terms, config.weights)
     backward(loss)
-    terms = parts.terms | {"total": float(loss.data)}
-    return terms, {name: p.grad for name, p in state.trainable().items()}
+    logged = {"rul": float(rul.data)} | {name: float(t.data) for name, t in terms.items()}
+    logged["total"] = float(loss.data)
+    return logged, {name: p.grad for name, p in state.trainable().items()}
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -300,6 +313,29 @@ def test_one_pass_step_matches_two_pass_reference(toy_domains, variant):
         else:
             np.testing.assert_allclose(p.grad, want_grads[name], rtol=1e-10,
                                        atol=1e-10 * scale, err_msg=name)
+
+
+ADAPTATION_LOSSES = ("latent_mmd", "coral_loss", "recon_loss", "smooth_loss", "dann_loss")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_before_the_gate_builds_no_adaptation_term(toy_domains, variant, monkeypatch):
+    """Before the gate opens the step calls none of the adaptation losses."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an adaptation term was built before the gate opened")
+
+    for name in ADAPTATION_LOSSES:
+        monkeypatch.setattr(training, name, refuse)
+    source, target = toy_domains
+    state = init_state(toy_config(variant, da_start=3), 1)
+    src_X, src_y = stack_windows(source.train_windows, range(16))
+    tgt_X, _ = stack_windows(target.train_windows, range(16))
+    for _ in range(3):
+        record = train_step(state, src_X, src_y, tgt_X)
+        assert set(record) == {"iteration", "epoch", "lr", "total", "rul"}
+    if variant != "no_da":
+        with pytest.raises(AssertionError, match="before the gate opened"):
+            train_step(state, src_X, src_y, tgt_X)  # iteration 3: gate open
 
 
 def test_forward_rows_follow_the_target_stream_readers(toy_domains, monkeypatch):
