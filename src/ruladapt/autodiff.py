@@ -361,39 +361,60 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float 
     return _make(out.reshape(x.shape), (x, y, gain, bias), vjp)
 
 
-def _softmax_keys(scores: np.ndarray) -> np.ndarray:
-    """In-place softmax over the key axis -2, the key sums as GEMVs against ones."""
-    scores -= scores.max(axis=-2, keepdims=True)
+_BLOCK_BYTES = 256 * 1024  # one row block's pairwise slab, sized to stay in L2
+
+
+def _softmax_keys(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """In-place softmax over the key axis -2, the key sums as GEMVs against
+    ones; returns the key max and the reciprocal key sum it applied."""
+    top = scores.max(axis=-2, keepdims=True)
+    scores -= top
     np.exp(scores, out=scores)
-    scores *= (1.0 / (np.ones(scores.shape[-2]) @ scores))[..., None, :]
-    return scores
+    recip = (1.0 / (np.ones(scores.shape[-2]) @ scores))[..., None, :]
+    scores *= recip
+    return top, recip
 
 
 def self_attention(qkv: Tensor, n_heads: int) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(d_h)) v of a packed (n, S, 3d) input
     of [q | k | v] column blocks, heads split and merged inside the node;
     returns (n, S, d).  1/sqrt(d_h) is folded into q, and the scores are
-    key-major, (n, h, S_k, S_q).  The VJP forms the softmax's row dot
-    products p . dp as out . g over the head width."""
+    key-major, (n, h, S_k, S_q).  Both passes run over blocks of batch rows
+    whose scores fit in _BLOCK_BYTES; the node keeps only each block's key
+    max and reciprocal key sum, (rows, h, 1, S), and the VJP recomputes q
+    and the probabilities from them with the forward's ops.  The VJP forms
+    the softmax's row dot products p . dp as out . g over the head width."""
     n, S, d3 = qkv.shape
     dh = d3 // 3 // n_heads
     c = 1.0 / np.sqrt(dh)
     q, k, v = qkv.data.reshape(n, S, 3, n_heads, dh).transpose(2, 0, 3, 1, 4)
-    q = q * c
-    probs = _softmax_keys(np.matmul(k, np.swapaxes(q, -1, -2)))
-    out = np.matmul(np.swapaxes(probs, -1, -2), v).transpose(0, 2, 1, 3).reshape(n, S, -1)
+    step = max(1, _BLOCK_BYTES // (8 * n_heads * S * S))
+    blocks = [slice(i, i + step) for i in range(0, n, step)]
+    out = np.empty((n, S, d3 // 3))
+    heads = out.reshape(n, S, n_heads, dh).transpose(0, 2, 1, 3)
+    stats = []
+    for b in blocks:
+        probs = np.matmul(k[b], np.swapaxes(q[b] * c, -1, -2))
+        stats.append(_softmax_keys(probs))
+        np.matmul(np.swapaxes(probs, -1, -2), v[b], out=heads[b])
 
     def vjp(g):
         gh = g.reshape(n, S, n_heads, dh).transpose(0, 2, 1, 3)
         grad = np.empty((n, S, 3, n_heads, dh))
         gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
-        np.matmul(probs, gh, out=gv)
         dots = ((out * g).reshape(-1, dh) @ np.ones(dh)).reshape(n, S, n_heads)
-        gs = np.matmul(v, np.swapaxes(gh, -1, -2))
-        gs -= dots.transpose(0, 2, 1)[:, :, None, :]
-        gs *= probs
-        np.matmul(gs, q, out=gk)
-        np.matmul(np.swapaxes(gs, -1, -2), k, out=gq)
+        for b, (top, recip) in zip(blocks, stats):
+            qc = q[b] * c  # q and the probabilities exactly as the forward made them
+            probs = np.matmul(k[b], np.swapaxes(qc, -1, -2))
+            probs -= top
+            np.exp(probs, out=probs)
+            probs *= recip
+            np.matmul(probs, gh[b], out=gv[b])
+            gs = np.matmul(v[b], np.swapaxes(gh[b], -1, -2))
+            gs -= dots.transpose(0, 2, 1)[b, :, None, :]
+            gs *= probs
+            np.matmul(gs, qc, out=gk[b])
+            np.matmul(np.swapaxes(gs, -1, -2), k[b], out=gq[b])
         gq *= c
         return (grad.reshape(n, S, d3),)
 
@@ -415,7 +436,8 @@ def single_query_attention(
     q_mask = mask / np.sqrt(d // n_heads)
     qm = (q.data.reshape(n, 1, d) * q_mask).reshape(n * n_heads, d)  # a row per head
     absorbed = (qm @ w_k.data.T).reshape(n, n_heads, dm)
-    probs = _softmax_keys(np.matmul(memory.data, np.swapaxes(absorbed, -1, -2)))
+    probs = np.matmul(memory.data, np.swapaxes(absorbed, -1, -2))
+    _softmax_keys(probs)
     pooled = np.matmul(np.swapaxes(probs, -1, -2), memory.data).reshape(n * n_heads, dm)
     out = ((pooled @ w_v.data).reshape(n, n_heads, d) * mask).sum(axis=1)
     out += b_v.data
@@ -537,13 +559,20 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     """D[i, j] = ||a_i - b_j||^2 for row sets a (n, d) and b (m, d).
 
     The forward pass uses explicit differences (no a^2+b^2-2ab cancellation),
-    so values agree with a double loop to machine precision.
+    so values agree with a double loop to machine precision.  They are
+    formed for blocks of rows of a whose (rows, m, d) slab fits in
+    _BLOCK_BYTES, so no (n, m, d) array is built.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise GraphError(f"pairwise_sqdist expects (n, d), (m, d); got {a.shape}, {b.shape}")
-    diff = a.data[:, None, :] - b.data[None, :, :]
-    diff *= diff
-    out = diff.sum(axis=2)
+    out = np.empty((len(a.data), len(b.data)))
+    step = max(1, _BLOCK_BYTES // (8 * b.data.size))
+    diff = np.empty((min(step, len(out)),) + b.shape)
+    for i in range(0, len(out), step):
+        rows = diff[: len(out) - i]
+        np.subtract(a.data[i : i + step, None, :], b.data, out=rows)
+        rows *= rows
+        rows.sum(axis=2, out=out[i : i + step])
 
     def vjp(g):
         ga = 2.0 * (g.sum(axis=1)[:, None] * a.data - g @ b.data)

@@ -103,7 +103,8 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
     run_cfg["window"] = _pick(args, run_cfg, "window", base_model.window)
     run_cfg["model"] = {
         **asdict(base_model),
-        "n_features": len(ALL_FEATURES if mask is None else mask),
+        # RunConfig rejects a mask that is not a list
+        "n_features": len(mask if isinstance(mask, (list, tuple)) else ALL_FEATURES),
         "window": run_cfg["window"],
         **(run_cfg.get("model") or {}),
     }

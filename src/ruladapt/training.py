@@ -76,6 +76,11 @@ def variant_weights(variant: str, *, gamma_noise: float = 0.1, da_start: int = 2
     return LossWeights(**lambdas, gamma_noise=gamma_noise, da_start_iteration=da_start)
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (YAML reads `true` as one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     source_subset: str = "FD002"
@@ -99,6 +104,9 @@ class RunConfig:
     dann_hidden: int = 64
 
     def __post_init__(self):
+        for name in ("window", "epochs", "batch_size", "lr_decay_start", "dann_hidden", "val_seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.batch_size % 2 or self.batch_size < 2:
@@ -113,6 +121,8 @@ class RunConfig:
             raise ValueError(f"lr_decay_start must be >= 0, got {self.lr_decay_start}")
         if self.dann_hidden < 1:
             raise ValueError(f"dann_hidden must be >= 1, got {self.dann_hidden}")
+        if not self.dann_weight >= 0:  # a negative weight would cooperate with the discriminator
+            raise ValueError(f"dann_weight must be >= 0, got {self.dann_weight}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be non-empty and distinct, got {list(self.seeds)}")
         if self.model.window != self.window:
@@ -120,12 +130,15 @@ class RunConfig:
                 f"model window {self.model.window} != run window {self.window}"
             )
         if self.feature_mask is not None:
-            if not self.feature_mask or not all(0 <= i < N_FEATURES for i in self.feature_mask):
+            mask = self.feature_mask
+            if not isinstance(mask, (tuple, list)) or not all(_is_int(i) for i in mask):
+                raise ValueError(f"feature_mask must be a list of integers, got {mask!r}")
+            if not mask or not all(0 <= i < N_FEATURES for i in mask):
                 raise ValueError(f"feature_mask must be non-empty with indices in "
-                                 f"0..{N_FEATURES - 1}, got {list(self.feature_mask)}")
-            if self.model.n_features != len(self.feature_mask):
+                                 f"0..{N_FEATURES - 1}, got {list(mask)}")
+            if self.model.n_features != len(mask):
                 raise ValueError(f"model n_features {self.model.n_features} != "
-                                 f"mask width {len(self.feature_mask)}")
+                                 f"mask width {len(mask)}")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -165,7 +178,7 @@ def run_config_from_dict(payload: dict) -> RunConfig:
             payload[key] = _dataclass_from_dict(cls, payload[key])
     if "seeds" in payload and payload["seeds"] is not None:
         payload["seeds"] = tuple(payload["seeds"])
-    if "feature_mask" in payload and payload["feature_mask"] is not None:
+    if isinstance(payload.get("feature_mask"), list):  # RunConfig rejects other types
         payload["feature_mask"] = tuple(payload["feature_mask"])
     return _dataclass_from_dict(RunConfig, payload)
 

@@ -5,6 +5,7 @@ are kept away from relu kinks and log/sqrt singularities so the numerical
 oracle itself is trustworthy.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -430,6 +431,81 @@ def test_fused_ops_match_composed_graphs(seed):
     np.testing.assert_array_equal(got, want)
     for i, (g, w) in enumerate(zip(got_grads, want_grads)):
         np.testing.assert_array_equal(g, w, err_msg=f"mlp input {i}")
+
+
+@pytest.mark.parametrize("n_heads, d", [(2, 16), (4, 32)], ids=["desk", "full"])
+def test_row_blocks_change_no_bit(n_heads, d, monkeypatch):
+    """Blocks of the whole batch, of 1 row, and of 5 rows with a ragged last
+    block of 2 give the same bits: no row shares a sum with another."""
+    rng = np.random.default_rng(3)
+    n = 37
+    attention_inputs = [(S, rand(rng, n, S, 3 * d), rng.normal(size=(n, S, d))) for S in (24, 40)]
+    a, b = rand(rng, n, 200), rand(rng, 29, 200)
+
+    def run(rows):
+        results = []
+        for S, qkv, g in attention_inputs:
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", rows * 8 * n_heads * S * S)
+            value, grads = _value_and_grads(lambda x: ad.self_attention(x, n_heads), [qkv], g)
+            results += [value, *grads]
+        for other in (a, b):
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", rows * 8 * other.size)
+            results.append(ad.pairwise_sqdist(Tensor(a), Tensor(other)).data)
+        return results
+
+    whole = run(n)
+    for rows in (1, 5):
+        for got, want in zip(run(rows), whole, strict=True):
+            np.testing.assert_array_equal(got, want, err_msg=f"{rows} rows per block")
+
+
+def _arrays_in(obj, seen=None):
+    """Every ndarray reachable from obj through closures, tuples, lists and dicts."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if callable(obj) and getattr(obj, "__closure__", None):
+        children = [cell.cell_contents for cell in obj.__closure__]
+    elif isinstance(obj, (tuple, list)):
+        children = list(obj)
+    elif isinstance(obj, dict):
+        children = list(obj.values())
+    else:
+        return []
+    return [arr for child in children for arr in _arrays_in(child, seen)]
+
+
+def test_attention_keeps_only_per_block_statistics():
+    """Forward to backward, the node holds views of its input and output and
+    per-block (rows, h, 1, S) statistics: nothing of n * h * S elements or
+    more, so neither the probabilities nor a scaled copy of q."""
+    rng = np.random.default_rng(4)
+    n, S, h, d = 64, 40, 4, 32
+    qkv = Tensor(rand(rng, n, S, 3 * d), requires_grad=True)
+    node = ad.self_attention(qkv, h)
+    held = _arrays_in(node._vjp)
+    stats = [arr for arr in held if arr.shape[1:] == (h, 1, S)]
+    assert stats and sum(len(arr) for arr in stats) == 2 * n
+    for arr in held:
+        if arr.size >= n * h * S:
+            assert np.shares_memory(arr, qkv.data) or np.shares_memory(arr, node.data), arr.shape
+
+
+def test_pairwise_sqdist_peak_memory_is_output_plus_blocks():
+    """The (n, n, d) differences are never built: the peak traced allocation
+    of one call is under its output plus two blocks."""
+    a = Tensor(np.random.default_rng(5).normal(size=(256, 200)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.pairwise_sqdist(a, a)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < out.data.nbytes + 2 * ad._BLOCK_BYTES, peak
 
 
 def test_key_bias_cancels_in_the_composed_decoder():

@@ -222,13 +222,25 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
         ("sweep", ("--confirm", *DESK_FAST), {"feature_mask": [-1]},
          "feature_mask must be non-empty with indices in 0..23, got [-1]"),
         ("train", TOY_FAST, {"feature_mask": []}, "fixes the feature mask"),
+        ("train", DESK_FAST, {"window": 16.5}, "window must be an integer, got 16.5"),
+        ("train", ("--preset", "desk", "--batch-size", "16"), {"epochs": 1.5},
+         "epochs must be an integer, got 1.5"),
+        ("ablate", ("--toy", "--batch-size", "16"), {"epochs": True},
+         "epochs must be an integer, got True"),
+        ("train", DESK_FAST, {"feature_mask": 5}, "feature_mask must be a list of integers, got 5"),
+        ("train", DESK_FAST, {"feature_mask": [0, 1.5]},
+         "feature_mask must be a list of integers, got (0, 1.5)"),
+        ("train", ("--variant", "dann", *TOY_FAST), {"dann_weight": -1},
+         "dann_weight must be >= 0, got -1"),
     ],
     ids=["unknown-preset", "model-window-conflict", "toy-flag-mask", "toy-file-mask",
          "toy-model", "desk-model", "seeds-not-int", "window-zero", "window-negative",
          "seeds-repeated", "seeds-empty", "seeds-flag-empty", "jobs-zero", "jobs-negative",
          "jobs-file-not-int", "jobs-file-zero", "jobs-file-fraction", "jobs-file-bool",
          "lr-gamma-above-1", "lr-gamma-zero", "lr-decay-start-negative", "dann-hidden-zero",
-         "mask-empty", "mask-out-of-range", "mask-negative", "toy-file-mask-empty"],
+         "mask-empty", "mask-out-of-range", "mask-negative", "toy-file-mask-empty",
+         "window-fraction", "epochs-fraction", "epochs-bool", "mask-not-list",
+         "mask-fraction", "dann-weight-negative"],
 )
 def test_config_errors_exit_2_before_any_work(
     command, flags, file_cfg, message, cmapss_tiny_dir, tmp_path, capsys

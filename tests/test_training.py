@@ -88,6 +88,19 @@ def test_run_config_validation():
     for mask in ((), (3, 24), (-1, 3)):
         with pytest.raises(ValueError, match="feature_mask must be non-empty"):
             toy_config(feature_mask=mask, model=toy_model_config(n_features=len(mask)))
+    for mask in (5, "abc", (3, 4.0), (3, True)):
+        with pytest.raises(ValueError, match="feature_mask must be a list of integers"):
+            toy_config(feature_mask=mask)
+    for name in ("epochs", "batch_size", "lr_decay_start", "dann_hidden", "val_seed"):
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                toy_config(**{name: bad})
+    with pytest.raises(ValueError, match="window must be an integer"):
+        toy_config(window=16.0, model=toy_model_config(window=16.0))
+    for weight in (-0.2, float("nan")):
+        with pytest.raises(ValueError, match="dann_weight must be >= 0"):
+            toy_config(variant="dann", dann_weight=weight)
+    assert toy_config(variant="dann", dann_weight=0.0).dann_weight == 0.0
 
 
 def test_run_config_roundtrip_and_unknown_key_rejection():
