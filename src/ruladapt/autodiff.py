@@ -84,10 +84,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Return a graph-root copy of the current value (no gradient flow)."""
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -319,6 +315,14 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid_values(a.data)
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def log_sigmoid(a: Tensor) -> Tensor:
+    """log(sigmoid(a)) as -(max(-a, 0) + log1p(exp(-|a|))), finite for any
+    finite logit; its derivative is sigmoid(-a)."""
+    x = a.data
+    out = -(np.maximum(-x, 0.0) + np.log1p(np.exp(-np.abs(x))))
+    return _make(out, (a,), lambda g: (g * _sigmoid_values(-x),))
 
 
 def tanh(a: Tensor) -> Tensor:

@@ -94,6 +94,8 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
         raise ConfigError(f"unknown preset {preset!r}; options: {sorted(PRESET_MODELS)}")
     if preset == "toy" and run_cfg.get("feature_mask") is not None:
         raise ConfigError("the toy preset fixes the feature mask; drop feature_mask from the file")
+    if not isinstance(run_cfg.get("model") or {}, dict):
+        raise ConfigError(f"model must be a mapping, got {run_cfg['model']!r}")
     if preset != "full" and run_cfg.get("model"):
         raise ConfigError(f"the {preset} preset fixes the model widths; drop model from the file")
     if preset == "toy":
@@ -278,9 +280,6 @@ def _parse_grid(text: str | None) -> dict:
             grid[key] = tuple(parsed) if key == "autoencoder" else tuple(map(float, parsed))
         except ValueError as exc:
             raise ConfigError(f"grid key {key!r}: {exc}") from exc
-        unknown = sorted(set(grid[key]) - set(SWEEP_GRID[key])) if key == "autoencoder" else ()
-        if unknown:
-            raise ConfigError(f"unknown autoencoder cell {unknown}; options: {SWEEP_GRID[key]}")
     for key, default in SWEEP_GRID.items():
         grid.setdefault(key, default)
     return grid
@@ -291,17 +290,19 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     keys = sorted(grid)
     points = [dict(zip(keys, values)) for values in itertools.product(*(grid[k] for k in keys))]
+    runs = []
+    for point in points:
+        tag = "_".join(f"{k}={point[k]}" for k in keys)
+        try:
+            weights = replace(base.weights, **{k: v for k, v in point.items() if k != "autoencoder"})
+            model = replace(base.model, recon_cell=point["autoencoder"])
+        except ValueError as exc:
+            raise ConfigError(f"grid point {tag}: {exc}") from exc
+        runs.append((tag, f"sweep-{tag}", replace(base, weights=weights, model=model)))
     print(f"sweep grid: {len(points)} points x {len(base.seeds)} seeds")
     if not args.confirm:
         print("pass --confirm to launch", file=sys.stderr)
         return 2
-
-    runs = []
-    for point in points:
-        tag = "_".join(f"{k}={point[k]}" for k in keys)
-        weights = replace(base.weights, **{k: v for k, v in point.items() if k != "autoencoder"})
-        model = replace(base.model, recon_cell=point["autoencoder"])
-        runs.append((tag, f"sweep-{tag}", replace(base, weights=weights, model=model)))
 
     reports, rows = [], []
     for report, point in zip(_run_rows(base, data_dir, out_dir, jobs, runs, latents=False), points):

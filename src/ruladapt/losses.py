@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .model import _xavier
+from .serialization import check_fields
 
 
 @dataclass(frozen=True)
@@ -29,14 +30,17 @@ class KernelSpec:
     bandwidth_mode: str = "median_heuristic"  # or "fixed"
     bandwidth: float | None = None  # sigma, used in fixed mode
 
+    RULES = (
+        ("family", str, lambda v: v == "rbf", "be 'rbf'"),
+        ("bandwidth_mode", str, lambda v: v in ("median_heuristic", "fixed"),
+         "be 'median_heuristic' or 'fixed'"),
+        ("bandwidth", float, lambda v: v > 0, "be > 0"),
+    )
+
     def __post_init__(self):
-        if self.family != "rbf":
-            raise ValueError(f"unsupported kernel family {self.family!r}")
-        if self.bandwidth_mode not in ("median_heuristic", "fixed"):
-            raise ValueError(f"unknown bandwidth mode {self.bandwidth_mode!r}")
-        if self.bandwidth_mode == "fixed":
-            if self.bandwidth is None or self.bandwidth <= 0:
-                raise ValueError("fixed mode requires a positive bandwidth")
+        check_fields(self, self.RULES)
+        if self.bandwidth_mode == "fixed" and self.bandwidth is None:
+            raise ValueError("fixed mode requires a bandwidth")
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,11 @@ class LossWeights:
     gamma_noise: float = 0.1
     da_start_iteration: int = 200
 
+    RULES = (("lambda_m lambda_r lambda_s gamma_noise", float, lambda v: v >= 0, "be >= 0"),
+             ("da_start_iteration", int, lambda v: v >= 0, "be >= 0"))
+
     def __post_init__(self):
-        for name in ("lambda_m", "lambda_r", "lambda_s", "gamma_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.da_start_iteration < 0:
-            raise ValueError("da_start_iteration must be non-negative")
+        check_fields(self, self.RULES)
 
 
 def rul_mse(y_hat: Tensor, y: Tensor) -> Tensor:
@@ -130,8 +133,6 @@ def smooth_loss(
     call; gradients flow through both branches.  `clean` is F(C) when the
     caller already has it (the forward pass's prediction); otherwise it is
     computed here."""
-    if gamma_noise < 0:
-        raise ValueError("gamma_noise must be non-negative")
     delta = rng.standard_normal(size=c.shape)
     perturbed = ad.add(c, ad.constant(gamma_noise * delta))
     if clean is None:
@@ -179,7 +180,8 @@ def dann_loss(
     discriminator: DomainDiscriminator,
     reversal_weight: float,
 ) -> Tensor:
-    """Binary cross-entropy of domain prediction (source=1, target=0).
+    """Binary cross-entropy of domain prediction (source=1, target=0), taken
+    with `log_sigmoid` so that it stays finite for any finite logit.
 
     The bottleneck inputs pass through a gradient-reversal layer, so the
     discriminator trains to separate domains while the feature path receives
@@ -188,8 +190,8 @@ def dann_loss(
     z_s = discriminator.logits(ad.grad_reverse(c_s, reversal_weight))
     z_t = discriminator.logits(ad.grad_reverse(c_t, reversal_weight))
     n_total = c_s.shape[0] + c_t.shape[0]
-    nll_s = ad.scale(ad.tsum(ad.log(ad.sigmoid(z_s))), -1.0)
-    nll_t = ad.scale(ad.tsum(ad.log(ad.sigmoid(ad.scale(z_t, -1.0)))), -1.0)
+    nll_s = ad.scale(ad.tsum(ad.log_sigmoid(z_s)), -1.0)
+    nll_t = ad.scale(ad.tsum(ad.log_sigmoid(ad.scale(z_t, -1.0))), -1.0)
     return ad.scale(ad.add(nll_s, nll_t), 1.0 / n_total)
 
 

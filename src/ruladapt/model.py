@@ -21,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .serialization import check_fields
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,15 @@ class ModelConfig:
     recon_cell: str = "gru"  # gru | lstm | rnn
     recon_hidden: int = 1
 
+    RULES = (
+        ("n_features", int, lambda v: v >= 0, "be >= 0"),  # RunConfig reports an empty mask
+        ("window attn_dim n_heads n_encoder_layers n_decoder_layers ffn_dim squeeze_hidden "
+         "bottleneck head_dim recon_hidden", int, lambda v: v >= 1, "be >= 1"),
+        ("recon_cell", str, lambda v: v in ("gru", "lstm", "rnn"), "be 'gru', 'lstm' or 'rnn'"),
+    )
+
     def __post_init__(self):
+        check_fields(self, self.RULES)
         if self.attn_dim % self.n_heads:
             raise ValueError("attn_dim must be divisible by n_heads")
         if self.bottleneck >= self.latent_dim:
@@ -46,8 +55,6 @@ class ModelConfig:
                 f"bottleneck {self.bottleneck} must be smaller than the "
                 f"latent width {self.latent_dim}"
             )
-        if self.recon_cell not in ("gru", "lstm", "rnn"):
-            raise ValueError(f"unknown reconstruction cell {self.recon_cell!r}")
 
     @property
     def latent_dim(self) -> int:

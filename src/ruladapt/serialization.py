@@ -4,12 +4,14 @@ Layout: magic, little-endian uint64 header length, a canonical JSON header
 (``{"meta": ..., "arrays": [{name, dtype, shape}, ...]}`` with sorted keys),
 then the raw array buffers concatenated in manifest order.  Identical content
 always produces identical bytes, so file hashes double as content hashes.
+The config classes take their hash and their field checks from here too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -26,6 +28,36 @@ def canonical_json(obj) -> str:
 def config_hash(obj) -> str:
     """sha256 over the canonical JSON rendering of a config mapping."""
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
+# A config field's kinds: the words its error message uses, and its test.
+# A bool (YAML reads `true` as one) is neither an int nor a float.
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list of integers",
+           lambda v: isinstance(v, (list, tuple)) and all(map(_KINDS[int][1], v))),
+}
+
+
+def check_fields(obj, rules) -> None:
+    """Raise ValueError at the first field of the dataclass `obj` that breaks
+    its rule (names, kind, test, text); `names` holds one or more field names.
+    A field whose default is None may be None; any other value must be of
+    `kind`, pass `test` and, if a float, be finite."""
+    for names, kind, test, text in rules:
+        for name in names.split():
+            value = getattr(obj, name)
+            if value is None and obj.__dataclass_fields__[name].default is None:
+                continue
+            if not _KINDS[kind][1](value):
+                raise ValueError(f"{name} must be {_KINDS[kind][0]}, got {value!r}")
+            if not test(value):
+                shown = list(value) if isinstance(value, tuple) else value
+                raise ValueError(f"{name} must {text}, got {shown!r}")
+            if kind is float and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @contextmanager

@@ -40,7 +40,8 @@ from .losses import (
     smooth_loss,
 )
 from .model import Model, ModelConfig
-from .serialization import atomic_open, config_hash as _hash_dict, load_blob, save_blob, write_json
+from .serialization import atomic_open, check_fields, config_hash as _hash_dict, load_blob
+from .serialization import save_blob, write_json
 
 # What each variant trains: its adaptation terms in the order `train_step`
 # builds them, with default weights (`LossWeights` fields; the adversarial
@@ -76,11 +77,6 @@ def variant_weights(variant: str, *, gamma_noise: float = 0.1, da_start: int = 2
     return LossWeights(**lambdas, gamma_noise=gamma_noise, da_start_iteration=da_start)
 
 
-def _is_int(value) -> bool:
-    """An int that is not a bool (YAML reads `true` as one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     source_subset: str = "FD002"
@@ -103,42 +99,31 @@ class RunConfig:
     dann_weight: float = VARIANT_TERMS["dann"]["adversarial"]
     dann_hidden: int = 64
 
+    RULES = (
+        ("source_subset target_subset", str, bool, "be non-empty"),
+        ("variant", str, lambda v: v in VARIANTS, f"be one of {VARIANTS}"),
+        ("window epochs dann_hidden", int, lambda v: v >= 1, "be >= 1"),
+        ("lr_decay_start val_seed", int, lambda v: v >= 0, "be >= 0"),
+        ("batch_size", int, lambda v: v >= 2 and v % 2 == 0, "be even and >= 2"),
+        ("lr rc", float, lambda v: v > 0, "be > 0"),
+        ("lr_gamma", float, lambda v: 0 < v <= 1, "lie in (0, 1]"),
+        ("val_fraction", float, lambda v: 0 < v < 1, "lie in (0, 1)"),
+        ("dann_weight", float, lambda v: v >= 0, "be >= 0"),  # < 0 would aid the discriminator
+        ("seeds", list, lambda v: v and len(set(v)) == len(v), "be non-empty and distinct"),
+        ("seeds", list, lambda v: min(v) >= 0, "be >= 0"),
+        ("feature_mask", list, lambda v: v and all(0 <= i < N_FEATURES for i in v),
+         f"be non-empty with indices in 0..{N_FEATURES - 1}"),
+    )
+
     def __post_init__(self):
-        for name in ("window", "epochs", "batch_size", "lr_decay_start", "dann_hidden", "val_seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.batch_size % 2 or self.batch_size < 2:
-            raise ValueError("batch_size must be even and positive")
-        if self.epochs < 1 or self.lr <= 0:
-            raise ValueError("epochs must be >= 1 and lr positive")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        if not 0.0 < self.lr_gamma <= 1.0:
-            raise ValueError(f"lr_gamma must lie in (0, 1], got {self.lr_gamma}")
-        if self.lr_decay_start < 0:
-            raise ValueError(f"lr_decay_start must be >= 0, got {self.lr_decay_start}")
-        if self.dann_hidden < 1:
-            raise ValueError(f"dann_hidden must be >= 1, got {self.dann_hidden}")
-        if not self.dann_weight >= 0:  # a negative weight would cooperate with the discriminator
-            raise ValueError(f"dann_weight must be >= 0, got {self.dann_weight}")
-        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be non-empty and distinct, got {list(self.seeds)}")
+        check_fields(self, self.RULES)
         if self.model.window != self.window:
             raise ValueError(
                 f"model window {self.model.window} != run window {self.window}"
             )
-        if self.feature_mask is not None:
-            mask = self.feature_mask
-            if not isinstance(mask, (tuple, list)) or not all(_is_int(i) for i in mask):
-                raise ValueError(f"feature_mask must be a list of integers, got {mask!r}")
-            if not mask or not all(0 <= i < N_FEATURES for i in mask):
-                raise ValueError(f"feature_mask must be non-empty with indices in "
-                                 f"0..{N_FEATURES - 1}, got {list(mask)}")
-            if self.model.n_features != len(mask):
-                raise ValueError(f"model n_features {self.model.n_features} != "
-                                 f"mask width {len(mask)}")
+        if self.feature_mask is not None and self.model.n_features != len(self.feature_mask):
+            raise ValueError(f"model n_features {self.model.n_features} != "
+                             f"mask width {len(self.feature_mask)}")
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -174,12 +159,13 @@ def run_config_from_dict(payload: dict) -> RunConfig:
     """Build a RunConfig from plain data, rejecting unknown keys at every level."""
     payload = dict(payload)
     for key, cls in (("weights", LossWeights), ("model", ModelConfig), ("kernel", KernelSpec)):
-        if key in payload and isinstance(payload[key], dict):
+        if isinstance(payload.get(key), dict):
             payload[key] = _dataclass_from_dict(cls, payload[key])
-    if "seeds" in payload and payload["seeds"] is not None:
-        payload["seeds"] = tuple(payload["seeds"])
-    if isinstance(payload.get("feature_mask"), list):  # RunConfig rejects other types
-        payload["feature_mask"] = tuple(payload["feature_mask"])
+        elif key in payload and not isinstance(payload[key], cls):
+            raise ValueError(f"{key} must be a mapping, got {payload[key]!r}")
+    for key in ("seeds", "feature_mask"):
+        if isinstance(payload.get(key), list):  # RunConfig rejects other types
+            payload[key] = tuple(payload[key])
     return _dataclass_from_dict(RunConfig, payload)
 
 

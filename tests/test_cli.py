@@ -232,6 +232,16 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
          "feature_mask must be a list of integers, got (0, 1.5)"),
         ("train", ("--variant", "dann", *TOY_FAST), {"dann_weight": -1},
          "dann_weight must be >= 0, got -1"),
+        ("train", ("--seeds", "-1", *TOY_FAST), {}, "seeds must be >= 0, got [-1]"),
+        ("train", TOY_FAST, {"seeds": [1.5]}, "seeds must be a list of integers, got (1.5,)"),
+        ("train", TOY_FAST, {"seeds": [True]}, "seeds must be a list of integers, got (True,)"),
+        ("train", TOY_FAST, {"lr": float("nan")}, "lr must be > 0, got nan"),
+        ("train", TOY_FAST, {"rc": 0}, "rc must be > 0, got 0"),
+        ("train", TOY_FAST, {"val_fraction": 1.5}, "val_fraction must lie in (0, 1), got 1.5"),
+        ("train", ("--batch-size", "16"), {"model": {"n_heads": 2.0}},
+         "n_heads must be an integer, got 2.0"),
+        ("train", ("--batch-size", "16"), {"model": {"recon_hidden": 0}},
+         "recon_hidden must be >= 1, got 0"),
     ],
     ids=["unknown-preset", "model-window-conflict", "toy-flag-mask", "toy-file-mask",
          "toy-model", "desk-model", "seeds-not-int", "window-zero", "window-negative",
@@ -240,7 +250,9 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
          "lr-gamma-above-1", "lr-gamma-zero", "lr-decay-start-negative", "dann-hidden-zero",
          "mask-empty", "mask-out-of-range", "mask-negative", "toy-file-mask-empty",
          "window-fraction", "epochs-fraction", "epochs-bool", "mask-not-list",
-         "mask-fraction", "dann-weight-negative"],
+         "mask-fraction", "dann-weight-negative", "seeds-negative", "seeds-fraction",
+         "seeds-bool", "lr-nan", "rc-zero", "val-fraction-above-1", "n-heads-float",
+         "recon-hidden-zero"],
 )
 def test_config_errors_exit_2_before_any_work(
     command, flags, file_cfg, message, cmapss_tiny_dir, tmp_path, capsys
@@ -257,6 +269,42 @@ def test_config_errors_exit_2_before_any_work(
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err, err
+    assert not out.exists()
+
+
+BAD_FILE_VALUES = [  # fields of each kind from each config class, and its mappings
+    ({"epochs": 2.5}, "epochs"),
+    ({"lr": float("inf")}, "lr"),
+    ({"seeds": "abc"}, "seeds"),
+    ({"feature_mask": [True]}, "feature_mask"),
+    ({"val_seed": -1}, "val_seed"),
+    ({"weights": {"lambda_m": float("nan")}}, "lambda_m"),
+    ({"weights": {"gamma_noise": float("inf")}}, "gamma_noise"),
+    ({"weights": {"da_start_iteration": 2.5}}, "da_start_iteration"),
+    ({"kernel": {"bandwidth_mode": ""}}, "bandwidth_mode"),
+    ({"kernel": {"bandwidth_mode": "fixed", "bandwidth": float("nan")}}, "bandwidth"),
+    ({"kernel": {"family": "laplace"}}, "family"),
+    ({"model": {"attn_dim": True}}, "attn_dim"),
+    ({"model": {"recon_cell": 5}}, "recon_cell"),
+    ({"weights": 5}, "weights"),
+    ({"kernel": None}, "kernel"),
+    ({"model": [1]}, "model"),
+]
+
+
+@pytest.mark.parametrize("file_cfg, field", BAD_FILE_VALUES,
+                         ids=[field for _, field in BAD_FILE_VALUES])
+def test_bad_file_value_exits_2_before_reading_data(file_cfg, field, tmp_path, capsys):
+    """With a data directory that does not exist, the error names the bad
+    field, not the missing file: the config is checked before any data is
+    read, and nothing is created."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(file_cfg))
+    out = tmp_path / "runs"
+    rc = run_cli("train", "--source", "FD001", "--target", "FD002", "--config", cfg,
+                 "--data-dir", tmp_path / "missing", "--out-dir", out)
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith(f"error: {field} must "), err
     assert not out.exists()
 
 
@@ -551,7 +599,10 @@ def test_sweep_rejects_unknown_grid_key(cmapss_tiny_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "grid, named", [("lambda_m=", "lambda_m"), ("autoencoder=gru,transformer", "transformer")],
+    "grid, named",
+    [("lambda_m=", "lambda_m"), ("autoencoder=gru,transformer", "transformer"),
+     ("lambda_m=0.1,-1", "lambda_m must be >= 0, got -1.0"),
+     ("gamma_noise=nan", "gamma_noise must be >= 0, got nan")],
 )
 def test_sweep_rejects_a_bad_grid_before_training(cmapss_tiny_dir, tmp_path, capsys, grid, named):
     out = tmp_path / "runs"

@@ -373,6 +373,25 @@ def test_dann_loss_is_ln2_for_uninformative_classifier():
     assert dann_loss(c_s, c_t, disc, 0.2).item() == pytest.approx(math.log(2.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("bias", [-800.0, 800.0])
+def test_dann_loss_is_finite_for_saturated_logits(bias):
+    """At logits near -800 or +800 the sigmoid rounds to 0 or 1, where
+    log(sigmoid(z)) is -inf; the loss is about 800 per misclassified row,
+    and every gradient stays finite."""
+    rng = np.random.default_rng(31)
+    disc = DomainDiscriminator(4, 8, rng)
+    disc.params["disc.2.b"].data[:] = bias
+    c_s = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    c_t = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    loss = dann_loss(c_s, c_t, disc, 0.2)
+    wrong = 6 if bias < 0 else 5  # source rows are labelled 1, target rows 0
+    assert loss.item() == pytest.approx(800.0 * wrong / 11, rel=0.01)
+    backward(loss)
+    for grad in (c_s.grad, c_t.grad, *(p.grad for p in disc.params.values())):
+        assert np.isfinite(grad).all()
+    assert np.abs((c_s if bias < 0 else c_t).grad).max() > 0  # the misclassified stream
+
+
 def test_dann_extractor_gradient_is_reversed_and_scaled():
     rng = np.random.default_rng(29)
     disc = DomainDiscriminator(4, 8, rng)

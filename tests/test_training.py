@@ -1,15 +1,21 @@
+import dataclasses
 import errno
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruladapt import autodiff as ad
 from ruladapt import training
 from ruladapt.autodiff import Tensor, backward
 from ruladapt.data import stack_windows
 from ruladapt.losses import (
+    KernelSpec,
+    LossWeights,
     composite_loss,
     coral_loss,
     dann_loss,
@@ -18,10 +24,11 @@ from ruladapt.losses import (
     rul_mse,
     smooth_loss,
 )
-from ruladapt.model import Model, toy_model_config
+from ruladapt.model import Model, ModelConfig, toy_model_config
 from ruladapt.training import (
     VARIANTS,
     Adam,
+    RunConfig,
     TrainingAbort,
     epoch_plan,
     init_state,
@@ -114,6 +121,50 @@ def test_run_config_roundtrip_and_unknown_key_rejection():
     bad_nested["model"]["bogus"] = 2
     with pytest.raises(ValueError, match="unknown"):
         run_config_from_dict(bad_nested)
+
+
+# Each config class and the key of its mapping in a run config's dict.
+CONFIG_SECTIONS = {RunConfig: None, LossWeights: "weights", ModelConfig: "model",
+                   KernelSpec: "kernel"}
+# Values that break every rule of their kind in the classes' `RULES`: the
+# wrong kind, or out of range for each of them.  NaN, the infinities and the
+# bools break every rule of every kind.
+BAD_VALUES = {
+    int: (2.5, "abc", -1),
+    float: ("abc", -1),
+    str: (5, ""),
+    list: ("abc", 5, [1.5], [True], [-1], []),
+}
+BAD_FOR_ANY_KIND = (float("nan"), float("inf"), float("-inf"), True, False)
+RULED_FIELDS = [(cls, name, kind) for cls in CONFIG_SECTIONS
+                for names, kind, _, _ in cls.RULES for name in names.split()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(RULED_FIELDS).flatmap(lambda ruled: st.tuples(
+    st.just(ruled), st.sampled_from(BAD_VALUES[ruled[2]] + BAD_FOR_ANY_KIND))))
+def test_every_bad_field_value_is_rejected_naming_the_field(case):
+    """One field of any config class, set to a value that breaks its rule in
+    an otherwise valid run config's dict: building it is a ValueError that
+    starts with the field's name."""
+    (cls, name, _), value = case
+    payload = toy_config().to_dict()
+    section = CONFIG_SECTIONS[cls]
+    (payload if section is None else payload[section])[name] = value
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must "):
+        run_config_from_dict(payload)
+
+
+def test_every_config_field_has_a_rule():
+    """A field that no rule names and that is not a nested config would skip
+    validation; every rule names a field."""
+    for cls in CONFIG_SECTIONS:
+        names = {f.name for f in dataclasses.fields(cls)}
+        ruled = {name for rule in cls.RULES for name in rule[0].split()}
+        assert ruled <= names, f"{cls.__name__} rules name no field {sorted(ruled - names)}"
+        for f in dataclasses.fields(cls):
+            assert f.name in ruled or f.default_factory in CONFIG_SECTIONS, (
+                f"{cls.__name__}.{f.name} has no rule")
 
 
 # ---------------------------------------------------------------------------
