@@ -11,13 +11,14 @@ it on entry.
 
 The primitive set is deliberately small: elementwise arithmetic, batched
 matmul (numpy's, no GEMM special case), shape ops, reductions, the usual
-activations, and two distance helpers (`sqnorm`, `pairwise_sqdist`) that the
-kernel losses build on.  Fused primitives with hand-written VJPs stand in
-for the chains of primitives they would take composed, one graph node each:
-`linear` (affine map, one GEMM over all leading rows), `mlp` (two affine
-maps around a ReLU applied in place), `add_layer_norm` (residual add + layer
-norm), `self_attention` (multi-head, over packed q/k/v), `single_query_attention` (one query per row with the key and value
-maps absorbed) and `gru_sequence` (a whole GRU unroll with output feedback).
+activations and the squared norm `sqnorm`.  Fused primitives with
+hand-written VJPs stand in for the chains of primitives they would take
+composed, one graph node each: `linear` (affine map, one GEMM over all
+leading rows), `mlp` (two affine maps around a ReLU applied in place),
+`add_layer_norm` (residual add + layer norm), `self_attention` (multi-head,
+over packed q/k/v), `single_query_attention` (one query per row with the key
+and value maps absorbed), `gru_sequence` (a whole GRU unroll with output
+feedback) and `rbf_mmd2` (the biased RBF-kernel MMD^2 of two row sets).
 `grad_reverse` is the identity forward / sign-flipped backward used by the
 adversarial baseline.  The finite-difference `grad_check` that verifies
 every VJP lives with the tests, in `tests/gradtools.py`.
@@ -290,15 +291,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
 def square(a: Tensor) -> Tensor:
     return _make(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
 
@@ -550,7 +542,7 @@ def gru_sequence(
 
 
 # ---------------------------------------------------------------------------
-# distance helpers
+# distances and the kernel discrepancy
 
 def sqnorm(a: Tensor) -> Tensor:
     """Squared L2 norm over all elements (scalar output)."""
@@ -559,31 +551,51 @@ def sqnorm(a: Tensor) -> Tensor:
     )
 
 
-def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
+def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """D[i, j] = ||a_i - b_j||^2 for row sets a (n, d) and b (m, d).
 
-    The forward pass uses explicit differences (no a^2+b^2-2ab cancellation),
+    It uses explicit differences (no a^2+b^2-2ab cancellation),
     so values agree with a double loop to machine precision.  They are
     formed for blocks of rows of a whose (rows, m, d) slab fits in
     _BLOCK_BYTES, so no (n, m, d) array is built.
     """
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise GraphError(f"pairwise_sqdist expects (n, d), (m, d); got {a.shape}, {b.shape}")
-    out = np.empty((len(a.data), len(b.data)))
-    step = max(1, _BLOCK_BYTES // (8 * b.data.size))
+    out = np.empty((len(a), len(b)))
+    step = max(1, _BLOCK_BYTES // (8 * b.size))
     diff = np.empty((min(step, len(out)),) + b.shape)
     for i in range(0, len(out), step):
         rows = diff[: len(out) - i]
-        np.subtract(a.data[i : i + step, None, :], b.data, out=rows)
+        np.subtract(a[i : i + step, None, :], b, out=rows)
         rows *= rows
         rows.sum(axis=2, out=out[i : i + step])
+    return out
+
+
+def rbf_mmd2(a: Tensor, b: Tensor, sigma_sq: Callable[[np.ndarray], float]) -> Tensor:
+    """Biased MMD^2 of row sets a (n, d) and b (m, d) with the RBF kernel
+    K = exp(-D / (2 sigma^2)) over the squared distances D of z = [a; b]:
+    (1/n^2) sum K_aa + (1/m^2) sum K_bb - (2/nm) sum K_ab.  `sigma_sq(D)` is
+    a constant for the gradient; only K and z are kept for the VJP."""
+    n, m = len(a.data), len(b.data)
+    z = np.concatenate([a.data, b.data])
+    k = _sqdist(z, z)
+    c = -0.5 / sigma_sq(k)
+    k *= c
+    np.exp(k, out=k)
+    w_aa, w_bb, w_ab = 1.0 / (n * n), 1.0 / (m * m), -2.0 / (n * m)
+    value = (k[:n, :n].sum() * w_aa + k[n:, n:].sum() * w_bb) + k[:n, n:].sum() * w_ab
 
     def vjp(g):
-        ga = 2.0 * (g.sum(axis=1)[:, None] * a.data - g @ b.data)
-        gb = 2.0 * (g.sum(axis=0)[:, None] * b.data - g.T @ a.data)
-        return ga, gb
+        gk = np.zeros_like(k)
+        gk[:n, :n] = g * w_aa
+        gk[n:, n:] = g * w_bb
+        gk[:n, n:] = g * w_ab
+        gk *= k
+        gk *= c
+        gz = 2.0 * (gk.sum(axis=1)[:, None] * z - gk @ z)
+        gz += 2.0 * (gk.sum(axis=0)[:, None] * z - gk.T @ z)
+        return gz[:n], gz[n:]
 
-    return _make(out, (a, b), vjp)
+    return _make(np.asarray(value), (a, b), vjp)
 
 
 def grad_reverse(a: Tensor, weight: float = 1.0) -> Tensor:

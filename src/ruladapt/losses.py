@@ -67,11 +67,10 @@ def rul_mse(y_hat: Tensor, y: Tensor) -> Tensor:
     return ad.tmean(ad.square(ad.sub(y_hat, y)))
 
 
-def _sigma_sq(sqdists: np.ndarray, n_total: int, spec: KernelSpec) -> float:
+def _sigma_sq(sqdists: np.ndarray, spec: KernelSpec) -> float:
     if spec.bandwidth_mode == "fixed":
         return float(spec.bandwidth) ** 2
-    off_diag = sqdists[~np.eye(n_total, dtype=bool)]
-    median = float(np.median(off_diag)) if off_diag.size else 0.0
+    median = float(np.median(sqdists[~np.eye(len(sqdists), dtype=bool)]))
     if median <= 0.0:
         return 0.5  # degenerate batch (all rows identical); 2 sigma^2 = 1
     return 0.5 * median
@@ -80,33 +79,20 @@ def _sigma_sq(sqdists: np.ndarray, n_total: int, spec: KernelSpec) -> float:
 def mmd2(a: Tensor, b: Tensor, spec: KernelSpec) -> Tensor:
     """Biased squared-MMD estimate between row sets a (n, d) and b (m, d).
 
-    Computed from a single pairwise-squared-distance matrix over the
+    One `rbf_mmd2` node over the pairwise squared distances of the
     concatenated batch:
       (1/n^2) sum k(a_i, a_j) + (1/m^2) sum k(b_i, b_j) - (2/nm) sum k(a_i, b_j).
     Differentiable w.r.t. both inputs; the bandwidth is a constant.
     """
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise ValueError(f"row sets must share width, got {a.shape} and {b.shape}")
-    n, m = a.shape[0], b.shape[0]
-    if n < 1 or m < 1:
+    if a.shape[0] < 1 or b.shape[0] < 1:
         raise ValueError("both sample sets must be non-empty")
-    z = ad.concat([a, b], axis=0)
-    sqd = ad.pairwise_sqdist(z, z)
-    sigma_sq = _sigma_sq(sqd.data, n + m, spec)
-    k = ad.exp(ad.scale(sqd, -0.5 / sigma_sq))
-    k_aa = ad.tsum(k[:n, :n])
-    k_bb = ad.tsum(k[n:, n:])
-    k_ab = ad.tsum(k[:n, n:])
-    return ad.add(
-        ad.add(ad.scale(k_aa, 1.0 / (n * n)), ad.scale(k_bb, 1.0 / (m * m))),
-        ad.scale(k_ab, -2.0 / (n * m)),
-    )
+    return ad.rbf_mmd2(a, b, lambda D: _sigma_sq(D, spec))
 
 
 def latent_mmd(c_s: Tensor, c_t: Tensor, o_s: Tensor, o_t: Tensor, spec: KernelSpec) -> Tensor:
     """Sum of the bottleneck-level and pre-head-level discrepancies."""
-    if c_s.shape[1] != c_t.shape[1] or o_s.shape[1] != o_t.shape[1]:
-        raise ValueError("latent widths differ between the two streams")
     return ad.add(mmd2(c_s, c_t, spec), mmd2(o_s, o_t, spec))
 
 

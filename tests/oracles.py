@@ -9,6 +9,12 @@ replacements are checked against.
 - The elementwise `div` and `sqrt` primitives, which only the composed
   layer-norm oracle uses; they stay in the gradient checks of every
   primitive.
+- `composed_mmd2`, the RBF-MMD^2 graph of 15 primitives that the fused
+  `rbf_mmd2` node must match bitwise, and its building blocks: the
+  `pairwise_sqdist` node over the blocked `_sqdist` loop, with its own VJP,
+  and the elementwise `exp`.  `log` builds the composed cross-entropy that
+  `log_sigmoid` replaced.  All three stay in the gradient checks of every
+  primitive.
 - The row-by-row flat-file parser (`parse_trajectory_file`,
   `parse_rul_file`) and the per-window label `rul_label`, which the bulk
   numpy parse and window labelling in `ruladapt.data` must match bitwise.
@@ -20,8 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ruladapt.autodiff import Tensor, _make, _unbroadcast
+from ruladapt import autodiff as ad
+from ruladapt.autodiff import GraphError, Tensor, _make, _unbroadcast
 from ruladapt.data import N_COLUMNS, N_SETTINGS, IntegrityError, ParseError, Trajectory
+from ruladapt.losses import KernelSpec, _sigma_sq
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -38,6 +46,45 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 def sqrt(a: Tensor) -> Tensor:
     out = np.sqrt(a.data)
     return _make(out, (a,), lambda g: (g * 0.5 / out,))
+
+
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return _make(out, (a,), lambda g: (g * out,))
+
+
+def log(a: Tensor) -> Tensor:
+    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
+    """D[i, j] = ||a_i - b_j||^2 for row sets a (n, d) and b (m, d)."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise GraphError(f"pairwise_sqdist expects (n, d), (m, d); got {a.shape}, {b.shape}")
+
+    def vjp(g):
+        ga = 2.0 * (g.sum(axis=1)[:, None] * a.data - g @ b.data)
+        gb = 2.0 * (g.sum(axis=0)[:, None] * b.data - g.T @ a.data)
+        return ga, gb
+
+    return _make(ad._sqdist(a.data, b.data), (a, b), vjp)
+
+
+def composed_mmd2(a: Tensor, b: Tensor, spec: KernelSpec) -> Tensor:
+    """Biased RBF-MMD^2 of row sets a (n, d) and b (m, d) as a graph of
+    primitives: concat, pairwise_sqdist, scale, exp, three slices, three
+    sums and five scale/add nodes."""
+    n, m = a.shape[0], b.shape[0]
+    z = ad.concat([a, b], axis=0)
+    sqd = pairwise_sqdist(z, z)
+    k = exp(ad.scale(sqd, -0.5 / _sigma_sq(sqd.data, spec)))
+    k_aa = ad.tsum(k[:n, :n])
+    k_bb = ad.tsum(k[n:, n:])
+    k_ab = ad.tsum(k[:n, n:])
+    return ad.add(
+        ad.add(ad.scale(k_aa, 1.0 / (n * n)), ad.scale(k_bb, 1.0 / (m * m))),
+        ad.scale(k_ab, -2.0 / (n * m)),
+    )
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -46,7 +46,7 @@ from ruladapt.training import init_state, make_run_config, run_single_seed, trai
 
 from gradtools import flat_loss_fn, grad_check, split_flat
 from helpers import denormalize, fit_normalization, make_toy_domains, normalize, tiny_model_config
-from oracles import div, rul_label, sqrt
+from oracles import div, exp, log, pairwise_sqdist, rul_label, sqrt
 from windowing import make_windows
 
 GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))
@@ -97,8 +97,8 @@ def test_criterion_1_gradient_fidelity():
         "broadcast": (lambda x: ad.tsum(ad.square(ad.broadcast_to(x, (2, 3, 4)))), a),
         "sum": (lambda x: ad.tsum(ad.square(ad.tsum(x, axis=0))), a),
         "mean": (lambda x: ad.tsum(ad.square(ad.tmean(x, axis=1))), a),
-        "exp": (lambda x: ad.tsum(ad.exp(x)), a),
-        "log": (lambda x: ad.tsum(ad.log(x)), pos),
+        "exp": (lambda x: ad.tsum(exp(x)), a),
+        "log": (lambda x: ad.tsum(log(x)), pos),
         "sqrt": (lambda x: ad.tsum(sqrt(x)), pos),
         "square": (lambda x: ad.tsum(ad.square(x)), a),
         "sigmoid": (lambda x: ad.tsum(ad.sigmoid(x)), a),
@@ -123,7 +123,7 @@ def test_criterion_1_gradient_fidelity():
             rng.uniform(-1, 1, size=sum(int(np.prod(s)) for s in SQA_SHAPES)),
         ),
         "pairwise_sqdist": (
-            lambda x: ad.tsum(ad.square(ad.pairwise_sqdist(x, Tensor(m.T)))),
+            lambda x: ad.tsum(ad.square(pairwise_sqdist(x, Tensor(m.T)))),
             safe(3, 4),
         ),
         "linear": (lambda x: ad.tsum(ad.square(ad.linear(x, Tensor(m), Tensor(m[0])))), a),
@@ -136,6 +136,11 @@ def test_criterion_1_gradient_fidelity():
         "gru_sequence": (
             lambda x: ad.tsum(ad.square(ad.gru_sequence(*split_flat(x, GRU_SHAPES), steps=3))),
             rng.uniform(-1, 1, size=sum(int(np.prod(s)) for s in GRU_SHAPES)),
+        ),
+        # both row sets (3 and 5 rows, width 4) in one vector, sigma^2 fixed
+        "rbf_mmd2": (
+            lambda x: ad.rbf_mmd2(*split_flat(x, ((3, 4), (5, 4))), lambda D: 2.0),
+            rng.uniform(-1, 1, size=32),
         ),
     }
     worst_name, worst = "", 0.0

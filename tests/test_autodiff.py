@@ -5,8 +5,11 @@ are kept away from relu kinks and log/sqrt singularities so the numerical
 oracle itself is trustworthy.
 """
 
+import ast
+import inspect
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from ruladapt import autodiff as ad
 from ruladapt.autodiff import Tensor, backward
 
 from gradtools import grad_check, split_flat
-from oracles import attention, div, layer_norm, softmax, sqrt
+from oracles import attention, div, exp, layer_norm, log, pairwise_sqdist, softmax, sqrt
 
 
 def rand(rng, *shape, low=-2.0, high=2.0):
@@ -147,7 +150,7 @@ def test_matmul_shape_mismatch_raises():
 
 def test_pairwise_sqdist_dimension_mismatch_raises():
     with pytest.raises(ad.GraphError):
-        ad.pairwise_sqdist(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
+        pairwise_sqdist(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +218,8 @@ def _primitive_cases(rng):
         ("sum_keepdims", lambda x: ad.tsum(ad.square(ad.tsum(x, axis=0, keepdims=True))), a23),
         ("mean", lambda x: ad.tmean(ad.square(x)), a23),
         ("mean_axis", lambda x: ad.tsum(ad.square(ad.tmean(x, axis=1))), a23),
-        ("exp", lambda x: ad.tsum(ad.exp(x)), a23),
-        ("log", lambda x: ad.tsum(ad.log(x)), pos),
+        ("exp", lambda x: ad.tsum(exp(x)), a23),
+        ("log", lambda x: ad.tsum(log(x)), pos),
         ("sqrt", lambda x: ad.tsum(sqrt(x)), pos),
         ("square", lambda x: ad.tsum(ad.square(x)), a23),
         ("sigmoid", lambda x: ad.tsum(ad.sigmoid(x)), a23),
@@ -265,13 +268,18 @@ def _primitive_cases(rng):
         ),
         (
             "pairwise_sqdist_a",
-            lambda x: ad.tsum(ad.square(ad.pairwise_sqdist(x, Tensor(m34.T)))),
+            lambda x: ad.tsum(ad.square(pairwise_sqdist(x, Tensor(m34.T)))),
             rand(rng, 2, 3),
         ),
         (
             "pairwise_sqdist_b",
-            lambda x: ad.tsum(ad.square(ad.pairwise_sqdist(Tensor(m34.T), x))),
+            lambda x: ad.tsum(ad.square(pairwise_sqdist(Tensor(m34.T), x))),
             rand(rng, 2, 3),
+        ),
+        (
+            "rbf_mmd2",
+            lambda x: ad.rbf_mmd2(*split_flat(x, ((2, 3), (4, 3))), lambda D: 1.3),
+            rand(rng, 18),
         ),
         # grad_reverse is deliberately not VJP-faithful; its contract is the
         # explicit sign/scale equality tested above.
@@ -451,7 +459,7 @@ def test_row_blocks_change_no_bit(n_heads, d, monkeypatch):
             results += [value, *grads]
         for other in (a, b):
             monkeypatch.setattr(ad, "_BLOCK_BYTES", rows * 8 * other.size)
-            results.append(ad.pairwise_sqdist(Tensor(a), Tensor(other)).data)
+            results.append(pairwise_sqdist(Tensor(a), Tensor(other)).data)
         return results
 
     whole = run(n)
@@ -502,7 +510,7 @@ def test_pairwise_sqdist_peak_memory_is_output_plus_blocks():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = ad.pairwise_sqdist(a, a)
+        out = pairwise_sqdist(a, a)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -567,3 +575,44 @@ def test_no_grad_suppresses_graph_recording():
     with ad.no_grad():
         y = ad.square(x)
     assert not y.requires_grad and y._parents == ()
+
+
+# ---------------------------------------------------------------------------
+# the primitive set holds only what the program uses
+
+def _autodiff_uses(path: Path) -> set[str]:
+    """Names of autodiff members that `path` refers to outside a def of the
+    same name: attributes of the module under an import alias, names
+    imported from it, and, in autodiff itself, every bare name."""
+    tree = ast.parse(path.read_text())
+    own = path.name == "autodiff.py"
+    aliases, imported = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "autodiff":
+                    aliases.add(alias.asname or alias.name)
+                elif (node.module or "").endswith("autodiff"):
+                    imported[alias.asname or alias.name] = alias.name
+    uses = set()
+    for stmt in tree.body:
+        enclosing = stmt.name if own and isinstance(stmt, ast.FunctionDef) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in aliases:
+                name = node.attr
+            elif isinstance(node, ast.Name) and (own or node.id in imported):
+                name = imported.get(node.id, node.id)
+            else:
+                continue
+            if name != enclosing:
+                uses.add(name)
+    return uses
+
+
+def test_every_public_primitive_is_used_by_the_program():
+    """A primitive only the tests call belongs in tests/oracles.py."""
+    public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+              if not name.startswith("_") and fn.__module__ == ad.__name__}
+    used = set().union(*(_autodiff_uses(path) for path in Path(ad.__file__).parent.glob("*.py")))
+    assert public <= used, sorted(public - used)

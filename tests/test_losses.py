@@ -24,6 +24,7 @@ from ruladapt.losses import (
 from ruladapt.model import toy_model_config
 
 from gradtools import grad_check
+from oracles import composed_mmd2, log
 
 FIXED = KernelSpec(bandwidth_mode="fixed", bandwidth=1.0)
 MEDIAN = KernelSpec()
@@ -160,6 +161,30 @@ def test_mmd2_rejects_width_mismatch_and_bad_bandwidth():
         KernelSpec(bandwidth_mode="fixed", bandwidth=-1.0)
 
 
+def _mmd2_value_and_grads(fn, a, b, spec):
+    ta, tb = Tensor(a.copy(), requires_grad=True), Tensor(b.copy(), requires_grad=True)
+    out = fn(ta, tb, spec)
+    backward(out)
+    return out.data, ta.grad, tb.grad
+
+
+@pytest.mark.parametrize("spec", [MEDIAN, KernelSpec(bandwidth_mode="fixed", bandwidth=1.7)],
+                         ids=["median", "fixed"])
+def test_mmd2_node_matches_composed_graph_bitwise(spec):
+    """The fused node runs the composed graph's arithmetic in its order:
+    value and both gradients are equal to the last bit, b with 3 more rows
+    than a, and on identical rows, where the median falls back to 0.5."""
+    rng = np.random.default_rng(16)
+    cases = [(rng.normal(size=(n, d)), rng.normal(loc=0.3, size=(n + 3, d)))
+             for n, d in ((64, 200), (64, 32), (37, 16), (5, 3), (1, 4))]
+    cases.append((np.ones((6, 4)), np.ones((6, 4))))
+    for a, b in cases:
+        got = _mmd2_value_and_grads(mmd2, a, b, spec)
+        want = _mmd2_value_and_grads(composed_mmd2, a, b, spec)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w, err_msg=f"{a.shape}, {b.shape}")
+
+
 def test_mmd2_gradient_check_fixed_bandwidth():
     rng = np.random.default_rng(12)
     b = rng.normal(size=(5, 3))
@@ -197,6 +222,22 @@ def test_latent_mmd_rejects_stream_width_mismatch():
             Tensor(np.ones((3, 4))), Tensor(np.ones((3, 5))),
             Tensor(np.ones((3, 2))), Tensor(np.ones((3, 2))), MEDIAN,
         )
+    with pytest.raises(ValueError):
+        latent_mmd(
+            Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))),
+            Tensor(np.ones((3, 2))), Tensor(np.ones((3, 3))), MEDIAN,
+        )
+
+
+def _interior_nodes(loss: Tensor) -> int:
+    return sum(1 for node in ad._topo_order(loss) if node._parents)
+
+
+def test_mmd2_is_one_node_and_latent_mmd_three():
+    rng = np.random.default_rng(15)
+    cs, ct, os_, ot = (Tensor(rng.normal(size=(5, 3)), requires_grad=True) for _ in range(4))
+    assert _interior_nodes(mmd2(cs, ct, MEDIAN)) == 1
+    assert _interior_nodes(latent_mmd(cs, ct, os_, ot, MEDIAN)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +450,8 @@ def test_dann_extractor_gradient_is_reversed_and_scaled():
             n = 12
             loss = ad.scale(
                 ad.add(
-                    ad.scale(ad.tsum(ad.log(ad.sigmoid(z_s))), -1.0),
-                    ad.scale(ad.tsum(ad.log(ad.sigmoid(ad.scale(z_t, -1.0)))), -1.0),
+                    ad.scale(ad.tsum(log(ad.sigmoid(z_s))), -1.0),
+                    ad.scale(ad.tsum(log(ad.sigmoid(ad.scale(z_t, -1.0)))), -1.0),
                 ),
                 1.0 / n,
             )

@@ -426,13 +426,14 @@ def test_forward_rows_follow_the_target_stream_readers(toy_domains, monkeypatch)
 
 def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
     """Interior graph nodes of one toy lamanet step with every term on:
-    exactly 152.
+    exactly 124.
 
     The same step took 770 nodes with the 16-step GRU unrolled into
     primitives and each bias add its own node, 250 with separate q/k/v
     GEMMs, four head split/merge nodes per attention, an `add` before each
-    layer norm and projected decoder keys and values, and 174 with each
-    ReLU MLP built as `linear`, `relu`, `linear`."""
+    layer norm and projected decoder keys and values, 174 with each ReLU
+    MLP built as `linear`, `relu`, `linear`, and 152 with the RBF-MMD
+    composed of 15 primitives."""
     source, target = toy_domains
     nodes = []
 
@@ -446,7 +447,7 @@ def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
     src_X, src_y = stack_windows(source.train_windows, range(16))
     tgt_X, _ = stack_windows(target.train_windows, range(16))
     train_step(state, src_X, src_y, tgt_X)
-    assert nodes == [152]
+    assert nodes == [124]
 
 
 def _key_biases_stay_put(toy_domains, select):
