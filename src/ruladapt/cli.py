@@ -72,7 +72,7 @@ def _load_config_file(path) -> dict:
         raise ConfigError(f"--config {path}: {exc}") from exc
     if not isinstance(payload, (dict, type(None))):
         raise ConfigError(f"{path}: config file must hold a mapping")
-    return {} if payload is None else payload
+    return {k: v for k, v in (payload or {}).items() if v is not None}  # null is unset
 
 
 def _pick(args, file_cfg: dict, key: str, default):

@@ -2,9 +2,9 @@
 
 Input files follow the turbofan benchmark layout: whitespace-separated rows
 of ``unit cycle setting_1..3 sensor_1..21`` plus a one-value-per-line file of
-true remaining cycles for each test engine.  Everything downstream works on
-per-trajectory feature matrices, so the same machinery also serves synthetic
-tasks with arbitrary feature counts.
+true remaining cycles for each test engine.  A parsed engine is one (T, 24)
+feature matrix, and everything downstream works on such matrices, so the
+same builder also serves synthetic tasks with other feature counts.
 """
 
 from __future__ import annotations
@@ -45,27 +45,21 @@ class SplitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """One engine's full cycle record; cycles are implicitly 1..T.  Records
-    compare by identity; compare their arrays to compare contents."""
+    """One engine's full cycle record as its (T, f) feature matrix, cycles
+    implicitly 1..T; a flat file's columns are the 3 settings, then the 21
+    sensors.  Records compare by identity; compare their arrays to compare
+    contents."""
 
     unit_id: int
-    op_settings: np.ndarray  # (T, 3)
-    sensors: np.ndarray  # (T, 21)
+    matrix: np.ndarray
 
     def __post_init__(self):
-        if self.op_settings.ndim != 2 or self.op_settings.shape[1] != N_SETTINGS:
-            raise IntegrityError(f"unit {self.unit_id}: op_settings must be (T, {N_SETTINGS})")
-        if self.sensors.ndim != 2 or self.sensors.shape[1] != N_SENSORS:
-            raise IntegrityError(f"unit {self.unit_id}: sensors must be (T, {N_SENSORS})")
-        if len(self.op_settings) != len(self.sensors) or len(self.sensors) == 0:
-            raise IntegrityError(f"unit {self.unit_id}: inconsistent or empty cycle record")
+        if self.matrix.ndim != 2 or self.matrix.size == 0:
+            raise IntegrityError(f"unit {self.unit_id}: matrix must be a non-empty (T, f) array")
 
     def features(self, mask: Sequence[int] | None = None) -> np.ndarray:
-        """(T, f) matrix of the selected columns (settings first, then sensors)."""
-        full = np.hstack([self.op_settings, self.sensors])
-        if mask is None:
-            return full
-        return full[:, list(mask)]
+        """The (T, f) matrix, or its `mask` columns."""
+        return self.matrix if mask is None else self.matrix[:, list(mask)]
 
 
 def _read_numeric_rows(path: Path, n_columns: int) -> np.ndarray:
@@ -121,10 +115,7 @@ def _group_trajectories(path: Path, rows: np.ndarray) -> list[Trajectory]:
             raise IntegrityError(
                 f"{path}: unit {unit}: cycle indices must run 1..T with step 1"
             )
-        block = rows[idx, 2:]
-        trajectories.append(
-            Trajectory(unit, block[:, :N_SETTINGS].copy(), block[:, N_SETTINGS:].copy())
-        )
+        trajectories.append(Trajectory(unit, rows[idx, 2:]))
     return trajectories
 
 
@@ -189,64 +180,49 @@ def normalize_matrix(features: np.ndarray, stats: NormalizationStats) -> np.ndar
 # ---------------------------------------------------------------------------
 # labels and windows
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class WindowSample:
     """One sliding window ending at `end_cycle` of a normalized trajectory.
 
-    `matrix` is the trajectory's full (T, f) normalized feature matrix,
-    shared across the trajectory's windows; `features` materializes the
-    (f, K) slice, left-padding short trajectories by replicating the
-    earliest cycle's row.
+    `matrix` is the trajectory's normalized feature matrix, shared by all its
+    windows and left-padded to K rows if the trajectory is shorter; `rows`
+    are this window's K rows of it, and `features` their (f, K) transpose.
+    A full-size source/target pair has ~25 k of them, so the record has
+    slots and is not frozen, which halves the time to create one; records
+    compare by identity.
     """
 
     unit_id: int
     end_cycle: int
-    window: int
-    domain_tag: str
     rul_scaled: float | None
     matrix: np.ndarray = field(repr=False)
+    rows: slice = field(repr=False)
 
     @property
     def features(self) -> np.ndarray:
-        end, K = self.end_cycle, self.window
-        if end >= K:
-            return self.matrix[end - K : end].T
-        pad = np.repeat(self.matrix[:1], K - end, axis=0)
-        return np.vstack([pad, self.matrix[:end]]).T
+        return self.matrix[self.rows].T
 
 
-def _windows_from_matrix(mat, unit_id, K, rc, domain_tag, labelled):
-    """Every stride-1 window of one trajectory; labelled windows carry the
-    piecewise-linear scaled label min(T - t, rc) / rc of their end cycle t."""
-    T = len(mat)
-    ends = np.arange(K, T + 1) if T >= K else np.array([T])
+def _windows(mat, unit_id, K, rc, labelled, truth=None) -> list[WindowSample]:
+    """The windows of one normalized trajectory, each K rows of one matrix: a
+    trajectory shorter than K is left-padded here, once, by repeating its
+    first row.  Without `truth`, every stride-1 window, labelled (if
+    `labelled`) with the piecewise-linear min(T - t, rc) / rc of its end
+    cycle t; with `truth`, the last window only, labelled min(truth, rc) / rc
+    from the true remaining cycles."""
     if labelled and rc <= 0:
         raise ValueError(f"rc must be positive, got {rc}")
-    labels = (np.minimum(T - ends, rc) / rc).tolist() if labelled else [None] * len(ends)
+    T = len(mat)
+    ends = np.arange(K, T + 1) if T >= K and truth is None else np.array([T])
+    remaining = T - ends if truth is None else np.array([truth])
+    labels = (np.minimum(remaining, rc) / rc).tolist() if labelled else [None] * len(ends)
+    pad = max(K - T, 0)
+    if pad:
+        mat = np.vstack([np.repeat(mat[:1], pad, axis=0), mat])
     return [
-        WindowSample(
-            unit_id=unit_id,
-            end_cycle=t,
-            window=K,
-            domain_tag=domain_tag,
-            rul_scaled=label,
-            matrix=mat,
-        )
+        WindowSample(unit_id, t, label, mat, slice(t + pad - K, t + pad))
         for t, label in zip(ends.tolist(), labels)
     ]
-
-
-def _eval_window(mat, unit_id, K, truth_rul, rc, domain_tag) -> WindowSample:
-    """The single last window of a test trajectory, labeled from the provided
-    true remaining cycles (capped at rc, scaled by rc)."""
-    return WindowSample(
-        unit_id=unit_id,
-        end_cycle=len(mat),
-        window=K,
-        domain_tag=domain_tag,
-        rul_scaled=min(float(truth_rul), rc) / rc,
-        matrix=mat,
-    )
 
 
 def stack_windows(windows: Sequence[WindowSample], indices=None):
@@ -280,13 +256,10 @@ def split_train_val(trajectories: Sequence, seed: int, fraction: float):
 
 @dataclass
 class DomainDataset:
-    """One domain's windows plus the stats and truth needed to evaluate on it."""
+    """One domain's windows plus the truth needed to evaluate on it."""
 
     subset: str
     role: str  # SOURCE or TARGET
-    window: int
-    rc: float
-    stats: NormalizationStats
     train_windows: list[WindowSample]
     val_windows: list[WindowSample]
     test_windows: list[WindowSample]
@@ -307,56 +280,6 @@ class DomainDataset:
             raise IntegrityError("more than one evaluation window for a test engine")
 
 
-def dataset_from_matrices(
-    train_mats,  # (unit_id, raw (T, f) matrix) pairs
-    test_mats,
-    test_truth,
-    *,
-    subset: str,
-    role: str,
-    window: int,
-    rc: float,
-    val_seed: int = 42,
-    val_fraction: float = 0.1,
-) -> DomainDataset:
-    """Dataset over raw (unit_id, matrix) pairs; serves synthetic tasks whose
-    feature count differs from the 24-column flat layout."""
-    train_mats, test_mats = list(train_mats), list(test_mats)
-    test_truth = np.atleast_1d(np.asarray(test_truth, dtype=np.float64))
-    if len(test_mats) != len(test_truth):
-        raise IntegrityError(
-            f"{subset}: {len(test_mats)} test engines for {len(test_truth)} truth values"
-        )
-    stats = fit_normalization_matrix([m for _, m in train_mats])
-    train_part, val_part = split_train_val(train_mats, val_seed, val_fraction)
-    labelled = role == SOURCE
-
-    def window_all(parts):
-        out = []
-        for unit, raw in parts:
-            mat = normalize_matrix(raw, stats)
-            out.extend(_windows_from_matrix(mat, unit, window, rc, role, labelled))
-        return out
-
-    test_windows = [
-        _eval_window(normalize_matrix(raw, stats), unit, window, truth, rc, role)
-        for (unit, raw), truth in zip(test_mats, test_truth)
-    ]
-    return DomainDataset(
-        subset=subset,
-        role=role,
-        window=window,
-        rc=rc,
-        stats=stats,
-        train_windows=window_all(train_part),
-        val_windows=window_all(val_part),
-        test_windows=test_windows,
-        test_rul_truth=test_truth,
-        train_units=tuple(u for u, _ in train_part),
-        val_units=tuple(u for u, _ in val_part),
-    )
-
-
 def build_domain_dataset(
     train_trajs: Sequence[Trajectory],
     test_trajs: Sequence[Trajectory],
@@ -370,16 +293,41 @@ def build_domain_dataset(
     val_seed: int = 42,
     val_fraction: float = 0.1,
 ) -> DomainDataset:
-    return dataset_from_matrices(
-        [(t.unit_id, t.features(feature_mask)) for t in train_trajs],
-        [(t.unit_id, t.features(feature_mask)) for t in test_trajs],
-        test_truth,
+    """One domain's dataset over trajectories of any feature width: min-max
+    stats fitted on every training engine, an engine-level validation split,
+    all stride-1 windows of the training engines (labelled in the source
+    role only) and the last window of each test engine, labelled from
+    `test_truth`."""
+    test_truth = np.atleast_1d(np.asarray(test_truth, dtype=np.float64))
+    if len(test_trajs) != len(test_truth):
+        raise IntegrityError(
+            f"{subset}: {len(test_trajs)} test engines for {len(test_truth)} truth values"
+        )
+    train = [(t.unit_id, t.features(feature_mask)) for t in train_trajs]
+    stats = fit_normalization_matrix([m for _, m in train])
+    train_part, val_part = split_train_val(train, val_seed, val_fraction)
+    labelled = role == SOURCE
+
+    def window_all(parts):
+        out = []
+        for unit, raw in parts:
+            out.extend(_windows(normalize_matrix(raw, stats), unit, window, rc, labelled))
+        return out
+
+    test_windows = [
+        _windows(normalize_matrix(t.features(feature_mask), stats), t.unit_id, window, rc,
+                 True, truth)[0]
+        for t, truth in zip(test_trajs, test_truth)
+    ]
+    return DomainDataset(
         subset=subset,
         role=role,
-        window=window,
-        rc=rc,
-        val_seed=val_seed,
-        val_fraction=val_fraction,
+        train_windows=window_all(train_part),
+        val_windows=window_all(val_part),
+        test_windows=test_windows,
+        test_rul_truth=test_truth,
+        train_units=tuple(u for u, _ in train_part),
+        val_units=tuple(u for u, _ in val_part),
     )
 
 

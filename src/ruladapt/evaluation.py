@@ -226,7 +226,7 @@ LATENT_LAYERS = ("C", "O")
 
 def export_latents(model, datasets, layer, path, batch: int = 256) -> int:
     """Write one CSV row per training window: latent vector, rul_scaled
-    (blank when the domain is unlabeled), domain tag.  `datasets` is a
+    (blank when the domain is unlabeled), the dataset's role.  `datasets` is a
     sequence of DomainDatasets (e.g. source and target together,
     distinguishable by the domain column).  `layer` is one of LATENT_LAYERS
     and `path` its CSV, or both are equal-length sequences: each chunk then
@@ -240,6 +240,7 @@ def export_latents(model, datasets, layer, path, batch: int = 256) -> int:
     if len(paths) != len(layers):
         raise ValueError(f"{len(layers)} layers but {len(paths)} paths")
     windows = [w for ds in datasets for w in ds.train_windows]
+    domains = [ds.role for ds in datasets for _ in ds.train_windows]
     with ExitStack() as files:
         writers = {}
         for name, out in zip(layers, paths):
@@ -252,8 +253,8 @@ def export_latents(model, datasets, layer, path, batch: int = 256) -> int:
                 chunk = windows[start : start + batch]
                 X, _ = stack_windows(chunk)
                 bundle = model.forward(X)
-                tails = [["" if s.rul_scaled is None else f"{s.rul_scaled:.6f}", s.domain_tag]
-                         for s in chunk]
+                tails = [["" if s.rul_scaled is None else f"{s.rul_scaled:.6f}", domain]
+                         for s, domain in zip(chunk, domains[start : start + batch])]
                 for name, writer in writers.items():
                     values = (bundle.c if name == "C" else bundle.o).data
                     writer.writerows([f"{v:.8e}" for v in row] + tail

@@ -79,6 +79,7 @@ def _condition_model(rng: np.random.Generator, spec: SubsetSpec, base: np.ndarra
 
 
 def _engine_cycles(rng, T, mode, base, amp, centers, cond_shift, cond_gain, noise):
+    """(T, 24) cycle record of one engine: settings, then sensors."""
     p = rng.uniform(1.7, 2.8)
     health = (np.arange(1, T + 1) / T) ** p
     cond = rng.integers(0, len(centers), size=T)
@@ -89,7 +90,7 @@ def _engine_cycles(rng, T, mode, base, amp, centers, cond_shift, cond_gain, nois
         + (cond_gain[cond] * health)[:, None] * amp[mode]
         + rng.normal(0.0, 1.0, size=(T, N_SENSORS)) * noise
     )
-    return settings, sensors
+    return np.hstack([settings, sensors])
 
 
 def generate_subset(
@@ -129,21 +130,19 @@ def generate_subset(
     for unit in range(1, spec.n_train + 1):
         T = int(rng.integers(lo, hi + 1))
         mode = int(rng.integers(0, spec.n_fault_modes))
-        settings, sensors = _engine_cycles(
-            rng, T, mode, base, amp, centers, cond_shift, cond_gain, noise
-        )
-        train.append(Trajectory(unit, settings, sensors))
+        cycles = _engine_cycles(rng, T, mode, base, amp, centers, cond_shift, cond_gain, noise)
+        train.append(Trajectory(unit, cycles))
 
     test, truth = [], []
     for unit in range(1, spec.n_test + 1):
         T_full = int(rng.integers(lo, hi + 1))
         mode = int(rng.integers(0, spec.n_fault_modes))
-        settings, sensors = _engine_cycles(
+        cycles = _engine_cycles(
             rng, T_full, mode, base, amp, centers, cond_shift, cond_gain, noise
         )
         obs_low = min(MIN_TEST_CYCLES, max(1, T_full // 2))
         T_obs = int(rng.integers(obs_low, max(obs_low + 1, T_full - 4)))
-        test.append(Trajectory(unit, settings[:T_obs].copy(), sensors[:T_obs].copy()))
+        test.append(Trajectory(unit, cycles[:T_obs].copy()))
         truth.append(float(T_full - T_obs))
     return train, test, np.array(truth)
 
@@ -151,8 +150,7 @@ def generate_subset(
 def _write_flat(path: Path, trajectories):
     with open(path, "w") as fh:
         for traj in trajectories:
-            block = np.hstack([traj.op_settings, traj.sensors])
-            for t, row in enumerate(block, start=1):
+            for t, row in enumerate(traj.matrix, start=1):
                 fh.write(f"{traj.unit_id} {t} " + " ".join(f"{v:.4f}" for v in row) + "\n")
 
 

@@ -15,10 +15,12 @@ from ruladapt.data import (
     DomainDataset,
     NormalizationStats,
     Trajectory,
-    dataset_from_matrices,
+    build_domain_dataset,
     fit_normalization_matrix,
 )
 from ruladapt.model import ModelConfig
+
+TOY_RC = 60.0  # label cap of the in-memory two-domain task
 
 
 def tiny_model_config(n_features: int = 4, window: int = 8, **overrides) -> ModelConfig:
@@ -36,8 +38,7 @@ def format_trajectories(trajectories: Sequence[Trajectory]) -> str:
     """Serialize back to the flat layout; reparsing reproduces the input."""
     lines = []
     for traj in trajectories:
-        block = np.hstack([traj.op_settings, traj.sensors])
-        for t, row in enumerate(block, start=1):
+        for t, row in enumerate(traj.matrix, start=1):
             values = " ".join(repr(float(v)) for v in row)
             lines.append(f"{traj.unit_id} {t} {values}")
     return "\n".join(lines) + "\n"
@@ -62,7 +63,7 @@ def denormalize(y: float, j: int, stats: NormalizationStats) -> float:
 
 
 def _toy_engines(rng, n, n_features, bases, amps, mix, offset, noise, length_range, truncate):
-    mats, truth = [], []
+    trajs, truth = [], []
     lo, hi = length_range
     for unit in range(1, n + 1):
         T = int(rng.integers(lo, hi + 1))
@@ -72,11 +73,11 @@ def _toy_engines(rng, n, n_features, bases, amps, mix, offset, noise, length_ran
         x = x @ mix.T + offset
         if truncate:
             T_obs = int(rng.integers(max(6, lo // 4), T - 2))
-            mats.append((unit, x[:T_obs].copy()))
+            trajs.append(Trajectory(unit, x[:T_obs].copy()))
             truth.append(float(T - T_obs))
         else:
-            mats.append((unit, x))
-    return mats, np.array(truth)
+            trajs.append(Trajectory(unit, x))
+    return trajs, np.array(truth)
 
 
 def make_toy_domains(
@@ -88,7 +89,7 @@ def make_toy_domains(
     n_target: int = 24,
     n_source_test: int = 8,
     n_target_test: int = 12,
-    rc: float = 60.0,
+    rc: float = TOY_RC,
     noise: float = 0.02,
     distortion: float = 0.35,
     val_seed: int = 42,
@@ -121,11 +122,11 @@ def make_toy_domains(
         rng, n_target_test, n_features, bases, amps, target_mix, target_offset, noise, lengths, True
     )
 
-    source = dataset_from_matrices(
+    source = build_domain_dataset(
         src_train, src_test, src_truth,
         subset="toy-src", role=SOURCE, window=window, rc=rc, val_seed=val_seed,
     )
-    target = dataset_from_matrices(
+    target = build_domain_dataset(
         tgt_train, tgt_test, tgt_truth,
         subset="toy-tgt", role=TARGET, window=window, rc=rc, val_seed=val_seed,
     )

@@ -28,7 +28,7 @@ import numpy as np
 
 from ruladapt import autodiff as ad
 from ruladapt.autodiff import GraphError, Tensor, _make, _unbroadcast
-from ruladapt.data import N_COLUMNS, N_SETTINGS, IntegrityError, ParseError, Trajectory
+from ruladapt.data import N_COLUMNS, IntegrityError, ParseError, Trajectory
 from ruladapt.losses import KernelSpec, _sigma_sq
 
 
@@ -180,9 +180,8 @@ def parse_trajectory_file(path) -> list[Trajectory]:
             raise IntegrityError(
                 f"{path}: unit {unit}: cycle indices must run 1..T with step 1"
             )
-        block = np.array([r[2:] for r in unit_rows], dtype=np.float64)
         trajectories.append(
-            Trajectory(unit, block[:, :N_SETTINGS].copy(), block[:, N_SETTINGS:].copy())
+            Trajectory(unit, np.array([r[2:] for r in unit_rows], dtype=np.float64))
         )
     return trajectories
 

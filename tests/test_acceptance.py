@@ -213,18 +213,18 @@ def test_criterion_2_mmd_oracle_equivalence():
         b = rng.normal(loc=0.3, size=(m, d))
         sigma = float(rng.uniform(0.5, 3.0))
         spec = KernelSpec(bandwidth_mode="fixed", bandwidth=sigma)
-        gap = abs(mmd2(Tensor(a), Tensor(b), spec).item() - double_loop(a, b, sigma))
+        gap = abs(float(mmd2(Tensor(a), Tensor(b), spec).data) - double_loop(a, b, sigma))
         worst = max(worst, gap)
         assert gap < 1e-10, f"oracle gap {gap:.2e}"
 
     a = rng.normal(size=(24, 6))
-    self_value = abs(mmd2(Tensor(a), Tensor(a.copy()), KernelSpec()).item())
+    self_value = abs(float(mmd2(Tensor(a), Tensor(a.copy()), KernelSpec()).data))
     assert self_value <= 1e-9
 
-    hand = mmd2(
+    hand = float(mmd2(
         Tensor(np.array([[0.0]])), Tensor(np.array([[1.0]])),
         KernelSpec(bandwidth_mode="fixed", bandwidth=1.0),
-    ).item()
+    ).data)
     expected = 2.0 - 2.0 * math.exp(-0.5)
     assert abs(hand - expected) < 1e-12
 
@@ -368,7 +368,7 @@ def test_criterion_6_synthetic_da_smoke():
         with no_grad():
             cs = model.forward(xs).c
             ct = model.forward(xt).c
-        return mmd2(cs, ct, KernelSpec()).item()
+        return float(mmd2(cs, ct, KernelSpec()).data)
 
     results = {}
     for variant in ("lamanet", "no_da"):
@@ -425,7 +425,7 @@ def test_criterion_7_ablation_direction():
             config = replace(config, weights=replace(config.weights, **overrides))
             state = init_state(config, seed)
             train(state, source, target, max_iterations=500)
-            r, _ = evaluate_target(state.model, target, target.rc)
+            r, _ = evaluate_target(state.model, target, config.rc)
             rmses.append(r)
         means[label] = float(np.mean(rmses))
         raw[label] = rmses
@@ -499,7 +499,7 @@ def test_criterion_9_score_overflow(cmapss_dir):
     target = build_domain_dataset(
         train1, test1, truth1, subset="FD001", role=TARGET, window=40, rc=125.0
     )
-    truth_cycles = np.minimum(target.test_rul_truth, target.rc)
+    truth_cycles = np.minimum(target.test_rul_truth, 125.0)
     terrible = np.full_like(truth_cycles, 1.0e6)  # absurdly late predictions
     value = score(terrible, truth_cycles)
     assert math.isinf(value)  # flagged, not an exception

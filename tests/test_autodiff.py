@@ -6,6 +6,7 @@ oracle itself is trustworthy.
 """
 
 import ast
+import importlib
 import inspect
 import tracemalloc
 import weakref
@@ -578,25 +579,26 @@ def test_no_grad_suppresses_graph_recording():
 
 
 # ---------------------------------------------------------------------------
-# the primitive set holds only what the program uses
+# every public name of the package is used by the program
 
-def _autodiff_uses(path: Path) -> set[str]:
-    """Names of autodiff members that `path` refers to outside a def of the
-    same name: attributes of the module under an import alias, names
-    imported from it, and, in autodiff itself, every bare name."""
+def _module_uses(path: Path, module: str) -> set[str]:
+    """Names of `ruladapt.<module>` members that `path` refers to outside a
+    def or class of the same name: attributes of the module under an import
+    alias, names imported from it, and, in the module itself, every bare
+    name."""
     tree = ast.parse(path.read_text())
-    own = path.name == "autodiff.py"
+    own = path.parent.name == "ruladapt" and path.stem == module
     aliases, imported = set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
-                if alias.name == "autodiff":
+                if alias.name == module:
                     aliases.add(alias.asname or alias.name)
-                elif (node.module or "").endswith("autodiff"):
+                elif (node.module or "").rsplit(".", 1)[-1] == module:
                     imported[alias.asname or alias.name] = alias.name
     uses = set()
     for stmt in tree.body:
-        enclosing = stmt.name if own and isinstance(stmt, ast.FunctionDef) else None
+        enclosing = stmt.name if own and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
         for node in ast.walk(stmt):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                     and node.value.id in aliases:
@@ -611,8 +613,20 @@ def _autodiff_uses(path: Path) -> set[str]:
 
 
 def test_every_public_primitive_is_used_by_the_program():
-    """A primitive only the tests call belongs in tests/oracles.py."""
-    public = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
-              if not name.startswith("_") and fn.__module__ == ad.__name__}
-    used = set().union(*(_autodiff_uses(path) for path in Path(ad.__file__).parent.glob("*.py")))
-    assert public <= used, sorted(public - used)
+    """Every public top-level function or class of every `ruladapt` module is
+    read by the package or by the benchmark (`perfbench/*.py`, the only
+    reader of `make_run_config` and `load_train_checkpoint`).  Code only the
+    tests read belongs in tests/, as the oracles in tests/oracles.py do."""
+    package = Path(ad.__file__).parent
+    readers = [*package.glob("*.py"), *(package.parents[1] / "perfbench").glob("*.py")]
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"ruladapt.{path.stem}")
+        public = {name for name, obj in vars(module).items()
+                  if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+                  and obj.__module__ == module.__name__}
+        used = set().union(*(_module_uses(reader, path.stem) for reader in readers))
+        unused += [f"{path.stem}.{name}" for name in sorted(public - used)]
+    assert not unused, unused

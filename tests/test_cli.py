@@ -33,7 +33,7 @@ def test_ingest_prints_counts_and_is_hash_stable(cmapss_dir, capsys):
     first = capsys.readouterr().out
     assert "100 train trajectories" in first and "100 test trajectories" in first
     train, _, _ = parse_cmapss(*subset_paths(cmapss_dir, "FD001"))
-    n_windows = sum(max(len(t.sensors) - 40 + 1, 1) for t in train)
+    n_windows = sum(max(len(t.matrix) - 40 + 1, 1) for t in train)
     assert f"FD001: {n_windows} train windows (K=40)" in first
     assert run_cli(*argv) == 0
     assert capsys.readouterr().out == first
@@ -62,7 +62,7 @@ def test_ingest_windows_follow_the_file_preset(cmapss_tiny_dir, tmp_path, capsys
     assert run_cli("ingest", "--subset", "FD001", "--config", cfg,
                    "--data-dir", cmapss_tiny_dir) == 0
     train, _, _ = parse_cmapss(*subset_paths(cmapss_tiny_dir, "FD001"))
-    n_windows = sum(max(len(t.sensors) - 16 + 1, 1) for t in train)
+    n_windows = sum(max(len(t.matrix) - 16 + 1, 1) for t in train)
     assert f"FD001: {n_windows} train windows (K=16)" in capsys.readouterr().out
 
 
@@ -287,7 +287,7 @@ BAD_FILE_VALUES = [  # fields of each kind from each config class, and its mappi
     ({"model": {"attn_dim": True}}, "attn_dim"),
     ({"model": {"recon_cell": 5}}, "recon_cell"),
     ({"weights": 5}, "weights"),
-    ({"kernel": None}, "kernel"),
+    ({"kernel": "rbf"}, "kernel"),
     ({"model": [1]}, "model"),
 ]
 
@@ -395,6 +395,20 @@ def test_path_settings_take_the_flag_else_the_file_else_the_default(tmp_path, mo
         assert _setup_paths(tmp_path, (), file_cfg) == (tmp_path / "env-data", Path("runs"), 1)
     monkeypatch.delenv("RULADAPT_DATA_DIR")
     assert _setup_paths(tmp_path, (), {})[0] == Path("data")
+
+
+def test_null_run_fields_in_the_file_are_unset(tmp_path):
+    """A run field set to null in the file is unset too, as a path setting
+    is: the config hashes as an empty file's does."""
+    def config_from(file_cfg):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(yaml.safe_dump(file_cfg))
+        args = build_parser().parse_args(
+            ["train", "--source", "FD001", "--target", "FD002", "--config", str(cfg)])
+        return _setup(args, args.variant, args.source, args.target)[0]
+
+    nulls = dict.fromkeys(("epochs", "lr", "weights", "seeds", "window", "model"))
+    assert config_from(nulls).hash == config_from({}).hash
 
 
 def test_file_model_mapping_sets_the_other_widths():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruladapt import data as dp
+from ruladapt.cli import TOY_FEATURE_MASK
 from ruladapt.data import (
     IntegrityError,
     NormalizationStats,
@@ -21,21 +22,19 @@ from ruladapt.data import (
     stack_windows,
     subset_paths,
 )
+from ruladapt.synthetic import generate_subset
 
 from helpers import denormalize, fit_normalization, format_trajectories, normalize
 from oracles import parse_rul_file as oracle_parse_rul_file
 from oracles import parse_trajectory_file as oracle_parse_trajectory_file
 from oracles import rul_label
-from windowing import make_windows
+from windowing import make_windows, oracle_dataset
 
 
 def toy_trajectory(unit=1, T=50, seed=0):
     rng = np.random.default_rng(seed + unit)
-    return Trajectory(
-        unit,
-        rng.uniform(-1, 1, size=(T, dp.N_SETTINGS)),
-        rng.uniform(0, 100, size=(T, dp.N_SENSORS)),
-    )
+    settings = rng.uniform(-1, 1, size=(T, dp.N_SETTINGS))
+    return Trajectory(unit, np.hstack([settings, rng.uniform(0, 100, size=(T, dp.N_SENSORS))]))
 
 
 def identity_stats(f):
@@ -108,8 +107,8 @@ def test_parse_roundtrip(cmapss_dir, tmp_path):
 def _same_trajectories(got, want):
     assert [t.unit_id for t in got] == [t.unit_id for t in want]
     for a, b in zip(got, want):
-        for x, y in ((a.op_settings, b.op_settings), (a.sensors, b.sensors)):
-            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        x, y = a.matrix, b.matrix
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("subset", ["FD001", "FD002"])
@@ -137,7 +136,7 @@ def test_bulk_parse_matches_the_row_parser_on_a_ragged_layout(tmp_path):
     path = tmp_path / "ragged.txt"
     path.write_text("\n".join(lines))
     got = parse_trajectory_file(path)
-    assert [(t.unit_id, len(t.sensors)) for t in got] == [(3, 3), (1, 2), (7, 1)]
+    assert [(t.unit_id, len(t.matrix)) for t in got] == [(3, 3), (1, 2), (7, 1)]
     _same_trajectories(got, oracle_parse_trajectory_file(path))
 
 
@@ -379,13 +378,63 @@ def test_dataset_truth_mismatch_raises():
         )
 
 
-
-def test_dataset_from_matrices_rejects_surplus_test_engines():
+def test_dataset_rejects_surplus_test_engines_of_any_width():
     rng = np.random.default_rng(0)
-    train = [(u, rng.normal(size=(30, 4))) for u in range(1, 5)]
-    test = [(100 + u, rng.normal(size=(20, 4))) for u in range(1, 4)]
+    train = [Trajectory(u, rng.normal(size=(30, 4))) for u in range(1, 5)]
+    test = [Trajectory(100 + u, rng.normal(size=(20, 4))) for u in range(1, 4)]
     with pytest.raises(IntegrityError):
-        dp.dataset_from_matrices(
+        build_domain_dataset(
             train, test, np.array([10.0, 20.0]),
             subset="TOY", role=dp.TARGET, window=8, rc=125.0,
         )
+
+
+@pytest.mark.parametrize("matrix", [np.zeros(5), np.zeros((0, 24)), np.zeros((5, 0))],
+                         ids=["1-D", "no-cycles", "no-features"])
+def test_trajectory_rejects_a_matrix_that_is_1d_or_empty(matrix):
+    with pytest.raises(IntegrityError, match="unit 3"):
+        Trajectory(3, matrix)
+
+
+def _same_window(got, want):
+    assert (got.unit_id, got.end_cycle) == (want.unit_id, want.end_cycle)
+    if want.rul_scaled is None:
+        assert got.rul_scaled is None
+    else:
+        assert type(got.rul_scaled) is float and got.rul_scaled.hex() == want.rul_scaled.hex()
+    x, y = got.features, want.features
+    assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("mask, K", [(None, 40), (TOY_FEATURE_MASK, 16), (None, 200)],
+                         ids=["all-40", "toy-16", "all-padded-200"])
+def test_build_matches_the_composed_oracle_bitwise(mask, K):
+    """Every window, the truth, the unit splits and the stacked batches equal
+    the settings/sensors hstack with per-read padding, in both roles; at
+    K = 200 every window is padded."""
+    for subset, role in (("FD002", dp.SOURCE), ("FD001", dp.TARGET)):
+        train, test, truth = generate_subset(subset, 1, n_train=12, n_test=6)
+        kwargs = dict(role=role, window=K, feature_mask=mask, val_fraction=0.25)
+        got = build_domain_dataset(train, test, truth, subset=subset, **kwargs)
+        want = oracle_dataset(train, test, truth, **kwargs)
+        assert (got.train_units, got.val_units) == (want.train_units, want.val_units)
+        assert got.test_rul_truth.tobytes() == want.test_rul_truth.tobytes()
+        for part in ("train_windows", "val_windows", "test_windows"):
+            got_w, want_w = getattr(got, part), getattr(want, part)
+            assert len(got_w) == len(want_w)
+            for a, b in zip(got_w, want_w):
+                _same_window(a, b)
+            idx = np.random.default_rng(K).permutation(len(got_w))[:9]
+            for x, y in zip(stack_windows(got_w, idx), stack_windows(want_w, idx)):
+                assert (x is None and y is None) or x.tobytes() == y.tobytes()
+        if K == 200:
+            assert all(w.end_cycle < K for w in got.train_windows + got.test_windows)
+
+
+def test_short_trajectory_is_padded_once_at_build():
+    """A window's features are a view of the one padded matrix its
+    trajectory's windows share, not a fresh padded copy per read."""
+    traj = toy_trajectory(T=19)
+    (window,) = make_windows(traj, 40, fit_normalization([traj]))
+    assert window.matrix.shape == (40, dp.N_FEATURES)
+    assert np.shares_memory(window.features, window.matrix)

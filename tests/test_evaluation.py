@@ -20,7 +20,7 @@ from ruladapt.evaluation import (
 from ruladapt.autodiff import Tensor
 from ruladapt.model import Model, toy_model_config
 
-from helpers import make_toy_domains
+from helpers import TOY_RC, make_toy_domains
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_evaluate_target_uses_one_prediction_per_engine(toy_setup):
     model, _, target = toy_setup
     preds = predict_scaled(model, target.test_windows)
     assert preds.shape == (len(target.test_rul_truth),)
-    r, s = evaluate_target(model, target, target.rc)
+    r, s = evaluate_target(model, target, TOY_RC)
     assert r >= 0 and s >= 0
 
 
@@ -133,8 +133,8 @@ class _StubModel:
 
 def test_evaluate_target_perfect_synthetic_model(toy_setup):
     _, _, target = toy_setup
-    truth_scaled = np.minimum(target.test_rul_truth, target.rc) / target.rc
-    r, s = evaluate_target(_StubModel(truth_scaled), target, target.rc)
+    truth_scaled = np.minimum(target.test_rul_truth, TOY_RC) / TOY_RC
+    r, s = evaluate_target(_StubModel(truth_scaled), target, TOY_RC)
     assert r == pytest.approx(0.0, abs=1e-12)
     assert s == pytest.approx(0.0, abs=1e-12)
 
@@ -144,9 +144,9 @@ def test_evaluate_target_constant_half_predictor_on_matching_truth(toy_setup):
     import copy
 
     half_truth = copy.copy(target)
-    half_truth.test_rul_truth = np.full(len(target.test_windows), 0.5 * target.rc)
+    half_truth.test_rul_truth = np.full(len(target.test_windows), 0.5 * TOY_RC)
     stub = _StubModel(np.full(len(target.test_windows), 0.5))
-    r, s = evaluate_target(stub, half_truth, target.rc)
+    r, s = evaluate_target(stub, half_truth, TOY_RC)
     assert r == pytest.approx(0.0, abs=1e-12) and s == pytest.approx(0.0, abs=1e-12)
 
 
@@ -157,7 +157,7 @@ def test_evaluate_target_requires_truth(toy_setup):
     broken = copy.copy(target)
     broken.test_rul_truth = np.zeros(0)
     with pytest.raises(IntegrityError):
-        evaluate_target(model, broken, target.rc)
+        evaluate_target(model, broken, TOY_RC)
 
 
 # ---------------------------------------------------------------------------

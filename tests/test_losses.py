@@ -63,21 +63,21 @@ def pooled_median_sigma(a: np.ndarray, b: np.ndarray) -> float:
 
 def test_rul_mse_zero_for_exact_predictions():
     y = Tensor(np.array([[0.3], [0.9]]))
-    assert rul_mse(y, y).item() == 0.0
+    assert float(rul_mse(y, y).data) == 0.0
 
 
 def test_rul_mse_hand_case():
     y_hat = Tensor(np.array([[0.0], [0.0]]))
     y = Tensor(np.array([[1.0], [0.0]]))
-    assert rul_mse(y_hat, y).item() == pytest.approx(0.5)
+    assert float(rul_mse(y_hat, y).data) == pytest.approx(0.5)
 
 
 def test_rul_mse_order_invariant():
     rng = np.random.default_rng(0)
     y_hat, y = rng.uniform(size=(6, 1)), rng.uniform(size=(6, 1))
     perm = rng.permutation(6)
-    assert rul_mse(Tensor(y_hat), Tensor(y)).item() == pytest.approx(
-        rul_mse(Tensor(y_hat[perm]), Tensor(y[perm])).item(), rel=1e-12
+    assert float(rul_mse(Tensor(y_hat), Tensor(y)).data) == pytest.approx(
+        float(rul_mse(Tensor(y_hat[perm]), Tensor(y[perm])).data), rel=1e-12
     )
 
 
@@ -92,11 +92,11 @@ def test_rul_mse_rejects_empty_batch():
 
 def test_mmd2_identical_sets_is_zero():
     a = np.random.default_rng(1).normal(size=(8, 3))
-    assert abs(mmd2(Tensor(a), Tensor(a.copy()), MEDIAN).item()) <= 1e-12
+    assert abs(float(mmd2(Tensor(a), Tensor(a.copy()), MEDIAN).data)) <= 1e-12
 
 
 def test_mmd2_hand_case_scalar_points():
-    value = mmd2(Tensor(np.array([[0.0]])), Tensor(np.array([[1.0]])), FIXED).item()
+    value = float(mmd2(Tensor(np.array([[0.0]])), Tensor(np.array([[1.0]])), FIXED).data)
     assert value == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_mmd2_matches_double_loop_oracle():
         b = rng.normal(loc=0.5, size=(m, d))
         sigma = float(rng.uniform(0.5, 3.0))
         spec = KernelSpec(bandwidth_mode="fixed", bandwidth=sigma)
-        ours = mmd2(Tensor(a), Tensor(b), spec).item()
+        ours = float(mmd2(Tensor(a), Tensor(b), spec).data)
         assert ours == pytest.approx(mmd2_double_loop(a, b, sigma), abs=1e-10)
 
 
@@ -118,15 +118,15 @@ def test_mmd2_median_mode_matches_loop_oracle():
         a = rng.normal(size=(10, 4))
         b = rng.normal(loc=1.0, size=(12, 4))
         sigma = pooled_median_sigma(a, b)
-        ours = mmd2(Tensor(a), Tensor(b), MEDIAN).item()
+        ours = float(mmd2(Tensor(a), Tensor(b), MEDIAN).data)
         assert ours == pytest.approx(mmd2_double_loop(a, b, sigma), abs=1e-10)
 
 
 def test_mmd2_symmetric_and_nonnegative():
     rng = np.random.default_rng(9)
     a, b = rng.normal(size=(6, 2)), rng.normal(loc=2.0, size=(9, 2))
-    ab = mmd2(Tensor(a), Tensor(b), MEDIAN).item()
-    ba = mmd2(Tensor(b), Tensor(a), MEDIAN).item()
+    ab = float(mmd2(Tensor(a), Tensor(b), MEDIAN).data)
+    ba = float(mmd2(Tensor(b), Tensor(a), MEDIAN).data)
     assert ab == pytest.approx(ba, rel=1e-12)
     assert ab >= -1e-12
 
@@ -134,10 +134,10 @@ def test_mmd2_symmetric_and_nonnegative():
 def test_mmd2_median_mode_invariant_to_row_permutations():
     rng = np.random.default_rng(10)
     a, b = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
-    base = mmd2(Tensor(a), Tensor(b), MEDIAN).item()
-    shuffled = mmd2(
+    base = float(mmd2(Tensor(a), Tensor(b), MEDIAN).data)
+    shuffled = float(mmd2(
         Tensor(a[rng.permutation(7)]), Tensor(b[rng.permutation(5)]), MEDIAN
-    ).item()
+    ).data)
     assert shuffled == pytest.approx(base, rel=1e-12)
 
 
@@ -147,7 +147,7 @@ def test_mmd2_decreases_along_interpolation_path():
     b = rng.normal(loc=3.0, size=(16, 4))
     spec = KernelSpec(bandwidth_mode="fixed", bandwidth=3.0)
     values = [
-        mmd2(Tensor(a), Tensor((1 - t) * b + t * a), spec).item()
+        float(mmd2(Tensor(a), Tensor((1 - t) * b + t * a), spec).data)
         for t in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     assert all(x >= y for x, y in zip(values, values[1:]))
@@ -202,16 +202,17 @@ def test_latent_mmd_zero_when_all_equal():
     rng = np.random.default_rng(13)
     c, o = rng.normal(size=(6, 4)), rng.normal(size=(6, 2))
     value = latent_mmd(Tensor(c), Tensor(c.copy()), Tensor(o), Tensor(o.copy()), MEDIAN)
-    assert abs(value.item()) <= 1e-12
+    assert abs(float(value.data)) <= 1e-12
 
 
 def test_latent_mmd_is_sum_of_parts_and_symmetric():
     rng = np.random.default_rng(14)
     cs, ct = rng.normal(size=(6, 4)), rng.normal(loc=1, size=(6, 4))
     os_, ot = rng.normal(size=(6, 2)), rng.normal(loc=-1, size=(6, 2))
-    total = latent_mmd(Tensor(cs), Tensor(ct), Tensor(os_), Tensor(ot), FIXED).item()
-    parts = mmd2(Tensor(cs), Tensor(ct), FIXED).item() + mmd2(Tensor(os_), Tensor(ot), FIXED).item()
-    swapped = latent_mmd(Tensor(ct), Tensor(cs), Tensor(ot), Tensor(os_), FIXED).item()
+    total = float(latent_mmd(Tensor(cs), Tensor(ct), Tensor(os_), Tensor(ot), FIXED).data)
+    parts = (float(mmd2(Tensor(cs), Tensor(ct), FIXED).data)
+             + float(mmd2(Tensor(os_), Tensor(ot), FIXED).data))
+    swapped = float(latent_mmd(Tensor(ct), Tensor(cs), Tensor(ot), Tensor(os_), FIXED).data)
     assert total == pytest.approx(parts, rel=1e-12)
     assert total == pytest.approx(swapped, rel=1e-12)
 
@@ -247,14 +248,14 @@ def test_recon_loss_zero_for_perfect_reconstruction():
     rng = np.random.default_rng(15)
     xs, xt = rng.uniform(size=(3, 4, 5)), rng.uniform(size=(3, 4, 5))
     value = recon_loss(Tensor(xs), Tensor(xs.copy()), Tensor(xt), Tensor(xt.copy()))
-    assert value.item() == 0.0
+    assert float(value.data) == 0.0
 
 
 def test_recon_source_term_is_elementwise_mse():
     rng = np.random.default_rng(16)
     xs, xhat = rng.uniform(size=(2, 3, 4)), rng.uniform(size=(2, 3, 4))
     zero = Tensor(np.zeros((1, 1, 1)))
-    value = recon_loss(Tensor(xs), Tensor(xhat), zero, zero).item()
+    value = float(recon_loss(Tensor(xs), Tensor(xhat), zero, zero).data)
     assert value == pytest.approx(np.mean((xs - xhat) ** 2), rel=1e-12)
 
 
@@ -263,8 +264,8 @@ def test_recon_target_delta_is_additive():
     xs = rng.uniform(size=(2, 3, 4))
     xt = rng.uniform(size=(2, 3, 4))
     xt_hat = xt + 0.1
-    base = recon_loss(Tensor(xs), Tensor(xs.copy()), Tensor(xt), Tensor(xt_hat)).item()
-    worse = recon_loss(Tensor(xs), Tensor(xs.copy()), Tensor(xt), Tensor(xt + 0.2)).item()
+    base = float(recon_loss(Tensor(xs), Tensor(xs.copy()), Tensor(xt), Tensor(xt_hat)).data)
+    worse = float(recon_loss(Tensor(xs), Tensor(xs.copy()), Tensor(xt), Tensor(xt + 0.2)).data)
     assert worse - base == pytest.approx(0.04 - 0.01, rel=1e-9)
 
 
@@ -287,7 +288,7 @@ def test_smooth_loss_zero_when_gamma_zero():
     c = Tensor(rng.normal(size=(4, 6)))
     w = Tensor(rng.normal(size=(6, 1)))
     value = smooth_loss(c, lambda x: ad.matmul(x, w), 0.0, np.random.default_rng(0))
-    assert value.item() == 0.0
+    assert float(value.data) == 0.0
 
 
 def test_smooth_loss_zero_for_constant_map():
@@ -295,7 +296,7 @@ def test_smooth_loss_zero_for_constant_map():
     c = Tensor(rng.normal(size=(4, 6)))
     const = Tensor(np.full((4, 1), 0.7))
     value = smooth_loss(c, lambda x: const, 0.5, np.random.default_rng(0))
-    assert value.item() == 0.0
+    assert float(value.data) == 0.0
 
 
 def test_smooth_loss_affine_closed_form():
@@ -304,9 +305,9 @@ def test_smooth_loss_affine_closed_form():
     w = rng.normal(size=(6, 1))
     gamma = 0.3
     c = Tensor(rng.normal(size=(10_000, 6)))
-    value = smooth_loss(
+    value = float(smooth_loss(
         c, lambda x: ad.matmul(x, Tensor(w)), gamma, np.random.default_rng(5)
-    ).item()
+    ).data)
     expected = gamma**2 * float(np.sum(w**2))
     assert value == pytest.approx(expected, rel=0.05)
 
@@ -332,7 +333,7 @@ def test_smooth_loss_with_given_clean_prediction_matches_recomputing():
         clean = {"clean": predict(c)} if reuse else {}
         value = smooth_loss(c, predict, 0.2, np.random.default_rng(3), **clean)
         backward(value)
-        return value.item(), c.grad, w.grad
+        return float(value.data), c.grad, w.grad
 
     want, got = value_and_grads(False), value_and_grads(True)
     assert got[0] == want[0]
@@ -361,13 +362,13 @@ def test_smooth_loss_gradient_check_with_frozen_noise():
 def test_coral_zero_for_identical_sets():
     rng = np.random.default_rng(24)
     o = rng.normal(size=(8, 3))
-    assert coral_loss(Tensor(o), Tensor(o.copy())).item() == pytest.approx(0.0, abs=1e-15)
+    assert float(coral_loss(Tensor(o), Tensor(o.copy())).data) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_coral_invariant_to_row_permutation():
     rng = np.random.default_rng(25)
     o = rng.normal(size=(8, 3))
-    value = coral_loss(Tensor(o), Tensor(o[rng.permutation(8)])).item()
+    value = float(coral_loss(Tensor(o), Tensor(o[rng.permutation(8)])).data)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -376,15 +377,15 @@ def test_coral_hand_case_unit_variance_gap():
     # zero-variance target the loss is (1/4d^2)(1-0)^2 = 1/4 at d = 1
     o_s = Tensor(np.array([[1.0], [-1.0], [1.0], [-1.0]]) / np.sqrt(4.0 / 3.0))
     o_t = Tensor(np.zeros((4, 1)))
-    assert coral_loss(o_s, o_t).item() == pytest.approx(0.25, rel=1e-12)
+    assert float(coral_loss(o_s, o_t).data) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_coral_invariant_to_joint_rotation():
     rng = np.random.default_rng(26)
     o_s, o_t = rng.normal(size=(12, 3)), rng.normal(loc=1.0, size=(10, 3))
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    base = coral_loss(Tensor(o_s), Tensor(o_t)).item()
-    rotated = coral_loss(Tensor(o_s @ q), Tensor(o_t @ q)).item()
+    base = float(coral_loss(Tensor(o_s), Tensor(o_t)).data)
+    rotated = float(coral_loss(Tensor(o_s @ q), Tensor(o_t @ q)).data)
     assert rotated == pytest.approx(base, abs=1e-8)
 
 
@@ -411,7 +412,7 @@ def test_dann_loss_is_ln2_for_uninformative_classifier():
     for p in disc.params.values():
         p.data[:] = 0.0  # logits 0 -> probability 0.5 everywhere
     c_s, c_t = Tensor(rng.normal(size=(6, 4))), Tensor(rng.normal(size=(5, 4)))
-    assert dann_loss(c_s, c_t, disc, 0.2).item() == pytest.approx(math.log(2.0), rel=1e-12)
+    assert float(dann_loss(c_s, c_t, disc, 0.2).data) == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("bias", [-800.0, 800.0])
@@ -426,7 +427,7 @@ def test_dann_loss_is_finite_for_saturated_logits(bias):
     c_t = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     loss = dann_loss(c_s, c_t, disc, 0.2)
     wrong = 6 if bias < 0 else 5  # source rows are labelled 1, target rows 0
-    assert loss.item() == pytest.approx(800.0 * wrong / 11, rel=0.01)
+    assert float(loss.data) == pytest.approx(800.0 * wrong / 11, rel=0.01)
     backward(loss)
     for grad in (c_s.grad, c_t.grad, *(p.grad for p in disc.params.values())):
         assert np.isfinite(grad).all()
@@ -468,14 +469,14 @@ def test_dann_discriminator_learns_separable_clusters():
     disc = DomainDiscriminator(2, 16, rng)
     c_s = Tensor(rng.normal(loc=+2.0, scale=0.3, size=(32, 2)))
     c_t = Tensor(rng.normal(loc=-2.0, scale=0.3, size=(32, 2)))
-    initial = dann_loss(c_s, c_t, disc, 1.0).item()
+    initial = float(dann_loss(c_s, c_t, disc, 1.0).data)
     for _ in range(300):
         loss = dann_loss(c_s, c_t, disc, 1.0)
         backward(loss)
         for p in disc.params.values():
             p.data = p.data - 0.1 * p.grad
             p.grad = None
-    final = dann_loss(c_s, c_t, disc, 1.0).item()
+    final = float(dann_loss(c_s, c_t, disc, 1.0).data)
     assert final < 0.1 < math.log(2.0) < initial + 1.0
     assert final < initial
 
@@ -548,7 +549,7 @@ def test_composite_with_zero_weights_equals_rul():
     assert [name for name in TERM_WEIGHTS if evaluates_term(name, weights, 200)] == [
         "adversarial"]
     terms = {"discrepancy": unit_part(), "recon": unit_part(), "smooth": unit_part()}
-    assert composite_loss(rul, terms, weights).item() == pytest.approx(0.7)
+    assert float(composite_loss(rul, terms, weights).data) == pytest.approx(0.7)
 
 
 def test_composite_table_weight_arithmetic():
@@ -559,7 +560,7 @@ def test_composite_table_weight_arithmetic():
         "recon": Tensor(np.array(2.0)),
         "smooth": Tensor(np.array(2.0)),
     }
-    value = composite_loss(unit_part(), terms, LossWeights()).item()
+    value = float(composite_loss(unit_part(), terms, LossWeights()).data)
     assert value == pytest.approx(2.45, rel=1e-12)
 
 
