@@ -40,17 +40,16 @@ from .data import (
 )
 from .evaluation import write_aggregate
 from .model import ModelConfig, desk_model_config, toy_model_config
-from .serialization import atomic_open
-from .training import (
-    VARIANTS,
-    run_config_from_dict,
-    run_experiment,
-    variant_weights,
-)
+from .serialization import atomic_open, check_fields
+from .training import VARIANTS, run_config_from_dict, run_experiment
 
 COMMAND_KEYS = ("data_dir", "out_dir", "jobs", "preset")  # file keys that are not run fields
+COMMAND_RULES = (  # `_setup`'s settings, as `_pick` gives them (never None)
+    ("jobs", int, lambda v: v >= 1, "be >= 1"),
+    ("data_dir out_dir", str, lambda v: True, "be a path"),
+)
 TOY_FEATURE_MASK = tuple(range(3, 11))  # sensors 1..8
-PRESET_MODELS = {"full": ModelConfig, "desk": desk_model_config, "toy": toy_model_config}
+PRESET_MODELS = {"full": ModelConfig, "toy": toy_model_config, "desk": desk_model_config}
 SWEEP_GRID = {
     "lambda_m": (0.1, 0.2, 0.35, 0.5),
     "lambda_r": (0.1, 0.2, 0.35, 0.5),
@@ -89,7 +88,7 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
     widths, which a file `model:` mapping sets under `full`; a file setting
     what its preset fixes is rejected.  Raises ConfigError."""
     run_cfg = {k: v for k, v in file_cfg.items() if k not in COMMAND_KEYS}
-    preset = "toy" if getattr(args, "toy", False) else _pick(args, file_cfg, "preset", "full")
+    preset = _pick(args, file_cfg, "preset", "full")
     if preset not in PRESET_MODELS:
         raise ConfigError(f"unknown preset {preset!r}; options: {sorted(PRESET_MODELS)}")
     if preset == "toy" and run_cfg.get("feature_mask") is not None:
@@ -121,7 +120,6 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
         except ValueError as exc:
             raise ConfigError(f"--seeds {args.seeds!r}: {exc}") from exc
     run_cfg.update(source_subset=source, target_subset=target, variant=variant)
-    run_cfg.setdefault("weights", variant_weights(variant))
     try:
         return run_config_from_dict(run_cfg)
     except (TypeError, ValueError) as exc:
@@ -130,26 +128,21 @@ def _build_run_config(args, file_cfg: dict, source: str, target: str, variant: s
 
 def _setup(args, variant: str, source: str, target: str):
     """(config, data_dir, out_dir, jobs) of one command, each by `_pick`.
-    The defaults: $RULADAPT_DATA_DIR, else `data`; `runs`; 1 job.  The two
-    directories must be strings and `jobs` an integer >= 1.  Raises
-    ConfigError before any data is read."""
+    The defaults: $RULADAPT_DATA_DIR, else `data`; `runs`; 1 job.  Raises
+    ConfigError before any data is read, also for a setting that breaks its
+    `COMMAND_RULES` row."""
     file_cfg = _load_config_file(args.config)
     config = _build_run_config(args, file_cfg, source, target, variant)
-    jobs = _pick(args, file_cfg, "jobs", 1)
-    if isinstance(jobs, bool) or (isinstance(jobs, float) and not jobs.is_integer()):
-        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
+    command = argparse.Namespace(
+        jobs=_pick(args, file_cfg, "jobs", 1),
+        data_dir=_pick(args, file_cfg, "data_dir", os.environ.get("RULADAPT_DATA_DIR", "data")),
+        out_dir=_pick(args, file_cfg, "out_dir", "runs"),
+    )
     try:
-        jobs = int(jobs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"jobs: {exc}") from exc
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    data_dir = _pick(args, file_cfg, "data_dir", os.environ.get("RULADAPT_DATA_DIR", "data"))
-    out_dir = _pick(args, file_cfg, "out_dir", "runs")
-    for key, value in (("data_dir", data_dir), ("out_dir", out_dir)):
-        if not isinstance(value, str):
-            raise ConfigError(f"{key} must be a path string, got {value!r}")
-    return config, Path(data_dir), Path(out_dir), jobs
+        check_fields(command, COMMAND_RULES)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return config, Path(command.data_dir), Path(command.out_dir), command.jobs
 
 
 def provide_dataset(data_dir: Path, subset: str, role: str, config):
@@ -329,6 +322,10 @@ def cmd_sweep(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="YAML config file with defaults")
     parser.add_argument("--data-dir", help="directory with the flat data files")
+    parser.add_argument("--window", type=int)
+    parser.add_argument("--preset", choices=tuple(PRESET_MODELS))
+    parser.add_argument("--toy", action="store_const", const="toy", dest="preset",
+                        help="--preset toy")
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -338,10 +335,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--batch-size", type=int, dest="batch_size")
     parser.add_argument("--lr", type=float)
-    parser.add_argument("--window", type=int)
     parser.add_argument("--rc", type=float)
-    parser.add_argument("--preset", choices=("full", "toy", "desk"))
-    parser.add_argument("--toy", action="store_true", help="shorthand for --preset toy")
     parser.add_argument("--no-latents", action="store_true")
 
 
@@ -354,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ingest = sub.add_parser("ingest", help="load one subset as train does and print its counts")
     p_ingest.add_argument("--subset", required=True)
-    p_ingest.add_argument("--window", type=int)
     _add_common(p_ingest)
     p_ingest.set_defaults(func=cmd_ingest)
 

@@ -10,7 +10,7 @@ pre-head representation, and a small recurrent decoder (GRU by default)
 reconstructs the input window from the bottleneck.  Attention runs as the
 fused `self_attention` (encoder) and `single_query_attention` (decoder)
 nodes, each residual add + layer norm as one `add_layer_norm`, each ReLU MLP
-as one `mlp`.  No attention reads its key bias: it cancels in the softmax.
+as one `mlp`.  No attention has a key bias: it would cancel in the softmax.
 """
 
 from __future__ import annotations
@@ -62,26 +62,22 @@ class ModelConfig:
         return (self.n_features + self.window) * self.attn_dim
 
 
-def toy_model_config(n_features: int = 8, window: int = 16, **overrides) -> ModelConfig:
+def toy_model_config(n_features: int = 8, window: int = 16) -> ModelConfig:
     """Shrunk dims used by --toy runs: f=8, K=16, width-8 attention."""
-    base = dict(
+    return ModelConfig(
         n_features=n_features, window=window, attn_dim=8, n_heads=2,
         n_encoder_layers=2, n_decoder_layers=1, ffn_dim=32,
         squeeze_hidden=32, bottleneck=16, head_dim=8,
     )
-    base.update(overrides)
-    return ModelConfig(**base)
 
 
-def desk_model_config(n_features: int = 24, window: int = 40, **overrides) -> ModelConfig:
+def desk_model_config(n_features: int = 24, window: int = 40) -> ModelConfig:
     """Reduced-width encoder for desk-scale directional runs on real-layout data."""
-    base = dict(
+    return ModelConfig(
         n_features=n_features, window=window, attn_dim=16, n_heads=2,
         n_encoder_layers=2, n_decoder_layers=1, ffn_dim=32,
         squeeze_hidden=64, bottleneck=32, head_dim=16,
     )
-    base.update(overrides)
-    return ModelConfig(**base)
 
 
 @dataclass
@@ -119,8 +115,10 @@ class Model:
 
     def _add_attention_block(self, prefix: str, rng) -> None:
         d, ffn = self.config.attn_dim, self.config.ffn_dim
-        for gate in ("q", "k", "v", "o"):
-            self._add_affine(f"{prefix}.attn.{gate}", d, d, rng)
+        self._add_affine(f"{prefix}.attn.q", d, d, rng)
+        self._add(f"{prefix}.attn.k.W", _xavier(rng, d, d))  # no bias: see `_self_attention`
+        self._add_affine(f"{prefix}.attn.v", d, d, rng)
+        self._add_affine(f"{prefix}.attn.o", d, d, rng)
         self._add(f"{prefix}.ln1.g", np.ones(d))
         self._add(f"{prefix}.ln1.b", np.zeros(d))
         self._add_affine(f"{prefix}.ffn.1", d, ffn, rng)
@@ -187,7 +185,8 @@ class Model:
     def _self_attention(self, x: Tensor, prefix: str) -> Tensor:
         """q, k and v from one GEMM over their weights stacked in column
         blocks.  A key bias would add the same q . b_k to every score of a
-        query and cancel in the softmax, so a zero block stands in for it."""
+        query and cancel in the softmax, so the model has none and a zero
+        block stands in for it."""
         p, zeros = self._p, ad.constant(np.zeros(self.config.attn_dim))
         w = ad.concat([p(f"{prefix}.attn.{g}.W") for g in "qkv"], axis=-1)
         b = ad.concat([p(f"{prefix}.attn.q.b"), zeros, p(f"{prefix}.attn.v.b")], axis=-1)
@@ -195,7 +194,7 @@ class Model:
         return self._affine(mixed, f"{prefix}.attn.o")
 
     def _query_attention(self, x: Tensor, memory: Tensor, prefix: str) -> Tensor:
-        """Key and value maps absorbed; the key bias cancels, so it is not read."""
+        """Key and value maps absorbed; there is no key bias to absorb."""
         k, v = self._p(f"{prefix}.attn.k.W"), self._p(f"{prefix}.attn.v.W")
         q = self._affine(x, f"{prefix}.attn.q")
         mixed = ad.single_query_attention(

@@ -42,10 +42,10 @@ _KINDS = {
 
 
 def check_fields(obj, rules) -> None:
-    """Raise ValueError at the first field of the dataclass `obj` that breaks
-    its rule (names, kind, test, text); `names` holds one or more field names.
-    A field whose default is None may be None; any other value must be of
-    `kind`, pass `test` and, if a float, be finite."""
+    """Raise ValueError at the first field of `obj` that breaks its rule
+    (names, kind, test, text); `names` holds one or more field names.  A
+    dataclass field whose default is None may be None; any other value must
+    be of `kind`, pass `test` and, if a float, be finite."""
     for names, kind, test, text in rules:
         for name in names.split():
             value = getattr(obj, name)

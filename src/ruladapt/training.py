@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -45,7 +45,8 @@ from .serialization import save_blob, write_json
 
 # What each variant trains: its adaptation terms in the order `train_step`
 # builds them, with default weights (`LossWeights` fields; the adversarial
-# one is `RunConfig.dann_weight`).  Every term reads the target stream.
+# one is `RunConfig.dann_weight`).  A RunConfig takes its weights from here
+# unless it is given them.  Every term reads the target stream.
 VARIANT_TERMS = {
     "lamanet": {"discrepancy": 0.35, "recon": 0.2, "smooth": 0.35},
     "no_da": {},
@@ -67,14 +68,13 @@ class TrainingAbort(RuntimeError):
         self.terms = terms
 
 
-def variant_weights(variant: str, *, gamma_noise: float = 0.1, da_start: int = 200) -> LossWeights:
+def variant_weights(variant: str) -> LossWeights:
     """The variant's loss weights: each of its `VARIANT_TERMS` at its default
-    weight, every other weighted term at 0."""
+    weight, every other weighted term at 0, the rest at `LossWeights`'."""
     if variant not in VARIANT_TERMS:
         raise ValueError(f"unknown variant {variant!r}")
-    lambdas = {field: VARIANT_TERMS[variant].get(name, 0.0)
-               for name, field in TERM_WEIGHTS.items() if field is not None}
-    return LossWeights(**lambdas, gamma_noise=gamma_noise, da_start_iteration=da_start)
+    return LossWeights(**{field: VARIANT_TERMS[variant].get(name, 0.0)
+                          for name, field in TERM_WEIGHTS.items() if field is not None})
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class RunConfig:
     lr_gamma: float = 0.95
     lr_decay_start: int = 100
     rc: float = 125.0
-    weights: LossWeights = field(default_factory=LossWeights)
+    weights: LossWeights | None = None  # None: `variant_weights(variant)`
     model: ModelConfig = field(default_factory=ModelConfig)
     kernel: KernelSpec = field(default_factory=KernelSpec)
     seeds: tuple[int, ...] = DEFAULT_SEEDS
@@ -117,6 +117,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self, self.RULES)
+        if self.weights is None:  # resolved once the variant is known to be good
+            object.__setattr__(self, "weights", variant_weights(self.variant))
         if self.model.window != self.window:
             raise ValueError(
                 f"model window {self.model.window} != run window {self.window}"
@@ -137,14 +139,13 @@ class RunConfig:
 
 
 def make_run_config(source: str, target: str, variant: str = "lamanet", **overrides) -> RunConfig:
-    """RunConfig with the variant's weight column filled in unless overridden."""
-    gamma = overrides.pop("gamma_noise", 0.1)
-    da_start = overrides.pop("da_start", 200)
-    weights = overrides.pop("weights", variant_weights(variant, gamma_noise=gamma, da_start=da_start))
-    return RunConfig(
-        source_subset=source, target_subset=target, variant=variant,
-        weights=weights, **overrides,
-    )
+    """RunConfig with `gamma_noise` and `da_start`, where given, set on top of
+    the variant's weights."""
+    on_top = {field: overrides.pop(key) for key, field in
+              (("gamma_noise", "gamma_noise"), ("da_start", "da_start_iteration"))
+              if key in overrides}
+    config = RunConfig(source_subset=source, target_subset=target, variant=variant, **overrides)
+    return replace(config, weights=replace(config.weights, **on_top)) if on_top else config
 
 
 def _dataclass_from_dict(cls, payload: dict):
@@ -156,8 +157,11 @@ def _dataclass_from_dict(cls, payload: dict):
 
 
 def run_config_from_dict(payload: dict) -> RunConfig:
-    """Build a RunConfig from plain data, rejecting unknown keys at every level."""
+    """Build a RunConfig from plain data, rejecting unknown keys at every
+    level.  A `weights` mapping sets the fields it names on top of the
+    variant's weights."""
     payload = dict(payload)
+    on_top = payload.pop("weights") if isinstance(payload.get("weights"), dict) else {}
     for key, cls in (("weights", LossWeights), ("model", ModelConfig), ("kernel", KernelSpec)):
         if isinstance(payload.get(key), dict):
             payload[key] = _dataclass_from_dict(cls, payload[key])
@@ -166,7 +170,10 @@ def run_config_from_dict(payload: dict) -> RunConfig:
     for key in ("seeds", "feature_mask"):
         if isinstance(payload.get(key), list):  # RunConfig rejects other types
             payload[key] = tuple(payload[key])
-    return _dataclass_from_dict(RunConfig, payload)
+    config = _dataclass_from_dict(RunConfig, payload)
+    if not on_top:
+        return config
+    return replace(config, weights=_dataclass_from_dict(LossWeights, asdict(config.weights) | on_top))
 
 
 # ---------------------------------------------------------------------------

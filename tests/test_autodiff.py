@@ -532,6 +532,19 @@ def test_key_bias_cancels_in_the_composed_decoder():
     np.testing.assert_allclose(b_k.grad, 0.0, rtol=0, atol=1e-12)
 
 
+def test_key_bias_cancels_in_self_attention():
+    """A bias added to every key (the k block of the packed input) shifts
+    each score of a query by the same q . b_k, so the output matches the
+    zero-block output to rounding: the encoder needs no key bias."""
+    rng = np.random.default_rng(12)
+    d = 8
+    qkv = rand(rng, 3, 7, 3 * d)
+    shifted = qkv.copy()
+    shifted[..., d : 2 * d] += rand(rng, d)
+    np.testing.assert_allclose(ad.self_attention(Tensor(shifted), 2).data,
+                               ad.self_attention(Tensor(qkv), 2).data, rtol=0, atol=1e-12)
+
+
 def test_backward_is_linear():
     rng = np.random.default_rng(3)
     x0 = rand(rng, 5)

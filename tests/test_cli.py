@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import shlex
 import shutil
 from pathlib import Path
 
@@ -7,8 +9,9 @@ import pytest
 import yaml
 
 from ruladapt import training
-from ruladapt.cli import _build_run_config, _setup, build_parser, main
+from ruladapt.cli import TOY_FEATURE_MASK, _build_run_config, _setup, build_parser, main
 from ruladapt.data import parse_cmapss, subset_paths
+from ruladapt.model import toy_model_config
 
 
 def run_cli(*argv) -> int:
@@ -54,6 +57,12 @@ def test_ingest_writes_nothing(cmapss_tiny_dir, tmp_path, monkeypatch):
     assert list(cwd.iterdir()) == []
 
 
+def _toy_ingest_line(data_dir) -> str:
+    train, _, _ = parse_cmapss(*subset_paths(data_dir, "FD001"))
+    n_windows = sum(max(len(t.matrix) - 16 + 1, 1) for t in train)
+    return f"FD001: {n_windows} train windows (K=16)"
+
+
 def test_ingest_windows_follow_the_file_preset(cmapss_tiny_dir, tmp_path, capsys):
     """A file `preset: toy` sets the window to the toy preset's 16, as it
     does for `train`."""
@@ -61,9 +70,13 @@ def test_ingest_windows_follow_the_file_preset(cmapss_tiny_dir, tmp_path, capsys
     cfg.write_text(yaml.safe_dump({"preset": "toy"}))
     assert run_cli("ingest", "--subset", "FD001", "--config", cfg,
                    "--data-dir", cmapss_tiny_dir) == 0
-    train, _, _ = parse_cmapss(*subset_paths(cmapss_tiny_dir, "FD001"))
-    n_windows = sum(max(len(t.matrix) - 16 + 1, 1) for t in train)
-    assert f"FD001: {n_windows} train windows (K=16)" in capsys.readouterr().out
+    assert _toy_ingest_line(cmapss_tiny_dir) in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [("--preset", "toy"), ("--toy",)], ids=["preset", "toy"])
+def test_ingest_takes_the_preset_flags(flags, cmapss_tiny_dir, capsys):
+    assert run_cli("ingest", "--subset", "FD001", "--data-dir", cmapss_tiny_dir, *flags) == 0
+    assert _toy_ingest_line(cmapss_tiny_dir) in capsys.readouterr().out
 
 
 def test_ingest_malformed_file_exits_2_naming_its_line(cmapss_tiny_dir, tmp_path, capsys):
@@ -206,9 +219,11 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
         ("train", ("--seeds=", *TOY_FAST), {}, "--seeds '': invalid literal"),
         ("train", ("--jobs", "0", *TOY_FAST), {}, "jobs must be >= 1, got 0"),
         ("ablate", ("--jobs", "-1", *TOY_FAST), {}, "jobs must be >= 1, got -1"),
-        ("train", TOY_FAST, {"jobs": "x"}, "jobs: invalid literal for int() with base 10: 'x'"),
+        ("train", TOY_FAST, {"jobs": "x"}, "jobs must be an integer, got 'x'"),
         ("sweep", ("--confirm", *TOY_FAST), {"jobs": 0}, "jobs must be >= 1, got 0"),
         ("train", TOY_FAST, {"jobs": 2.7}, "jobs must be an integer, got 2.7"),
+        ("train", TOY_FAST, {"jobs": "2"}, "jobs must be an integer, got '2'"),
+        ("ablate", TOY_FAST, {"jobs": 2.0}, "jobs must be an integer, got 2.0"),
         ("ablate", TOY_FAST, {"jobs": True}, "jobs must be an integer, got True"),
         ("train", TOY_FAST, {"lr_gamma": 1.5}, "lr_gamma must lie in (0, 1], got 1.5"),
         ("train", TOY_FAST, {"lr_gamma": 0.0}, "lr_gamma must lie in (0, 1], got 0.0"),
@@ -246,7 +261,8 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
     ids=["unknown-preset", "model-window-conflict", "toy-flag-mask", "toy-file-mask",
          "toy-model", "desk-model", "seeds-not-int", "window-zero", "window-negative",
          "seeds-repeated", "seeds-empty", "seeds-flag-empty", "jobs-zero", "jobs-negative",
-         "jobs-file-not-int", "jobs-file-zero", "jobs-file-fraction", "jobs-file-bool",
+         "jobs-file-not-int", "jobs-file-zero", "jobs-file-fraction", "jobs-file-string",
+         "jobs-file-float", "jobs-file-bool",
          "lr-gamma-above-1", "lr-gamma-zero", "lr-decay-start-negative", "dann-hidden-zero",
          "mask-empty", "mask-out-of-range", "mask-negative", "toy-file-mask-empty",
          "window-fraction", "epochs-fraction", "epochs-bool", "mask-not-list",
@@ -310,9 +326,9 @@ def test_bad_file_value_exits_2_before_reading_data(file_cfg, field, tmp_path, c
 
 @pytest.mark.parametrize(
     "file_cfg, message",
-    [({"data_dir": 5}, "data_dir must be a path string, got 5"),
-     ({"out_dir": 7}, "out_dir must be a path string, got 7"),
-     ({"out_dir": ["runs"]}, "out_dir must be a path string, got ['runs']")],
+    [({"data_dir": 5}, "data_dir must be a string, got 5"),
+     ({"out_dir": 7}, "out_dir must be a string, got 7"),
+     ({"out_dir": ["runs"]}, "out_dir must be a string, got ['runs']")],
     ids=["data-dir-int", "out-dir-int", "out-dir-list"],
 )
 def test_file_paths_must_be_strings(file_cfg, message, tmp_path, monkeypatch, capsys):
@@ -417,6 +433,79 @@ def test_file_model_mapping_sets_the_other_widths():
     file_cfg = {"model": {"attn_dim": 16, "n_heads": 2}}
     config = _build_run_config(args, file_cfg, "FD001", "FD002", "lamanet")
     assert (config.model.attn_dim, config.model.n_heads, config.model.window) == (16, 2, 30)
+
+
+@pytest.mark.parametrize("variant", training.VARIANTS)
+def test_every_builder_gives_the_variant_its_own_weights(variant):
+    """`RunConfig`, `make_run_config`, `run_config_from_dict` and the CLI
+    take a variant's weights from `VARIANT_TERMS` alone: one config, one
+    hash."""
+    args = build_parser().parse_args(
+        ["train", "--source", "FD002", "--target", "FD001", "--variant", variant])
+    configs = [
+        training.RunConfig(variant=variant),
+        training.make_run_config("FD002", "FD001", variant),
+        training.run_config_from_dict({"variant": variant}),
+        _build_run_config(args, {}, "FD002", "FD001", variant),
+    ]
+    assert {config.weights for config in configs} == {training.variant_weights(variant)}
+    assert len({config.hash for config in configs}) == 1
+
+
+@pytest.mark.parametrize("variant", ["mmd", "coral"])
+def test_partial_file_weights_keep_the_variant_weights(variant, cmapss_tiny_dir, tmp_path):
+    """A file `weights:` mapping sets only the fields it names: opening the
+    gate early leaves mmd's and coral's lambda_m at their own 0.2."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"weights": {"da_start_iteration": 0}}))
+    out = tmp_path / "runs"
+    assert run_cli("train", "--source", "FD001", "--target", "FD002", "--variant", variant,
+                   "--config", cfg, "--data-dir", cmapss_tiny_dir, "--out-dir", out,
+                   *TOY_RUN) == 0
+    report = json.loads((out / "FD001-FD002" / variant / "1" / "report.json").read_text())
+    assert report["config"]["weights"] == {
+        "lambda_m": 0.2, "lambda_r": 0.0, "lambda_s": 0.0, "gamma_noise": 0.1,
+        "da_start_iteration": 0}
+
+
+def test_toy_flag_wins_over_a_file_preset(cmapss_tiny_dir, tmp_path):
+    """`--toy` is `--preset toy`, so it wins over a file `preset: desk` as
+    any flag wins over the file."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({"preset": "desk"}))
+    out = tmp_path / "runs"
+    assert run_cli("train", "--source", "FD001", "--target", "FD002", "--variant", "no_da",
+                   "--config", cfg, "--data-dir", cmapss_tiny_dir, "--out-dir", out,
+                   *TOY_RUN) == 0
+    config = json.loads((out / "FD001-FD002" / "no_da" / "1" / "report.json").read_text())["config"]
+    assert config["model"] == dataclasses.asdict(toy_model_config())
+    assert tuple(config["feature_mask"]) == TOY_FEATURE_MASK
+
+
+def _readme_section(title: str) -> str:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_lines_parse():
+    """Every `ruladapt` command in README's CLI section parses with the
+    program's parser (`\\` continuations joined)."""
+    lines = _readme_section("CLI").replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("ruladapt ")]
+    assert len(commands) >= 8
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_readme_config_file_example_builds(tmp_path):
+    """README's `run.yaml` example builds a run config through `_setup`."""
+    example = _readme_section("CLI").split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(example)
+    args = build_parser().parse_args(
+        ["train", "--source", "FD002", "--target", "FD001", "--config", str(cfg)])
+    config, _, _, _ = _setup(args, args.variant, args.source, args.target)
+    assert config.epochs == yaml.safe_load(example)["epochs"]
 
 
 def test_train_toy_with_window_flag_runs(cmapss_tiny_dir, tmp_path):

@@ -25,6 +25,7 @@ from ruladapt.losses import (
     smooth_loss,
 )
 from ruladapt.model import Model, ModelConfig, toy_model_config
+from ruladapt.serialization import load_blob, save_blob
 from ruladapt.training import (
     VARIANTS,
     Adam,
@@ -75,6 +76,21 @@ def test_variant_weight_columns():
     assert variant_weights("no_da").lambda_m == 0.0
     with pytest.raises(ValueError):
         variant_weights("bogus")
+
+
+def test_weight_settings_apply_on_top_of_the_variant_weights():
+    """A `weights` mapping, and `make_run_config`'s `gamma_noise` and
+    `da_start`, set only the fields they name; the variant is checked first,
+    and an unknown weights key is still named."""
+    config = run_config_from_dict({"variant": "mmd", "weights": {"da_start_iteration": 2}})
+    assert config.weights == dataclasses.replace(variant_weights("mmd"), da_start_iteration=2)
+    config = make_run_config("a", "b", "coral", gamma_noise=0.01, da_start=0)
+    assert config.weights == dataclasses.replace(
+        variant_weights("coral"), gamma_noise=0.01, da_start_iteration=0)
+    with pytest.raises(ValueError, match=r"^LossWeights: unknown keys \['bogus'\]"):
+        run_config_from_dict({"variant": "mmd", "weights": {"bogus": 1}})
+    with pytest.raises(ValueError, match="^variant must be one of"):
+        run_config_from_dict({"variant": "bogus", "weights": {"lambda_m": 0.1}})
 
 
 def test_run_config_validation():
@@ -157,14 +173,16 @@ def test_every_bad_field_value_is_rejected_naming_the_field(case):
 
 def test_every_config_field_has_a_rule():
     """A field that no rule names and that is not a nested config would skip
-    validation; every rule names a field."""
+    validation; every rule names a field.  `weights` is the nested
+    `LossWeights` section whose default, None, is the variant's weights."""
     for cls in CONFIG_SECTIONS:
         names = {f.name for f in dataclasses.fields(cls)}
         ruled = {name for rule in cls.RULES for name in rule[0].split()}
         assert ruled <= names, f"{cls.__name__} rules name no field {sorted(ruled - names)}"
         for f in dataclasses.fields(cls):
-            assert f.name in ruled or f.default_factory in CONFIG_SECTIONS, (
-                f"{cls.__name__}.{f.name} has no rule")
+            nested = f.default_factory in CONFIG_SECTIONS or (
+                f.name == CONFIG_SECTIONS[LossWeights] and f.default is None)
+            assert f.name in ruled or nested, f"{cls.__name__}.{f.name} has no rule"
 
 
 # ---------------------------------------------------------------------------
@@ -450,38 +468,15 @@ def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
     assert nodes == [124]
 
 
-def _key_biases_stay_put(toy_domains, select):
-    """Three toy lamanet steps: each selected key bias gets no gradient (its
-    query bias does) and Adam leaves it bitwise at its initial value."""
-    source, target = toy_domains
-    state = init_state(toy_config("lamanet", da_start=0), 1)
-    state.steps_per_epoch = 10
-    params = state.model.params
-    names = [name for name in params if name.endswith(".attn.k.b") and select(name)]
-    initial = {name: params[name].data.tobytes() for name in names}
-    src_X, src_y = stack_windows(source.train_windows, range(16))
-    tgt_X, _ = stack_windows(target.train_windows, range(16))
-    for _ in range(3):
-        train_step(state, src_X, src_y, tgt_X)
-        for name in names:
-            assert params[name].grad is None, name
-            assert params[name.replace(".k.b", ".q.b")].grad is not None, name
-    assert {name: params[name].data.tobytes() for name in names} == initial
-    return names
-
-
-def test_decoder_key_bias_gets_no_gradient(toy_domains):
-    """The absorbed decoder never reads its key bias."""
-    assert _key_biases_stay_put(toy_domains, lambda name: name.startswith("dec.")) == [
-        "dec.0.attn.k.b"]
-
-
-def test_encoder_key_biases_get_no_gradient(toy_domains):
-    """Self-attention packs a zero block in place of the key bias, which
-    would add the same q . b_k to every score of a query and cancel in the
-    softmax."""
-    names = _key_biases_stay_put(toy_domains, lambda name: name.startswith("enc."))
-    assert len(names) == 4  # two streams of two layers
+def test_no_attention_has_a_key_bias():
+    """A key bias would add the same q . b_k to every score of a query and
+    cancel in the softmax, so no attention block has one; each keeps its
+    key map."""
+    names = list(init_state(toy_config("dann"), 1).trainable())
+    assert [name for name in names if name.endswith(".attn.k.b")] == []
+    assert [name for name in names if name.endswith(".attn.k.W")] == [
+        "enc.sensor.0.attn.k.W", "enc.sensor.1.attn.k.W", "enc.time.0.attn.k.W",
+        "enc.time.1.attn.k.W", "dec.0.attn.k.W"]
 
 
 def test_non_finite_gradient_aborts_before_the_update(toy_domains, monkeypatch):
@@ -558,6 +553,28 @@ def test_checkpoint_resume_is_bitwise(tmp_path, toy_domains):
     assert state.history[-1]["total"] == resumed.history[-1]["total"]
     for name, p in state.model.params.items():
         np.testing.assert_array_equal(p.data, resumed.model.params[name].data)
+
+
+def test_checkpoint_with_key_bias_sections_loads(tmp_path, toy_domains):
+    """A checkpoint that still carries key-bias parameters and their Adam
+    moments, as files written before the model dropped them do, loads with
+    those sections ignored."""
+    source, target = toy_domains
+    config = toy_config("lamanet", epochs=50)
+    state = init_state(config, 1)
+    train(state, source, target, max_iterations=3)
+    save_train_checkpoint(tmp_path / "ckpt.bin", state)
+    arrays, meta = load_blob(tmp_path / "ckpt.bin")
+    for prefix in ("enc.sensor.0", "enc.time.1", "dec.0"):
+        for section in ("param", "adam_m", "adam_v"):
+            arrays[f"{section}/{prefix}.attn.k.b"] = np.zeros(config.model.attn_dim)
+    save_blob(tmp_path / "old.bin", arrays, meta)
+
+    loaded = load_train_checkpoint(tmp_path / "old.bin", config)
+    assert loaded.iteration == state.iteration
+    for name, p in state.trainable().items():
+        np.testing.assert_array_equal(p.data, loaded.model.params[name].data)
+        np.testing.assert_array_equal(state.adam.v[name], loaded.adam.v[name])
 
 
 def test_checkpoint_rejects_other_config(tmp_path, toy_domains):
