@@ -10,7 +10,9 @@ Each setting is its flag if given, else the YAML config file's value if
 set, else its default (`_pick`, `_setup`).  A setting that cannot be used is
 an `error:` line and exit code 2 before any data is read; so are flat files
 that cannot be loaded, before any training.  `train`, `ablate` and `sweep`
-run their rows through `_run_rows`: all run artifacts land under
+run their rows through `_run_rows`, which loads the pair and hands every row
+to `training.run_experiment`: the seeds of all rows go to one map, one pool
+of N workers under `--jobs N`.  All run artifacts land under
 out_dir/<SOURCE>-<TARGET>/<row>/<seed>/ with fixed file names.
 """
 
@@ -21,8 +23,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -179,33 +179,20 @@ def cmd_ingest(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-@contextmanager
-def _seed_map(jobs: int):
-    """The map `run_experiment` spreads seeds with: the builtin `map`, or the
-    `map` of one process pool of `jobs` workers shared by the whole command."""
-    if jobs <= 1:
-        yield map
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield pool.map
-
-
 def _run_rows(base, data_dir: Path, out_dir: Path, jobs: int, rows, *, latents: bool):
     """Yield the report of each (label, dirname, config) row -- a variant, an
-    ablation row, a sweep point -- run into out_dir/<SOURCE>-<TARGET>/<dirname>/.
-    The pair is loaded once, as `base` asks, and one seed map serves every
-    row; a pair that cannot be loaded is a ConfigError before any training."""
+    ablation row, a sweep point -- run into out_dir/<SOURCE>-<TARGET>/<dirname>/
+    by `run_experiment`.  The pair is loaded once, as `base` asks; a pair
+    that cannot be loaded is a ConfigError before any training."""
     pair = (
         provide_dataset(data_dir, base.source_subset, SOURCE, base),
         provide_dataset(data_dir, base.target_subset, TARGET, base),
     )
     pair_dir = out_dir / f"{base.source_subset}-{base.target_subset}"
-    with _seed_map(jobs) as map_fn:
-        for label, dirname, config in rows:
-            yield run_experiment(
-                config, *pair, out_dir=pair_dir / dirname, label=label,
-                write_latents=latents, progress=print, map_fn=map_fn,
-            )
+    yield from run_experiment(
+        [(label, pair_dir / dirname, config) for label, dirname, config in rows], *pair,
+        jobs=jobs, write_latents=latents, progress=print,
+    )
 
 
 def _print_failures(reports) -> int:

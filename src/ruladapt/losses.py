@@ -45,9 +45,9 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class LossWeights:
-    lambda_m: float = 0.35
-    lambda_r: float = 0.2
-    lambda_s: float = 0.35
+    lambda_m: float  # each variant's λs: `training.variant_weights`
+    lambda_r: float
+    lambda_s: float
     gamma_noise: float = 0.1
     da_start_iteration: int = 200
 

@@ -10,11 +10,13 @@ in float64.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -579,10 +581,11 @@ def run_single_seed(
     return result
 
 
-def _seed_job(seed, config, source, target, out_dir, write_latents) -> dict | str:
-    """One seed of `run_experiment`.  An abort comes back as the failure
-    line instead of being raised, so no exception has to cross a process
-    boundary when `map_fn` is a pool's."""
+def _seed_job(job, source, target, write_latents) -> dict | str:
+    """One seed of `run_experiment`, from its (config, seed, out_dir) triple.
+    An abort comes back as the failure line instead of being raised, so no
+    exception has to cross a process boundary under a pool."""
+    config, seed, out_dir = job
     try:
         return run_single_seed(
             config, seed, source, target, run_dir=Path(out_dir) / str(seed),
@@ -593,49 +596,57 @@ def _seed_job(seed, config, source, target, out_dir, write_latents) -> dict | st
 
 
 def run_experiment(
-    config: RunConfig,
+    rows,
     source: DomainDataset,
     target: DomainDataset,
     *,
-    out_dir,
-    label: str | None = None,
+    jobs: int = 1,
     write_latents: bool = True,
     progress: Callable[[str], None] | None = None,
-    map_fn=map,
-) -> MetricsReport:
-    """Train every seed, evaluate on the target test set, aggregate.
+) -> Iterator[MetricsReport]:
+    """Train every seed of every (label, out_dir, config) row, evaluate on the
+    target test set, and yield each row's aggregate report in row order.
 
-    Seeds are spread with `map_fn` (the builtin `map`, or a process pool's
-    `map`, which pickles the config and both datasets to its workers); the
-    results are consumed in seed order, so every artifact is the same either
-    way.  A seed run that aborts (non-finite loss) is recorded as a failure
-    and the remaining seeds still run.  Artifacts are written per seed under
-    out_dir/<seed>/ and the aggregate in out_dir.  `label` names the row in
-    the report and the progress lines (default: the config's variant).
+    The seeds of all rows go to one map: the builtin `map` when `jobs` is 1,
+    else the `map` of one process pool of `jobs` workers (which pickles each
+    config and both datasets to its workers), so no row waits for the one
+    before it.  Results are consumed in row and seed order, so every artifact
+    and progress line is the same for any `jobs`.  A seed run that aborts
+    (non-finite loss) is recorded as a failure and the remaining seeds still
+    run.  Artifacts are written per seed under out_dir/<seed>/ and the row's
+    aggregate in out_dir; `label` names the row in the report and the
+    progress lines.  Leaving the generator early, by an exception or by
+    closing it, cancels the seeds no worker has taken.
     """
-    report = MetricsReport(
-        source=config.source_subset,
-        target=config.target_subset,
-        variant=label or config.variant,
-        seeds=tuple(config.seeds),
-        n_test_engines=len(target.test_windows),
-    )
-    job = partial(
-        _seed_job, config=config, source=source, target=target,
-        out_dir=out_dir, write_latents=write_latents,
-    )
-    for result in map_fn(job, config.seeds):
-        if isinstance(result, str):
-            report.failures.append(result)
-            continue
-        report.records.append(result)
-        if progress is not None:
-            progress(
-                f"{config.source_subset}->{config.target_subset} {report.variant} "
-                f"seed {result['seed']}: rmse {result['rmse']:.2f}"
+    rows = list(rows)
+    seed_jobs = [(config, seed, out_dir) for _, out_dir, config in rows for seed in config.seeds]
+    job = partial(_seed_job, source=source, target=target, write_latents=write_latents)
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    try:
+        results = (pool.map if pool else map)(job, seed_jobs)
+        for label, out_dir, config in rows:
+            report = MetricsReport(
+                source=config.source_subset,
+                target=config.target_subset,
+                variant=label,
+                seeds=tuple(config.seeds),
+                n_test_engines=len(target.test_windows),
             )
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
-    write_json(Path(out_dir) / "report.json",
-               report.to_dict() | {"config_hash": config.hash, "config": config.to_dict()})
-    _write_metrics(Path(out_dir) / "metrics.csv", report.records)
-    return report
+            for result in itertools.islice(results, len(config.seeds)):
+                if isinstance(result, str):
+                    report.failures.append(result)
+                    continue
+                report.records.append(result)
+                if progress is not None:
+                    progress(
+                        f"{config.source_subset}->{config.target_subset} {label} "
+                        f"seed {result['seed']}: rmse {result['rmse']:.2f}"
+                    )
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            write_json(Path(out_dir) / "report.json",
+                       report.to_dict() | {"config_hash": config.hash, "config": config.to_dict()})
+            _write_metrics(Path(out_dir) / "metrics.csv", report.records)
+            yield report
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)

@@ -32,7 +32,6 @@ from ruladapt.data import (
 from ruladapt.evaluation import evaluate_target, rmse, score, predict_scaled
 from ruladapt.losses import (
     KernelSpec,
-    LossWeights,
     composite_loss,
     latent_mmd,
     mmd2,
@@ -42,7 +41,9 @@ from ruladapt.losses import (
 )
 from ruladapt.model import Model, desk_model_config, toy_model_config
 from ruladapt.synthetic import generate_subset
-from ruladapt.training import init_state, make_run_config, run_single_seed, train
+from ruladapt.training import (
+    init_state, make_run_config, run_single_seed, train, variant_weights,
+)
 
 from gradtools import flat_loss_fn, grad_check, split_flat
 from helpers import denormalize, fit_normalization, make_toy_domains, normalize, tiny_model_config
@@ -157,7 +158,7 @@ def test_criterion_1_gradient_fidelity():
     ys = data_rng.uniform(0, 1, size=(4, 1))
     xt = data_rng.uniform(0, 1, size=(4, 4, 8))
     kernel = KernelSpec(bandwidth_mode="fixed", bandwidth=1.0)
-    weights = LossWeights(da_start_iteration=0)
+    weights = replace(variant_weights("lamanet"), da_start_iteration=0)
 
     def build_loss(m: Model):
         xs_t, ys_t, xt_t = Tensor(xs), Tensor(ys), Tensor(xt)

@@ -625,9 +625,17 @@ def _artifact_tree(root) -> dict:
     return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-@pytest.mark.parametrize("command", [("train", "--variant", "lamanet"), ("ablate",)])
-def test_jobs_2_writes_the_jobs_1_tree(cmapss_tiny_dir, tmp_path, command):
-    trees = {}
+def _sweep_grid(lambda_m: str, lambda_r: str) -> str:
+    return f"lambda_m={lambda_m};lambda_r={lambda_r};lambda_s=0.35;gamma_noise=0.1;autoencoder=gru"
+
+
+@pytest.mark.parametrize("command", [
+    ("train", "--variant", "lamanet"), ("ablate",),
+    ("sweep", "--confirm", "--grid", _sweep_grid("0.1,0.5", "0.2")),
+])
+def test_jobs_2_writes_the_jobs_1_tree(cmapss_tiny_dir, tmp_path, capsys, command):
+    """Same files and the same stdout, progress lines in the same order."""
+    trees, stdout = {}, {}
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
         rc = run_cli(
@@ -636,9 +644,27 @@ def test_jobs_2_writes_the_jobs_1_tree(cmapss_tiny_dir, tmp_path, command):
         )
         assert rc == 0
         trees[jobs] = _artifact_tree(out)
+        stdout[jobs] = capsys.readouterr().out
+    assert stdout[2] == stdout[1]
     assert sorted(trees[2]) == sorted(trees[1])
     for rel, blob in trees[1].items():
         assert trees[2][rel] == blob, rel
+
+
+def test_a_parent_side_error_cancels_the_seeds_not_yet_started(cmapss_tiny_dir, tmp_path):
+    """A directory where row 1's report.json goes fails that write after the
+    row's seeds; the pool drops the seeds no worker has taken, so the command
+    exits before the whole 4-point x 2-seed grid has run."""
+    out = tmp_path / "runs"
+    grid = _sweep_grid("0.1,0.5", "0.2,0.5")
+    first_point = "autoencoder=gru_gamma_noise=0.1_lambda_m=0.1_lambda_r=0.2_lambda_s=0.35"
+    (out / "FD001-FD002" / f"sweep-{first_point}" / "report.json").mkdir(parents=True)
+    with pytest.raises(IsADirectoryError):
+        run_cli(
+            "sweep", "--confirm", "--grid", grid, "--source", "FD001", "--target", "FD002",
+            "--data-dir", cmapss_tiny_dir, "--out-dir", out, *JOBS_RUN, "--jobs", 2,
+        )
+    assert 2 <= len(list(out.rglob("checkpoint.bin"))) < 8
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ruladapt.losses import (
     smooth_loss,
 )
 from ruladapt.model import toy_model_config
+from ruladapt.training import variant_weights
 
 from gradtools import grad_check
 from oracles import composed_mmd2, log
@@ -538,7 +540,7 @@ def unit_part():
 
 def test_composite_before_gate_is_exactly_rul():
     rul = Tensor(np.array(0.123))
-    weights = LossWeights()
+    weights = variant_weights("lamanet")
     assert not any(evaluates_term(name, weights, 0) for name in TERM_WEIGHTS)
     assert composite_loss(rul, {}, weights) is rul  # no term was built or added
 
@@ -560,21 +562,29 @@ def test_composite_table_weight_arithmetic():
         "recon": Tensor(np.array(2.0)),
         "smooth": Tensor(np.array(2.0)),
     }
-    value = float(composite_loss(unit_part(), terms, LossWeights()).data)
+    value = float(composite_loss(unit_part(), terms, variant_weights("lamanet")).data)
     assert value == pytest.approx(2.45, rel=1e-12)
 
 
 def test_composite_rejects_negative_weights_and_iterations():
     with pytest.raises(ValueError):
-        LossWeights(lambda_m=-0.1)
+        replace(variant_weights("lamanet"), lambda_m=-0.1)
     with pytest.raises(ValueError, match="iteration must be non-negative"):
-        evaluates_term("discrepancy", LossWeights(), -1)
+        evaluates_term("discrepancy", variant_weights("lamanet"), -1)
+
+
+def test_loss_weights_have_no_default_lambdas():
+    """A variant's λs come only from `VARIANT_TERMS`, never from field defaults."""
+    with pytest.raises(TypeError, match="lambda_m"):
+        LossWeights()
+    weights = LossWeights(lambda_m=0.1, lambda_r=0.2, lambda_s=0.3)
+    assert (weights.gamma_noise, weights.da_start_iteration) == (0.1, 200)
 
 
 def test_composite_rejects_an_unknown_term():
     with pytest.raises(ValueError, match=r"unknown loss terms \['mmd'\]"):
         composite_loss(unit_part(), {"discrepancy": unit_part(), "mmd": unit_part()},
-                       LossWeights())
+                       variant_weights("lamanet"))
 
 
 def test_composite_records_term_values(monkeypatch):

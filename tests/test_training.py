@@ -594,8 +594,8 @@ def test_checkpoint_rejects_other_config(tmp_path, toy_domains):
 def test_run_experiment_emits_full_report(tmp_path, toy_domains):
     source, target = toy_domains
     config = toy_config("no_da", epochs=1, seeds=(1, 2))
-    report = run_experiment(
-        config, source, target, out_dir=tmp_path / "out", write_latents=False,
+    (report,) = run_experiment(
+        [("no_da", tmp_path / "out", config)], source, target, write_latents=False,
     )
     assert len(report.rmse_per_seed) == 2
     assert report.n_test_engines == len(target.test_windows)
@@ -612,7 +612,8 @@ def test_failed_report_write_keeps_the_previous_report(tmp_path, toy_domains, mo
     source, target = toy_domains
     config = toy_config("no_da", epochs=1, seeds=(1,))
     out = tmp_path / "out"
-    run_experiment(config, source, target, out_dir=out, write_latents=False)
+    row = [("no_da", out, config)]
+    list(run_experiment(row, source, target, write_latents=False))
     before = (out / "1" / "report.json").read_bytes()
 
     def dump_then_fail(obj, fh, **kwargs):
@@ -621,6 +622,36 @@ def test_failed_report_write_keeps_the_previous_report(tmp_path, toy_domains, mo
 
     monkeypatch.setattr(json, "dump", dump_then_fail)
     with pytest.raises(OSError, match="No space left"):
-        run_experiment(config, source, target, out_dir=out, write_latents=False)
+        list(run_experiment(row, source, target, write_latents=False))
     assert (out / "1" / "report.json").read_bytes() == before
     assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
+
+def test_run_experiment_submits_every_row_in_one_map(tmp_path, toy_domains, monkeypatch):
+    """Under jobs > 1 the seeds of all rows go to one pool map, made before
+    the first report is yielded; the pool is shut down cancelling the rest."""
+    calls, shutdowns = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def map(self, fn, seed_jobs):
+            calls.append(list(seed_jobs))
+            return iter([{"seed": seed, "rmse": 1.0, "score": 2.0, "val_rmse": 3.0}
+                         for _, seed, _ in calls[-1]])
+
+        def shutdown(self, **kwargs):
+            shutdowns.append(kwargs)
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", RecordingPool)
+    source, target = toy_domains
+    rows = [(f"row{i}", tmp_path / f"row{i}", toy_config("no_da", seeds=(1, 2, 3)))
+            for i in range(3)]
+    reports = run_experiment(rows, source, target, jobs=2, write_latents=False)
+    first = next(reports)
+    assert calls == [[(config, seed, out) for _, out, config in rows for seed in (1, 2, 3)]]
+    assert first.variant == "row0" and len(first.records) == 3
+    assert [report.variant for report in reports] == ["row1", "row2"]
+    assert len(calls) == 1 and shutdowns == [{"cancel_futures": True}]
+    assert all((out / "report.json").exists() for _, out, _ in rows)
