@@ -114,10 +114,9 @@ class Model:
         self._add(f"{name}.b", np.zeros(fan_out))
 
     def _add_attention_block(self, prefix: str, rng) -> None:
+        """Everything after the q/k/v projections, which the caller adds
+        first so the draw order stays q, k, v, o, ffn."""
         d, ffn = self.config.attn_dim, self.config.ffn_dim
-        self._add_affine(f"{prefix}.attn.q", d, d, rng)
-        self._add(f"{prefix}.attn.k.W", _xavier(rng, d, d))  # no bias: see `_self_attention`
-        self._add_affine(f"{prefix}.attn.v", d, d, rng)
         self._add_affine(f"{prefix}.attn.o", d, d, rng)
         self._add(f"{prefix}.ln1.g", np.ones(d))
         self._add(f"{prefix}.ln1.b", np.zeros(d))
@@ -136,7 +135,11 @@ class Model:
         self._add("enc.time.pos", rng.normal(0.0, 0.02, size=(K, d)))
         for stream in ("sensor", "time"):
             for i in range(cfg.n_encoder_layers):
-                self._add_attention_block(f"enc.{stream}.{i}", rng)
+                prefix = f"enc.{stream}.{i}"  # no key bias: see `_self_attention`
+                self._add(f"{prefix}.attn.qkv.W", np.hstack([_xavier(rng, d, d) for _ in "qkv"]))
+                self._add(f"{prefix}.attn.q.b", np.zeros(d))
+                self._add(f"{prefix}.attn.v.b", np.zeros(d))
+                self._add_attention_block(prefix, rng)
         self._add_affine("enc.fusion", d, d, rng)
 
         self._add_affine("squeeze.1", M, cfg.squeeze_hidden, rng)
@@ -146,21 +149,21 @@ class Model:
 
         self._add("dec.query", rng.normal(0.0, 0.02, size=(1, 1, d)))
         for i in range(cfg.n_decoder_layers):
+            self._add_affine(f"dec.{i}.attn.q", d, d, rng)
+            self._add(f"dec.{i}.attn.k.W", _xavier(rng, d, d))
+            self._add_affine(f"dec.{i}.attn.v", d, d, rng)
             self._add_attention_block(f"dec.{i}", rng)
         self._add_affine("dec.out", d, cfg.head_dim, rng)
         self._add_affine("head", cfg.head_dim, 1, rng)
 
         h = cfg.recon_hidden
         self._add_affine("recon.init", B, h, rng)
-        if cfg.recon_cell == "gru":
-            for gate in ("z", "r"):
-                self._add(f"recon.cell.Wi{gate}", _xavier(rng, f, h))
-                self._add(f"recon.cell.Wh{gate}", _xavier(rng, h, h))
-                self._add(f"recon.cell.b{gate}", np.zeros(h))
-            self._add("recon.cell.Win", _xavier(rng, f, h))
-            self._add("recon.cell.bin", np.zeros(h))
-            self._add("recon.cell.Whn", _xavier(rng, h, h))
-            self._add("recon.cell.bhn", np.zeros(h))
+        if cfg.recon_cell == "gru":  # drawn gate by gate, stored as `gru_sequence` reads them
+            w_i, w_h = zip(*[(_xavier(rng, f, h), _xavier(rng, h, h)) for _ in "zrn"])
+            self._add("recon.cell.w_i", np.hstack(w_i))
+            self._add("recon.cell.w_h", np.hstack(w_h))
+            self._add("recon.cell.b_i", np.zeros(3 * h))
+            self._add("recon.cell.b_hn", np.zeros(h))
         elif cfg.recon_cell == "lstm":
             for gate in ("i", "f", "g", "o"):
                 self._add(f"recon.cell.Wi{gate}", _xavier(rng, f, h))
@@ -183,14 +186,13 @@ class Model:
         return ad.add_layer_norm(x, y, self._p(f"{name}.g"), self._p(f"{name}.b"))
 
     def _self_attention(self, x: Tensor, prefix: str) -> Tensor:
-        """q, k and v from one GEMM over their weights stacked in column
-        blocks.  A key bias would add the same q . b_k to every score of a
-        query and cancel in the softmax, so the model has none and a zero
-        block stands in for it."""
+        """q, k and v from one GEMM over `attn.qkv.W`, their weights stored
+        in column blocks.  A key bias would add the same q . b_k to every
+        score of a query and cancel in the softmax, so the model has none
+        and a zero block stands in for it."""
         p, zeros = self._p, ad.constant(np.zeros(self.config.attn_dim))
-        w = ad.concat([p(f"{prefix}.attn.{g}.W") for g in "qkv"], axis=-1)
         b = ad.concat([p(f"{prefix}.attn.q.b"), zeros, p(f"{prefix}.attn.v.b")], axis=-1)
-        mixed = ad.self_attention(ad.linear(x, w, b), self.config.n_heads)
+        mixed = ad.self_attention(ad.linear(x, p(f"{prefix}.attn.qkv.W"), b), self.config.n_heads)
         return self._affine(mixed, f"{prefix}.attn.o")
 
     def _query_attention(self, x: Tensor, memory: Tensor, prefix: str) -> Tensor:
@@ -274,13 +276,8 @@ class Model:
         n = c.shape[0]
         h = ad.sigmoid(self._affine(c, "recon.init"))
         if cfg.recon_cell == "gru":
-            def stacked(*names):
-                return ad.concat([self._p(f"recon.cell.{k}") for k in names], axis=-1)
-
             return ad.gru_sequence(
-                h, x_first,
-                stacked("Wiz", "Wir", "Win"), stacked("Whz", "Whr", "Whn"),
-                stacked("bz", "br", "bin"), self._p("recon.cell.bhn"),
+                h, x_first, *(self._p(f"recon.cell.{k}") for k in ("w_i", "w_h", "b_i", "b_hn")),
                 self._p("recon.out.W"), self._p("recon.out.b"), cfg.window,
             )
         state = (h, ad.constant(np.zeros((n, cfg.recon_hidden)))) if cfg.recon_cell == "lstm" else h

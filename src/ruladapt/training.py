@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -363,28 +364,7 @@ def train_step(state: TrainState, src_X, src_y, tgt_X) -> dict:
     return record
 
 
-LOG_COLUMNS = (
-    "iteration", "epoch", "lr", "total", "rul",
-    "discrepancy", "recon", "smooth", "adversarial", "val_rmse",
-)
-
-
-class RunLogWriter:
-    """Append-only CSV log; one row per iteration plus epoch-end rows with
-    the source validation RMSE.  Unlike the snapshot artifacts it is not
-    replaced atomically: rows stream into the file so that it can be read
-    while the run grows it."""
-
-    def __init__(self, path):
-        self._fh = open(path, "w", newline="")
-        self._writer = csv.DictWriter(self._fh, fieldnames=LOG_COLUMNS, extrasaction="ignore")
-        self._writer.writeheader()
-
-    def write(self, record: dict) -> None:
-        self._writer.writerow(record)
-
-    def close(self) -> None:
-        self._fh.close()
+LOG_COLUMNS = ("iteration", "epoch", "lr", "total", "rul", *TERM_WEIGHTS, "val_rmse")
 
 
 def source_val_rmse(state: TrainState, source: DomainDataset) -> float:
@@ -403,9 +383,11 @@ def train(
     target: DomainDataset,
     *,
     max_iterations: int | None = None,
-    log_writer: RunLogWriter | None = None,
+    log: Callable[[dict], object] | None = None,
 ) -> TrainState:
-    """Run the epoch budget (or until `max_iterations`); resumable mid-epoch."""
+    """Run the epoch budget (or until `max_iterations`); resumable mid-epoch.
+    `log` receives each step's record and, at each epoch end, a record of
+    the iteration, epoch and source validation RMSE."""
     config = state.config
     half = config.batch_size // 2
     state.steps_per_epoch = steps_per_epoch(
@@ -426,11 +408,11 @@ def train(
             tgt_X, _ = stack_windows(target.train_windows, tgt_idx)
             record = train_step(state, src_X, src_y, tgt_X)
             state.step_in_epoch += 1
-            if log_writer is not None:
-                log_writer.write(record)
-        if log_writer is not None:
-            log_writer.write({"iteration": state.iteration, "epoch": state.epoch,
-                              "val_rmse": source_val_rmse(state, source)})
+            if log is not None:
+                log(record)
+        if log is not None:
+            log({"iteration": state.iteration, "epoch": state.epoch,
+                 "val_rmse": source_val_rmse(state, source)})
         state.epoch += 1
         state.step_in_epoch = 0
         state.src_order = None
@@ -554,14 +536,16 @@ def run_single_seed(
     file, as `atomic_open` does."""
     state = init_state(config, seed)
     run_dir.mkdir(parents=True, exist_ok=True)
-    log_writer = RunLogWriter(run_dir / "train_log.csv")
-    try:
-        train(state, source, target, log_writer=log_writer)
-    except BaseException:
-        _remove_artifacts(run_dir, SEED_SNAPSHOTS)
-        raise
-    finally:
-        log_writer.close()
+    # Unlike the snapshot artifacts, the log is not replaced atomically: its
+    # rows stream into the file so that it can be read while the run grows it.
+    with open(run_dir / "train_log.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=LOG_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        try:
+            train(state, source, target, log=writer.writerow)
+        except BaseException:
+            _remove_artifacts(run_dir, SEED_SNAPSHOTS)
+            raise
     target_rmse, target_score = evaluate_target(state.model, target, config.rc)
     result = {
         "seed": seed, "rmse": target_rmse, "score": target_score,
@@ -581,10 +565,22 @@ def run_single_seed(
     return result
 
 
-def _seed_job(job, source, target, write_latents) -> dict | str:
+_stop = None  # a pool worker's copy of `run_experiment`'s stop event
+
+
+def _set_stop(event) -> None:
+    global _stop
+    _stop = event
+
+
+def _seed_job(job, source, target, write_latents) -> dict | str | None:
     """One seed of `run_experiment`, from its (config, seed, out_dir) triple.
     An abort comes back as the failure line instead of being raised, so no
-    exception has to cross a process boundary under a pool."""
+    exception has to cross a process boundary under a pool.  A pool worker
+    that takes the job after `run_experiment` was left returns None at once,
+    a result no one reads."""
+    if _stop is not None and _stop.is_set():
+        return None
     config, seed, out_dir = job
     try:
         return run_single_seed(
@@ -616,12 +612,16 @@ def run_experiment(
     run.  Artifacts are written per seed under out_dir/<seed>/ and the row's
     aggregate in out_dir; `label` names the row in the report and the
     progress lines.  Leaving the generator early, by an exception or by
-    closing it, cancels the seeds no worker has taken.
+    closing it, cancels the seeds no worker has taken and sets a stop event
+    that makes the workers skip the seeds already on the pool's call queue,
+    which the pool cannot cancel.
     """
     rows = list(rows)
     seed_jobs = [(config, seed, out_dir) for _, out_dir, config in rows for seed in config.seeds]
     job = partial(_seed_job, source=source, target=target, write_latents=write_latents)
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    stop = multiprocessing.Event() if jobs > 1 else None
+    pool = (ProcessPoolExecutor(max_workers=jobs, initializer=_set_stop, initargs=(stop,))
+            if jobs > 1 else None)
     try:
         results = (pool.map if pool else map)(job, seed_jobs)
         for label, out_dir, config in rows:
@@ -649,4 +649,5 @@ def run_experiment(
             yield report
     finally:
         if pool is not None:
+            stop.set()
             pool.shutdown(cancel_futures=True)

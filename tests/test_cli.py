@@ -653,8 +653,9 @@ def test_jobs_2_writes_the_jobs_1_tree(cmapss_tiny_dir, tmp_path, capsys, comman
 
 def test_a_parent_side_error_cancels_the_seeds_not_yet_started(cmapss_tiny_dir, tmp_path):
     """A directory where row 1's report.json goes fails that write after the
-    row's seeds; the pool drops the seeds no worker has taken, so the command
-    exits before the whole 4-point x 2-seed grid has run."""
+    row's seeds; the pool drops the seeds no worker has taken and the workers
+    skip those already on its call queue, so besides row 1's 2 seeds only
+    the `jobs` seeds running at the error finish."""
     out = tmp_path / "runs"
     grid = _sweep_grid("0.1,0.5", "0.2,0.5")
     first_point = "autoencoder=gru_gamma_noise=0.1_lambda_m=0.1_lambda_r=0.2_lambda_s=0.35"
@@ -664,7 +665,7 @@ def test_a_parent_side_error_cancels_the_seeds_not_yet_started(cmapss_tiny_dir, 
             "sweep", "--confirm", "--grid", grid, "--source", "FD001", "--target", "FD002",
             "--data-dir", cmapss_tiny_dir, "--out-dir", out, *JOBS_RUN, "--jobs", 2,
         )
-    assert 2 <= len(list(out.rglob("checkpoint.bin"))) < 8
+    assert 2 <= len(list(out.rglob("checkpoint.bin"))) <= 2 + 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -444,14 +444,15 @@ def test_forward_rows_follow_the_target_stream_readers(toy_domains, monkeypatch)
 
 def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
     """Interior graph nodes of one toy lamanet step with every term on:
-    exactly 124.
+    exactly 117.
 
     The same step took 770 nodes with the 16-step GRU unrolled into
     primitives and each bias add its own node, 250 with separate q/k/v
     GEMMs, four head split/merge nodes per attention, an `add` before each
     layer norm and projected decoder keys and values, 174 with each ReLU
-    MLP built as `linear`, `relu`, `linear`, and 152 with the RBF-MMD
-    composed of 15 primitives."""
+    MLP built as `linear`, `relu`, `linear`, 152 with the RBF-MMD composed
+    of 15 primitives, and 124 with the q/k/v and GRU gate weights stored
+    apart and concatenated on every step."""
     source, target = toy_domains
     nodes = []
 
@@ -465,18 +466,48 @@ def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
     src_X, src_y = stack_windows(source.train_windows, range(16))
     tgt_X, _ = stack_windows(target.train_windows, range(16))
     train_step(state, src_X, src_y, tgt_X)
-    assert nodes == [124]
+    assert nodes == [117]
+
+
+@pytest.mark.parametrize("variant, cell", [(variant, "gru") for variant in VARIANTS]
+                         + [("lamanet", "lstm"), ("lamanet", "rnn")])
+def test_no_step_concatenates_weights(toy_domains, monkeypatch, variant, cell):
+    """Each weight is stored as the array its kernel reads, so no `concat`
+    node of a step with every term on takes a 2-D parameter."""
+    source, target = toy_domains
+    concat_parents = []
+
+    def recording_backward(loss):
+        for node in ad._topo_order(loss):
+            if node._vjp is not None and node._vjp.__qualname__.startswith("concat."):
+                concat_parents.extend(node._parents)
+        backward(loss)
+
+    monkeypatch.setattr(training, "backward", recording_backward)
+    config = toy_config(variant, da_start=0)
+    state = init_state(dataclasses.replace(
+        config, model=dataclasses.replace(config.model, recon_cell=cell)), 1)
+    state.steps_per_epoch = 10
+    src_X, src_y = stack_windows(source.train_windows, range(16))
+    tgt_X, _ = stack_windows(target.train_windows, range(16))
+    train_step(state, src_X, src_y, tgt_X)
+    weights = {id(p) for p in state.trainable().values() if p.ndim == 2}
+    assert concat_parents  # the encoder still concatenates its biases and streams
+    assert not [p for p in concat_parents if id(p) in weights]
 
 
 def test_no_attention_has_a_key_bias():
     """A key bias would add the same q . b_k to every score of a query and
-    cancel in the softmax, so no attention block has one; each keeps its
-    key map."""
-    names = list(init_state(toy_config("dann"), 1).trainable())
+    cancel in the softmax, so no attention block has one.  Each encoder
+    block keeps its key map as the middle block of `attn.qkv.W`; the
+    decoder keeps `attn.k.W`."""
+    state = init_state(toy_config("dann"), 1)
+    names, d = list(state.trainable()), state.config.model.attn_dim
     assert [name for name in names if name.endswith(".attn.k.b")] == []
-    assert [name for name in names if name.endswith(".attn.k.W")] == [
-        "enc.sensor.0.attn.k.W", "enc.sensor.1.attn.k.W", "enc.time.0.attn.k.W",
-        "enc.time.1.attn.k.W", "dec.0.attn.k.W"]
+    assert [name for name in names if name.endswith(".attn.k.W")] == ["dec.0.attn.k.W"]
+    qkv = {name: p.shape for name, p in state.trainable().items() if name.endswith(".attn.qkv.W")}
+    assert qkv == {f"enc.{stream}.{i}.attn.qkv.W": (d, 3 * d)
+                   for stream in ("sensor", "time") for i in range(2)}
 
 
 def test_non_finite_gradient_aborts_before_the_update(toy_domains, monkeypatch):
@@ -556,9 +587,9 @@ def test_checkpoint_resume_is_bitwise(tmp_path, toy_domains):
 
 
 def test_checkpoint_with_key_bias_sections_loads(tmp_path, toy_domains):
-    """A checkpoint that still carries key-bias parameters and their Adam
-    moments, as files written before the model dropped them do, loads with
-    those sections ignored."""
+    """A checkpoint that carries sections the model no longer has, here the
+    key-bias parameters and Adam moments it once had, loads with those
+    sections ignored."""
     source, target = toy_domains
     config = toy_config("lamanet", epochs=50)
     state = init_state(config, 1)
@@ -633,7 +664,7 @@ def test_run_experiment_submits_every_row_in_one_map(tmp_path, toy_domains, monk
     calls, shutdowns = [], []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             assert max_workers == 2
 
         def map(self, fn, seed_jobs):
