@@ -22,7 +22,6 @@ N_FEATURES = N_SETTINGS + N_SENSORS
 N_COLUMNS = 2 + N_FEATURES  # unit, cycle, settings, sensors
 
 ALL_FEATURES = tuple(range(N_FEATURES))
-DEFAULT_RC = 125.0
 
 SOURCE = "source"
 TARGET = "target"
@@ -64,7 +63,7 @@ class Trajectory:
 
 def _read_numeric_rows(path: Path, n_columns: int) -> np.ndarray:
     """(rows, n_columns) float64 matrix of a whitespace-separated file, parsed
-    in one bulk call; blank lines are skipped."""
+    in one bulk call; blank lines are skipped and every value must be finite."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # numpy warns on an empty file
@@ -73,13 +72,15 @@ def _read_numeric_rows(path: Path, n_columns: int) -> np.ndarray:
         raise _first_bad_line(path, n_columns, str(exc)) from None
     if rows.shape[1] != n_columns or len(rows) == 0:
         raise _first_bad_line(path, n_columns, f"expected {n_columns} columns")
+    if not np.isfinite(rows).all():
+        raise _first_bad_line(path, n_columns, "non-finite value")
     return rows
 
 
-def _first_bad_line(path: Path, n_columns: int, reason: str) -> ParseError:
-    """The error for a file the bulk parse rejected, naming its first
-    malformed line; `reason` is used only when no line is malformed for
-    Python's `float`."""
+def _first_bad_line(path: Path, n_columns: int, reason: str) -> ValueError:
+    """The error for a file `_read_numeric_rows` rejected, naming its first
+    malformed line (a ParseError) or line with a non-finite value (an
+    IntegrityError); `reason` is used only when no line is either."""
     seen_row = False
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -92,9 +93,11 @@ def _first_bad_line(path: Path, n_columns: int, reason: str) -> ParseError:
                     f"{path}:{line_no}: expected {n_columns} columns, got {len(tokens)}"
                 )
             try:
-                list(map(float, tokens))
+                values = list(map(float, tokens))
             except ValueError as exc:
                 return ParseError(f"{path}:{line_no}: non-numeric value ({exc})")
+            if not np.isfinite(values).all():
+                return IntegrityError(f"{path}:{line_no}: non-finite value")
     return ParseError(f"{path}: {reason}" if seen_row else f"{path}: empty file")
 
 
@@ -288,10 +291,10 @@ def build_domain_dataset(
     subset: str,
     role: str,
     window: int,
-    rc: float = DEFAULT_RC,
+    rc: float,
     feature_mask: Sequence[int] | None = None,
-    val_seed: int = 42,
-    val_fraction: float = 0.1,
+    val_seed: int,
+    val_fraction: float,
 ) -> DomainDataset:
     """One domain's dataset over trajectories of any feature width: min-max
     stats fitted on every training engine, an engine-level validation split,

@@ -128,16 +128,15 @@ def smooth_loss(
 
 
 def coral_loss(o_s: Tensor, o_t: Tensor) -> Tensor:
-    """Frobenius gap between the two feature covariances, scaled by 1/(4 d^2)."""
-    if o_s.shape[0] < 2 or o_t.shape[0] < 2:
-        raise ValueError("covariance alignment needs at least 2 samples per domain")
+    """Frobenius gap between the two feature covariances, scaled by 1/(4 d^2).
+    A one-row stream's centred rows are 0, so its covariance is 0."""
     if o_s.shape[1] != o_t.shape[1]:
         raise ValueError("feature widths differ")
     d = o_s.shape[1]
 
     def cov(x: Tensor) -> Tensor:
         centered = ad.sub(x, ad.tmean(x, axis=0, keepdims=True))
-        return ad.scale(ad.matmul(ad.transpose(centered), centered), 1.0 / (x.shape[0] - 1))
+        return ad.scale(ad.matmul(ad.transpose(centered), centered), 1.0 / max(x.shape[0] - 1, 1))
 
     gap = ad.sub(cov(o_s), cov(o_t))
     return ad.scale(ad.sqnorm(gap), 1.0 / (4.0 * d * d))

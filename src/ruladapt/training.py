@@ -2,9 +2,11 @@
 
 Each run owns three rng streams derived from its seed (parameter init,
 shuffling, smoothness noise), so a (config, seed) pair fully determines the
-trajectory.  Checkpoints capture parameters, Adam moments, the mid-epoch
-batch plan and all rng states; restoring reproduces the next step bitwise
-in float64.
+trajectory.  A run's position is its iteration count alone; the epoch and
+the step within it are derived from it, as is every schedule.  Checkpoints
+capture parameters, Adam moments, the iteration, the batch plan when taken
+mid-epoch and all rng states; restoring reproduces the next step bitwise in
+float64.
 """
 
 from __future__ import annotations
@@ -226,9 +228,8 @@ class Adam:
 
 def epoch_plan(n_source: int, n_target: int, rng: np.random.Generator):
     """Index orders for one epoch: the larger pool is permuted, the smaller is
-    permuted then resampled with replacement up to the larger pool's size."""
-    if n_source < 1 or n_target < 1:
-        raise ValueError("both training pools must be non-empty")
+    permuted then resampled with replacement up to the larger pool's size;
+    `steps_per_epoch` rejects an empty pool."""
     n_max = max(n_source, n_target)
 
     def order(n: int) -> np.ndarray:
@@ -241,6 +242,8 @@ def epoch_plan(n_source: int, n_target: int, rng: np.random.Generator):
 
 
 def steps_per_epoch(n_source: int, n_target: int, batch: int) -> int:
+    if n_source < 1 or n_target < 1:
+        raise ValueError("both training pools must be non-empty")
     return math.ceil(max(n_source, n_target) / (batch // 2))
 
 
@@ -256,13 +259,19 @@ class TrainState:
     adam: Adam
     rng_shuffle: np.random.Generator
     rng_noise: np.random.Generator
-    iteration: int = 0
-    epoch: int = 0
-    step_in_epoch: int = 0
-    src_order: np.ndarray | None = None
+    iteration: int = 0  # steps taken: the run's one stored position
+    src_order: np.ndarray | None = None  # the current epoch's batch plan
     tgt_order: np.ndarray | None = None
     steps_per_epoch: int = 1
     history: list[dict] = field(default_factory=list)
+
+    @property
+    def epoch(self) -> int:
+        return self.iteration // self.steps_per_epoch
+
+    @property
+    def step_in_epoch(self) -> int:
+        return self.iteration % self.steps_per_epoch
 
     def trainable(self) -> dict[str, Tensor]:
         params = dict(self.model.params)
@@ -352,14 +361,9 @@ def train_step(state: TrainState, src_X, src_y, tgt_X) -> dict:
         state.steps_per_epoch,
     )
     state.adam.step(params, lr)
+    record = {"iteration": state.iteration + 1, "epoch": state.epoch, "lr": lr, "total": total,
+              **logged}
     state.iteration += 1
-    record = {
-        "iteration": state.iteration,
-        "epoch": state.epoch,
-        "lr": lr,
-        "total": total,
-        **logged,
-    }
     state.history.append(record)
     return record
 
@@ -385,38 +389,29 @@ def train(
     max_iterations: int | None = None,
     log: Callable[[dict], object] | None = None,
 ) -> TrainState:
-    """Run the epoch budget (or until `max_iterations`); resumable mid-epoch.
-    `log` receives each step's record and, at each epoch end, a record of
-    the iteration, epoch and source validation RMSE."""
+    """Run the epoch budget (or until `max_iterations`) from the state's
+    iteration, so a run resumes anywhere.  An epoch's first step draws its
+    batch plan.  `log` receives each step's record and, after an epoch's
+    last step, a record of the iteration, epoch and source validation RMSE."""
     config = state.config
     half = config.batch_size // 2
-    state.steps_per_epoch = steps_per_epoch(
-        len(source.train_windows), len(target.train_windows), config.batch_size
-    )
-    while state.epoch < config.epochs:
-        if state.src_order is None:
-            state.src_order, state.tgt_order = epoch_plan(
-                len(source.train_windows), len(target.train_windows), state.rng_shuffle,
-            )
-        while state.step_in_epoch < state.steps_per_epoch:
-            if max_iterations is not None and state.iteration >= max_iterations:
-                return state
-            start = state.step_in_epoch * half
-            src_idx = state.src_order[start : start + half]
-            tgt_idx = state.tgt_order[start : start + half]
-            src_X, src_y = stack_windows(source.train_windows, src_idx)
-            tgt_X, _ = stack_windows(target.train_windows, tgt_idx)
-            record = train_step(state, src_X, src_y, tgt_X)
-            state.step_in_epoch += 1
-            if log is not None:
-                log(record)
+    n_source, n_target = len(source.train_windows), len(target.train_windows)
+    state.steps_per_epoch = steps_per_epoch(n_source, n_target, config.batch_size)
+    end = config.epochs * state.steps_per_epoch
+    if max_iterations is not None:
+        end = min(end, max_iterations)
+    while state.iteration < end:
+        if state.step_in_epoch == 0:
+            state.src_order, state.tgt_order = epoch_plan(n_source, n_target, state.rng_shuffle)
+        start = state.step_in_epoch * half
+        src_X, src_y = stack_windows(source.train_windows, state.src_order[start : start + half])
+        tgt_X, _ = stack_windows(target.train_windows, state.tgt_order[start : start + half])
+        record = train_step(state, src_X, src_y, tgt_X)
         if log is not None:
-            log({"iteration": state.iteration, "epoch": state.epoch,
-                 "val_rmse": source_val_rmse(state, source)})
-        state.epoch += 1
-        state.step_in_epoch = 0
-        state.src_order = None
-        state.tgt_order = None
+            log(record)
+            if state.step_in_epoch == 0:
+                log({"iteration": state.iteration, "epoch": record["epoch"],
+                     "val_rmse": source_val_rmse(state, source)})
     return state
 
 
@@ -441,7 +436,7 @@ def save_train_checkpoint(path, state: TrainState) -> str:
         arrays[f"param/{name}"] = p.data
         arrays[f"adam_m/{name}"] = state.adam.m[name]
         arrays[f"adam_v/{name}"] = state.adam.v[name]
-    if state.src_order is not None:  # mid-epoch: persist the batch plan
+    if state.step_in_epoch > 0:  # mid-epoch: persist the batch plan
         arrays["extra/plan_src"] = state.src_order.astype(np.int64)
         arrays["extra/plan_tgt"] = state.tgt_order.astype(np.int64)
     meta = {
@@ -453,8 +448,6 @@ def save_train_checkpoint(path, state: TrainState) -> str:
             "shuffle": _rng_state(state.rng_shuffle),
             "noise": _rng_state(state.rng_noise),
         },
-        "epoch": state.epoch,
-        "step_in_epoch": state.step_in_epoch,
         "steps_per_epoch": state.steps_per_epoch,
         "seed": state.seed,
     }
@@ -488,8 +481,6 @@ def load_train_checkpoint(path, config: RunConfig) -> TrainState:
         state.adam.v[name] = checked(f"adam_v/{name}", p.data.shape)
     state.adam.t = int(meta["adam_t"])
     state.iteration = int(meta["iteration"])
-    state.epoch = int(meta["epoch"])
-    state.step_in_epoch = int(meta["step_in_epoch"])
     state.steps_per_epoch = int(meta["steps_per_epoch"])
     state.rng_shuffle = _restore_rng(meta["rng_states"]["shuffle"])
     state.rng_noise = _restore_rng(meta["rng_states"]["noise"])
@@ -603,11 +594,12 @@ def run_experiment(
     """Train every seed of every (label, out_dir, config) row, evaluate on the
     target test set, and yield each row's aggregate report in row order.
 
-    The seeds of all rows go to one map: the builtin `map` when `jobs` is 1,
-    else the `map` of one process pool of `jobs` workers (which pickles each
-    config and both datasets to its workers), so no row waits for the one
-    before it.  Results are consumed in row and seed order, so every artifact
-    and progress line is the same for any `jobs`.  A seed run that aborts
+    The seeds of all rows go to one map: the `map` of one process pool of
+    `min(jobs, number of seeds)` workers (which pickles each config and both
+    datasets to its workers), or the builtin `map` when that is 1, so no row
+    waits for the one before it and no worker is forked without a seed.
+    Results are consumed in row and seed order, so every artifact and
+    progress line is the same for any `jobs`.  A seed run that aborts
     (non-finite loss) is recorded as a failure and the remaining seeds still
     run.  Artifacts are written per seed under out_dir/<seed>/ and the row's
     aggregate in out_dir; `label` names the row in the report and the
@@ -619,9 +611,10 @@ def run_experiment(
     rows = list(rows)
     seed_jobs = [(config, seed, out_dir) for _, out_dir, config in rows for seed in config.seeds]
     job = partial(_seed_job, source=source, target=target, write_latents=write_latents)
-    stop = multiprocessing.Event() if jobs > 1 else None
-    pool = (ProcessPoolExecutor(max_workers=jobs, initializer=_set_stop, initargs=(stop,))
-            if jobs > 1 else None)
+    workers = min(jobs, len(seed_jobs))
+    stop = multiprocessing.Event() if workers > 1 else None
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=_set_stop, initargs=(stop,))
+            if workers > 1 else None)
     try:
         results = (pool.map if pool else map)(job, seed_jobs)
         for label, out_dir, config in rows:

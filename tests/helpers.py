@@ -125,9 +125,11 @@ def make_toy_domains(
     source = build_domain_dataset(
         src_train, src_test, src_truth,
         subset="toy-src", role=SOURCE, window=window, rc=rc, val_seed=val_seed,
+        val_fraction=0.1,
     )
     target = build_domain_dataset(
         tgt_train, tgt_test, tgt_truth,
         subset="toy-tgt", role=TARGET, window=window, rc=rc, val_seed=val_seed,
+        val_fraction=0.1,
     )
     return source, target

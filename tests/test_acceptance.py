@@ -456,10 +456,12 @@ def test_criterion_8_desk_scale_directional(cmapss_dir, tmp_path):
     train2, test2, truth2 = parse_cmapss(*subset_paths(cmapss_dir, "FD002"))
     train1, test1, truth1 = parse_cmapss(*subset_paths(cmapss_dir, "FD001"))
     source = build_domain_dataset(
-        train2, test2, truth2, subset="FD002", role=SOURCE, window=40, rc=125.0
+        train2, test2, truth2, subset="FD002", role=SOURCE, window=40, rc=125.0,
+        val_seed=42, val_fraction=0.1,
     )
     target = build_domain_dataset(
-        train1, test1, truth1, subset="FD001", role=TARGET, window=40, rc=125.0
+        train1, test1, truth1, subset="FD001", role=TARGET, window=40, rc=125.0,
+        val_seed=42, val_fraction=0.1,
     )
 
     seeds = (1, 123074, 2457)
@@ -498,7 +500,8 @@ def test_criterion_9_score_overflow(cmapss_dir):
     t0 = time.time()
     train1, test1, truth1 = parse_cmapss(*subset_paths(cmapss_dir, "FD001"))
     target = build_domain_dataset(
-        train1, test1, truth1, subset="FD001", role=TARGET, window=40, rc=125.0
+        train1, test1, truth1, subset="FD001", role=TARGET, window=40, rc=125.0,
+        val_seed=42, val_fraction=0.1,
     )
     truth_cycles = np.minimum(target.test_rul_truth, 125.0)
     terrible = np.full_like(truth_cycles, 1.0e6)  # absurdly late predictions

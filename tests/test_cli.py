@@ -91,6 +91,31 @@ def test_ingest_malformed_file_exits_2_naming_its_line(cmapss_tiny_dir, tmp_path
     assert err.startswith("error: ") and f"{train_path}:3:" in err
 
 
+@pytest.mark.parametrize("file, line, column, token", [
+    (0, 3, 5, "nan"),  # a train file's sensor column that the toy mask reads
+    (1, 2, 8, "inf"),
+    (2, 1, 0, "nan"),
+], ids=["train-nan", "test-inf", "rul-nan"])
+def test_a_non_finite_value_exits_2_naming_its_line(cmapss_tiny_dir, tmp_path, capsys,
+                                                    file, line, column, token):
+    data = tmp_path / "data"
+    data.mkdir()
+    for path in subset_paths(cmapss_tiny_dir, "FD001"):
+        shutil.copy(path, data / path.name)
+    bad = subset_paths(data, "FD001")[file]
+    lines = bad.read_text().splitlines(keepends=True)
+    tokens = lines[line - 1].split()
+    tokens[column] = token
+    lines[line - 1] = " ".join(tokens) + "\n"
+    bad.write_text("".join(lines))
+    out = tmp_path / "runs"
+    assert run_cli("train", "--source", "FD001", "--target", "FD001", "--data-dir", data,
+                   "--out-dir", out, *TOY_RUN) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{bad}:{line}: non-finite value" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -225,7 +225,7 @@ def test_windows_fitted_on_same_trajectories_stay_in_unit_range():
     trajs = [toy_trajectory(u, T=60) for u in range(1, 4)]
     stats = fit_normalization(trajs)
     for traj in trajs:
-        for w in make_windows(traj, 30, stats):
+        for w in make_windows(traj, 30, stats, 125.0):
             assert w.features.min() >= 0.0 and w.features.max() <= 1.0
 
 
@@ -250,19 +250,19 @@ def test_rul_label_rejects_cycle_beyond_length():
 
 def test_window_count_small_case():
     traj = toy_trajectory(T=5)
-    windows = make_windows(traj, 3, fit_normalization([traj]))
+    windows = make_windows(traj, 3, fit_normalization([traj]), 125.0)
     assert [w.end_cycle for w in windows] == [3, 4, 5]
 
 
 def test_single_window_when_length_equals_k():
     traj = toy_trajectory(T=40)
-    assert len(make_windows(traj, 40, fit_normalization([traj]))) == 1
+    assert len(make_windows(traj, 40, fit_normalization([traj]), 125.0)) == 1
 
 
 def test_short_trajectory_is_left_padded_by_replication():
     traj = toy_trajectory(T=19)
     stats = fit_normalization([traj])
-    (window,) = make_windows(traj, 40, stats)
+    (window,) = make_windows(traj, 40, stats, 125.0)
     feats = window.features
     assert feats.shape == (dp.N_FEATURES, 40)
     raw = normalize_matrix(traj.features(), stats)
@@ -275,7 +275,7 @@ def test_short_trajectory_is_left_padded_by_replication():
 @given(st.integers(1, 160), st.integers(1, 64))
 def test_window_count_property(T, K):
     traj = toy_trajectory(T=T)
-    windows = make_windows(traj, K, fit_normalization([traj]))
+    windows = make_windows(traj, K, fit_normalization([traj]), 125.0)
     expected = T - K + 1 if T >= K else 1
     assert len(windows) == expected
 
@@ -311,10 +311,10 @@ def test_windows_reject_non_positive_rc():
 def test_stack_windows_shapes_and_missing_labels():
     traj = toy_trajectory(T=30)
     stats = fit_normalization([traj])
-    labelled = make_windows(traj, 10, stats)
+    labelled = make_windows(traj, 10, stats, 125.0)
     X, y = stack_windows(labelled, [0, 3, 5])
     assert X.shape == (3, dp.N_FEATURES, 10) and y.shape == (3, 1)
-    unlabelled = make_windows(traj, 10, stats, labelled=False)
+    unlabelled = make_windows(traj, 10, stats, 125.0, labelled=False)
     _, y2 = stack_windows(unlabelled)
     assert y2 is None
 
@@ -347,7 +347,7 @@ def _tiny_dataset(role, n_train=6, n_test=3, window=8):
     truth = np.array([40.0, 5.0, 130.0])[:n_test]
     return build_domain_dataset(
         train, test, truth,
-        subset="TOY", role=role, window=window, rc=125.0, val_fraction=0.2,
+        subset="TOY", role=role, window=window, rc=125.0, val_seed=42, val_fraction=0.2,
     )
 
 
@@ -374,7 +374,7 @@ def test_dataset_truth_mismatch_raises():
     with pytest.raises(IntegrityError):
         build_domain_dataset(
             train, test, np.array([1.0, 2.0]),
-            subset="TOY", role=dp.SOURCE, window=8,
+            subset="TOY", role=dp.SOURCE, window=8, rc=125.0, val_seed=42, val_fraction=0.1,
         )
 
 
@@ -385,7 +385,7 @@ def test_dataset_rejects_surplus_test_engines_of_any_width():
     with pytest.raises(IntegrityError):
         build_domain_dataset(
             train, test, np.array([10.0, 20.0]),
-            subset="TOY", role=dp.TARGET, window=8, rc=125.0,
+            subset="TOY", role=dp.TARGET, window=8, rc=125.0, val_seed=42, val_fraction=0.1,
         )
 
 
@@ -414,7 +414,8 @@ def test_build_matches_the_composed_oracle_bitwise(mask, K):
     K = 200 every window is padded."""
     for subset, role in (("FD002", dp.SOURCE), ("FD001", dp.TARGET)):
         train, test, truth = generate_subset(subset, 1, n_train=12, n_test=6)
-        kwargs = dict(role=role, window=K, feature_mask=mask, val_fraction=0.25)
+        kwargs = dict(role=role, window=K, rc=125.0, feature_mask=mask, val_seed=42,
+                      val_fraction=0.25)
         got = build_domain_dataset(train, test, truth, subset=subset, **kwargs)
         want = oracle_dataset(train, test, truth, **kwargs)
         assert (got.train_units, got.val_units) == (want.train_units, want.val_units)
@@ -435,6 +436,6 @@ def test_short_trajectory_is_padded_once_at_build():
     """A window's features are a view of the one padded matrix its
     trajectory's windows share, not a fresh padded copy per read."""
     traj = toy_trajectory(T=19)
-    (window,) = make_windows(traj, 40, fit_normalization([traj]))
+    (window,) = make_windows(traj, 40, fit_normalization([traj]), 125.0)
     assert window.matrix.shape == (40, dp.N_FEATURES)
     assert np.shares_memory(window.features, window.matrix)

@@ -391,9 +391,18 @@ def test_coral_invariant_to_joint_rotation():
     assert rotated == pytest.approx(base, abs=1e-8)
 
 
-def test_coral_needs_two_samples():
-    with pytest.raises(ValueError):
-        coral_loss(Tensor(np.ones((1, 2))), Tensor(np.ones((4, 2))))
+def test_coral_one_row_stream_has_zero_covariance():
+    """A one-row stream (an epoch's last batch can hold one row) aligns as a
+    zero covariance: the loss is that of constant rows and finite, and the
+    row gets an exactly zero gradient."""
+    rng = np.random.default_rng(28)
+    o_t = Tensor(rng.normal(size=(4, 2)))
+    one = Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+    loss = coral_loss(one, o_t)
+    assert math.isfinite(float(loss.data))
+    assert float(loss.data) == float(coral_loss(Tensor(np.zeros((3, 2))), o_t).data)
+    backward(loss)
+    np.testing.assert_array_equal(one.grad, np.zeros((1, 2)))
 
 
 def test_coral_gradient_check():

@@ -545,6 +545,44 @@ def test_loss_trajectory_bitwise_deterministic(toy_domains):
     assert losses(1) == losses(1)  # bitwise: floats compared exactly
 
 
+def test_log_rows_carry_the_epoch_each_step_ran_in(toy_domains):
+    """A step row's epoch is the epoch the step ran in, and each epoch's
+    validation row directly follows that epoch's last step with its epoch."""
+    source, target = toy_domains
+    state = init_state(toy_config("no_da", epochs=2), 1)
+    records = []
+    train(state, source, target, log=records.append)
+    n = state.steps_per_epoch
+    steps = [r for r in records if "val_rmse" not in r]
+    assert len(steps) == 2 * n and state.epoch == 2 and state.step_in_epoch == 0
+    assert [r["epoch"] for r in steps] == [(r["iteration"] - 1) // n for r in steps]
+    val_rows = [i for i, r in enumerate(records) if "val_rmse" in r]
+    assert val_rows == [n, 2 * n + 1]
+    for i in val_rows:
+        last_step = records[i - 1]
+        assert records[i]["epoch"] == last_step["epoch"]
+        assert records[i]["iteration"] == last_step["iteration"] == (last_step["epoch"] + 1) * n
+
+
+def test_an_empty_training_pool_is_rejected_before_any_step():
+    with pytest.raises(ValueError, match="both training pools must be non-empty"):
+        steps_per_epoch(0, 0, 32)
+    with pytest.raises(ValueError, match="both training pools must be non-empty"):
+        steps_per_epoch(10, 0, 32)
+
+
+def test_coral_trains_through_a_one_row_last_batch():
+    """1,162 target windows at 9 rows per stream leave one row for the
+    epoch's last step (1,162 = 129 * 9 + 1); coral's covariance of that
+    stream is 0 and the run finishes its epoch."""
+    source, target = make_toy_domains(3)
+    assert len(target.train_windows) % 9 == 1
+    state = init_state(toy_config("coral", epochs=1, batch_size=18, da_start=128), 1)
+    train(state, source, target)
+    assert state.iteration == state.steps_per_epoch == 130
+    assert all(math.isfinite(r["discrepancy"]) for r in state.history[-2:])
+
+
 def test_toy_training_reduces_loss(toy_domains):
     source, target = toy_domains
     state = init_state(toy_config("no_da", epochs=50), 1)
@@ -586,10 +624,37 @@ def test_checkpoint_resume_is_bitwise(tmp_path, toy_domains):
         np.testing.assert_array_equal(p.data, resumed.model.params[name].data)
 
 
+def test_checkpoint_at_an_epoch_boundary_resumes_bitwise(tmp_path, toy_domains):
+    """A checkpoint taken after an epoch's last step holds no batch plan and
+    no position but the iteration; the resumed run draws the next epoch's
+    plan as the uninterrupted run does."""
+    source, target = toy_domains
+    config = toy_config("lamanet", epochs=3)
+    state = init_state(config, 1)
+    n = steps_per_epoch(len(source.train_windows), len(target.train_windows), config.batch_size)
+    train(state, source, target, max_iterations=n)
+    save_train_checkpoint(tmp_path / "ckpt.bin", state)
+    arrays, meta = load_blob(tmp_path / "ckpt.bin")
+    assert not any(key.startswith("extra/") for key in arrays)
+    assert meta["iteration"] == n and not {"epoch", "step_in_epoch"} & set(meta)
+
+    resumed = load_train_checkpoint(tmp_path / "ckpt.bin", config)
+    assert (resumed.epoch, resumed.step_in_epoch) == (1, 0)
+    train(resumed, source, target, max_iterations=n + 2)
+    train(state, source, target, max_iterations=n + 2)
+    assert [r["total"] for r in resumed.history] == [r["total"] for r in state.history[-2:]]
+    assert resumed.adam.t == state.adam.t
+    for name, p in state.trainable().items():
+        np.testing.assert_array_equal(p.data, resumed.model.params[name].data)
+        np.testing.assert_array_equal(state.adam.m[name], resumed.adam.m[name])
+        np.testing.assert_array_equal(state.adam.v[name], resumed.adam.v[name])
+
+
 def test_checkpoint_with_key_bias_sections_loads(tmp_path, toy_domains):
     """A checkpoint that carries sections the model no longer has, here the
-    key-bias parameters and Adam moments it once had, loads with those
-    sections ignored."""
+    key-bias parameters and Adam moments it once had, and meta keys the
+    trainer no longer reads, the epoch and the step within it, loads with
+    those ignored."""
     source, target = toy_domains
     config = toy_config("lamanet", epochs=50)
     state = init_state(config, 1)
@@ -599,10 +664,10 @@ def test_checkpoint_with_key_bias_sections_loads(tmp_path, toy_domains):
     for prefix in ("enc.sensor.0", "enc.time.1", "dec.0"):
         for section in ("param", "adam_m", "adam_v"):
             arrays[f"{section}/{prefix}.attn.k.b"] = np.zeros(config.model.attn_dim)
-    save_blob(tmp_path / "old.bin", arrays, meta)
+    save_blob(tmp_path / "old.bin", arrays, meta | {"epoch": 0, "step_in_epoch": 3})
 
     loaded = load_train_checkpoint(tmp_path / "old.bin", config)
-    assert loaded.iteration == state.iteration
+    assert (loaded.iteration, loaded.step_in_epoch) == (state.iteration, 3)
     for name, p in state.trainable().items():
         np.testing.assert_array_equal(p.data, loaded.model.params[name].data)
         np.testing.assert_array_equal(state.adam.v[name], loaded.adam.v[name])
@@ -686,3 +751,30 @@ def test_run_experiment_submits_every_row_in_one_map(tmp_path, toy_domains, monk
     assert [report.variant for report in reports] == ["row1", "row2"]
     assert len(calls) == 1 and shutdowns == [{"cancel_futures": True}]
     assert all((out / "report.json").exists() for _, out, _ in rows)
+
+
+
+@pytest.mark.parametrize("seeds, pools", [((1, 2), [2]), ((1,), [])], ids=["2-seeds", "1-seed"])
+def test_the_pool_has_no_more_workers_than_seeds(tmp_path, toy_domains, monkeypatch, seeds, pools):
+    """`jobs=4` over 2 seeds makes a pool of 2 workers; over 1 seed it makes
+    no pool and runs the seed in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+
+        def map(self, fn, seed_jobs):
+            return map(fn, seed_jobs)
+
+        def shutdown(self, **kwargs):
+            pass
+
+    monkeypatch.setattr(training, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(training, "_seed_job", lambda job, **kwargs: {
+        "seed": job[1], "rmse": 1.0, "score": 2.0, "val_rmse": 3.0})
+    source, target = toy_domains
+    rows = [("no_da", tmp_path / "out", toy_config("no_da", seeds=seeds))]
+    (report,) = run_experiment(rows, source, target, jobs=4, write_latents=False)
+    assert sizes == pools
+    assert [record["seed"] for record in report.records] == list(seeds)

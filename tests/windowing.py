@@ -20,7 +20,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from ruladapt.data import (
-    DEFAULT_RC,
     N_SETTINGS,
     SOURCE,
     _windows,
@@ -30,7 +29,7 @@ from ruladapt.data import (
 )
 
 
-def make_windows(traj, K, stats, rc=DEFAULT_RC, *, labelled=True):
+def make_windows(traj, K, stats, rc, *, labelled=True):
     """All stride-1 windows of a trajectory: T - K + 1 of them for T >= K,
     otherwise a single left-padded window ending at the last cycle."""
     return _windows(normalize_matrix(traj.features(), stats), traj.unit_id, K, rc, labelled)
@@ -70,8 +69,8 @@ def _eval_window(mat, unit_id, K, truth_rul, rc):
     return OracleWindow(unit_id, len(mat), K, min(float(truth_rul), rc) / rc, mat)
 
 
-def oracle_dataset(train_trajs, test_trajs, test_truth, *, role, window, rc=DEFAULT_RC,
-                   feature_mask=None, val_seed=42, val_fraction=0.1):
+def oracle_dataset(train_trajs, test_trajs, test_truth, *, role, window, rc,
+                   feature_mask=None, val_seed, val_fraction):
     """The windows, units and truth `build_domain_dataset` returns, built by
     the composed path."""
     test_truth = np.atleast_1d(np.asarray(test_truth, dtype=np.float64))
