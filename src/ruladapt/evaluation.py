@@ -225,38 +225,40 @@ LATENT_LAYERS = ("C", "O")
 
 
 def export_latents(model, datasets, layer, path, batch: int = 256) -> int:
-    """Write one CSV row per training window: latent vector, rul_scaled
-    (blank when the domain is unlabeled), the dataset's role.  `datasets` is a
-    sequence of DomainDatasets (e.g. source and target together,
-    distinguishable by the domain column).  `layer` is one of LATENT_LAYERS
-    and `path` its CSV, or both are equal-length sequences: each chunk then
-    goes through one forward pass that feeds every layer's file, and no file
-    is replaced unless all of them are written.  Returns the row count of
-    each file."""
+    """Write one CSV row per training window, as csv.writer would: latent
+    vector, rul_scaled (blank when the domain is unlabeled), the dataset's
+    role.  `datasets` is a sequence of DomainDatasets (e.g. source and target
+    together, told apart by the domain column).  `layer` is one of
+    LATENT_LAYERS and `path` its CSV, or both are equal-length sequences that
+    name each layer at most once: each chunk then goes through one forward
+    pass that feeds every layer's file, and no file is replaced unless all of
+    them are written.  Returns the row count of each file."""
     layers, paths = ((layer,), (path,)) if isinstance(layer, str) else (tuple(layer), tuple(path))
     for name in layers:
         if name not in LATENT_LAYERS:
             raise ValueError(f"layer must be one of {LATENT_LAYERS}, got {name!r}")
+    if len(set(layers)) != len(layers):
+        raise ValueError(f"each layer may be exported once, got {layers}")
     if len(paths) != len(layers):
         raise ValueError(f"{len(layers)} layers but {len(paths)} paths")
     windows = [w for ds in datasets for w in ds.train_windows]
     domains = [ds.role for ds in datasets for _ in ds.train_windows]
     with ExitStack() as files:
-        writers = {}
+        outputs = []
         for name, out in zip(layers, paths):
-            writers[name] = csv.writer(files.enter_context(atomic_open(out, "w", newline="")))
+            fh = files.enter_context(atomic_open(out, "w", newline=""))
             width = model.config.bottleneck if name == "C" else model.config.head_dim
-            writers[name].writerow(
-                [f"{name.lower()}_{i:03d}" for i in range(width)] + ["rul_scaled", "domain"])
+            fh.write(",".join([f"{name.lower()}_{i:03d}" for i in range(width)]
+                              + ["rul_scaled", "domain"]) + "\r\n")
+            outputs.append((name, fh, ",".join(["%.8e"] * width) + "%s"))
         with no_grad():
             for start in range(0, len(windows), batch):
                 chunk = windows[start : start + batch]
                 X, _ = stack_windows(chunk)
                 bundle = model.forward(X)
-                tails = [["" if s.rul_scaled is None else f"{s.rul_scaled:.6f}", domain]
+                tails = [f",{'' if s.rul_scaled is None else f'{s.rul_scaled:.6f}'},{domain}\r\n"
                          for s, domain in zip(chunk, domains[start : start + batch])]
-                for name, writer in writers.items():
-                    values = (bundle.c if name == "C" else bundle.o).data
-                    writer.writerows([f"{v:.8e}" for v in row] + tail
-                                     for row, tail in zip(values, tails))
+                for name, fh, row in outputs:
+                    values = (bundle.c if name == "C" else bundle.o).data.tolist()
+                    fh.write("".join([row % (*v, tail) for v, tail in zip(values, tails)]))
     return len(windows)

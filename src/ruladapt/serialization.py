@@ -83,10 +83,9 @@ def write_json(path, obj) -> None:
         json.dump(obj, fh, indent=2, sort_keys=True)
 
 
-def save_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> str:
-    """Write arrays + metadata to `path` through `atomic_open`; returns the
-    sha256 of the bytes.  An object-dtype array is a ValueError naming it,
-    raised before anything is written."""
+def save_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Write arrays + metadata to `path` through `atomic_open`; an object-dtype
+    array is a ValueError naming it, raised before anything is written."""
     arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
     for name, arr in arrays.items():
         if arr.dtype.hasobject:
@@ -94,40 +93,43 @@ def save_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> str:
     manifest = [{"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
                 for name, arr in arrays.items()]
     header = canonical_json({"meta": meta, "arrays": manifest}).encode()
-    digest = hashlib.sha256()
     with atomic_open(path, "wb") as fh:
         for chunk in (MAGIC, len(header).to_bytes(8, "little"), header, *arrays.values()):
             fh.write(chunk)
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def load_blob(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Inverse of save_blob; every returned array owns its memory.  A file
-    shorter than its header or manifest says, or whose header is not the
-    expected JSON, is a ValueError naming it."""
-    raw = Path(path).read_bytes()
-    if not raw.startswith(MAGIC):
-        raise ValueError(f"{path}: not a ruladapt blob")
-    offset = len(MAGIC) + 8
-    end = offset + int.from_bytes(raw[len(MAGIC) : offset], "little")
-    if len(raw) < end:
-        raise ValueError(f"{path}: truncated blob ({len(raw)} bytes, header ends at {end})")
-    try:
-        header = json.loads(raw[offset:end])
-        meta = header["meta"]
-        manifest = [(e["name"], np.dtype(e["dtype"]), e["shape"]) for e in header["arrays"]]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ValueError(f"{path}: corrupt blob header ({type(exc).__name__}: {exc})") from exc
-    arrays: dict[str, np.ndarray] = {}
-    for name, dtype, shape in manifest:
-        if dtype.hasobject:
-            raise ValueError(f"{path}: array {name!r} has object dtype, which a blob cannot hold")
-        count = int(np.prod(shape))
-        offset, end = end, end + count * dtype.itemsize
-        if len(raw) < end:
-            raise ValueError(
-                f"{path}: truncated blob ({len(raw)} bytes, array {name!r} ends at {end})"
-            )
-        arrays[name] = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
+    """Inverse of save_blob; each array is read straight into a buffer it
+    owns.  A file shorter or longer than its header and manifest say, or
+    whose header is not the expected JSON, is a ValueError naming it."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(MAGIC) + 8)
+        if not prefix.startswith(MAGIC):
+            raise ValueError(f"{path}: not a ruladapt blob")
+        end = len(MAGIC) + 8 + int.from_bytes(prefix[len(MAGIC) :], "little")
+        if size < end:
+            raise ValueError(f"{path}: truncated blob ({size} bytes, header ends at {end})")
+        try:
+            header = json.loads(fh.read(end - fh.tell()))
+            meta = header["meta"]
+            manifest = [(e["name"], np.dtype(e["dtype"]), e["shape"]) for e in header["arrays"]]
+            if not all(isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+                       for _, _, shape in manifest):
+                raise ValueError("a shape is not a list of non-negative integers")
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}: corrupt blob header ({type(exc).__name__}: {exc})") from exc
+        arrays: dict[str, np.ndarray] = {}
+        for name, dtype, shape in manifest:
+            if dtype.hasobject:
+                raise ValueError(f"{path}: array {name!r} has object dtype, which a blob cannot hold")
+            end += math.prod(shape) * dtype.itemsize
+            if size < end:
+                raise ValueError(
+                    f"{path}: truncated blob ({size} bytes, array {name!r} ends at {end})"
+                )
+            arrays[name] = np.empty(shape, dtype)
+            fh.readinto(arrays[name])
+    if size > end:
+        raise ValueError(f"{path}: {size - end} trailing bytes after the last array")
     return arrays, meta

@@ -207,8 +207,8 @@ class Adam:
     def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.m = {name: np.zeros(p.data.shape) for name, p in params.items()}
+        self.v = {name: np.zeros(p.data.shape) for name, p in params.items()}
 
     def step(self, params: dict[str, Tensor], lr: float) -> None:
         self.t += 1
@@ -282,7 +282,15 @@ class TrainState:
 
 def init_state(config: RunConfig, seed: int) -> TrainState:
     streams = np.random.SeedSequence(seed).spawn(3)
-    rng_init = np.random.default_rng(streams[0])
+    return _new_state(config, seed, *map(np.random.default_rng, streams))
+
+
+class _NoDraws:
+    """The init generator for parameters overwritten next: no draw, no fill."""
+    uniform = normal = staticmethod(lambda low, high, size: np.empty(size))
+
+
+def _new_state(config: RunConfig, seed: int, rng_init, rng_shuffle, rng_noise) -> TrainState:
     model = Model(config.model, rng_init)
     discriminator = (
         DomainDiscriminator(config.model.bottleneck, config.dann_hidden, rng_init)
@@ -295,8 +303,7 @@ def init_state(config: RunConfig, seed: int) -> TrainState:
         model=model,
         discriminator=discriminator,
         adam=None,  # set below once the full trainable set exists
-        rng_shuffle=np.random.default_rng(streams[1]),
-        rng_noise=np.random.default_rng(streams[2]),
+        rng_shuffle=rng_shuffle, rng_noise=rng_noise,
     )
     state.adam = Adam(state.trainable())
     return state
@@ -428,9 +435,9 @@ def _restore_rng(state_dict: dict) -> np.random.Generator:
     return gen
 
 
-def save_train_checkpoint(path, state: TrainState) -> str:
+def save_train_checkpoint(path, state: TrainState) -> None:
     """Write parameters, Adam moments, the mid-epoch batch plan and the rng
-    states to one blob; returns the sha256 of its bytes."""
+    states to one blob."""
     arrays: dict[str, np.ndarray] = {}
     for name, p in state.trainable().items():
         arrays[f"param/{name}"] = p.data
@@ -451,7 +458,7 @@ def save_train_checkpoint(path, state: TrainState) -> str:
         "steps_per_epoch": state.steps_per_epoch,
         "seed": state.seed,
     }
-    return save_blob(path, arrays, meta)
+    save_blob(path, arrays, meta)
 
 
 def load_train_checkpoint(path, config: RunConfig) -> TrainState:
@@ -474,7 +481,8 @@ def load_train_checkpoint(path, config: RunConfig) -> TrainState:
             raise ValueError(f"{path}: {key!r} has shape {arrays[key].shape}, expected {shape}")
         return arrays[key]
 
-    state = init_state(config, int(meta["seed"]))
+    state = _new_state(config, int(meta["seed"]), _NoDraws,
+                       *(_restore_rng(meta["rng_states"][k]) for k in ("shuffle", "noise")))
     for name, p in state.trainable().items():
         p.data = checked(f"param/{name}", p.data.shape).astype(p.data.dtype, copy=False)
         state.adam.m[name] = checked(f"adam_m/{name}", p.data.shape)
@@ -482,8 +490,6 @@ def load_train_checkpoint(path, config: RunConfig) -> TrainState:
     state.adam.t = int(meta["adam_t"])
     state.iteration = int(meta["iteration"])
     state.steps_per_epoch = int(meta["steps_per_epoch"])
-    state.rng_shuffle = _restore_rng(meta["rng_states"]["shuffle"])
-    state.rng_noise = _restore_rng(meta["rng_states"]["noise"])
     if "extra/plan_src" in arrays:
         state.src_order = arrays["extra/plan_src"]
         state.tgt_order = arrays["extra/plan_tgt"]

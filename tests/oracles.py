@@ -18,17 +18,21 @@ replacements are checked against.
 - The row-by-row flat-file parser (`parse_trajectory_file`,
   `parse_rul_file`) and the per-window label `rul_label`, which the bulk
   numpy parse and window labelling in `ruladapt.data` must match bitwise.
+- `csv_export_latents`, the latent export through `csv.writer` with one
+  f-string per value, whose bytes `evaluation.export_latents` must match.
 """
 
 from __future__ import annotations
 
+import csv
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
 
 from ruladapt import autodiff as ad
 from ruladapt.autodiff import GraphError, Tensor, _make, _unbroadcast
-from ruladapt.data import N_COLUMNS, IntegrityError, ParseError, Trajectory
+from ruladapt.data import N_COLUMNS, IntegrityError, ParseError, Trajectory, stack_windows
 from ruladapt.losses import KernelSpec, _sigma_sq
 
 
@@ -198,3 +202,28 @@ def rul_label(T: int, t: int, rc: float) -> float:
     if not 1 <= t <= T:
         raise ValueError(f"cycle t={t} outside trajectory of length {T}")
     return min(T - t, rc) / rc
+
+
+def csv_export_latents(model, datasets, layers, paths, batch: int = 256) -> None:
+    """`export_latents` for a sequence of distinct layers, written row by row
+    through `csv.writer`."""
+    windows = [w for ds in datasets for w in ds.train_windows]
+    domains = [ds.role for ds in datasets for _ in ds.train_windows]
+    with ExitStack() as files:
+        writers = {}
+        for name, out in zip(layers, paths):
+            writers[name] = csv.writer(files.enter_context(open(out, "w", newline="")))
+            width = model.config.bottleneck if name == "C" else model.config.head_dim
+            writers[name].writerow(
+                [f"{name.lower()}_{i:03d}" for i in range(width)] + ["rul_scaled", "domain"])
+        with ad.no_grad():
+            for start in range(0, len(windows), batch):
+                chunk = windows[start : start + batch]
+                X, _ = stack_windows(chunk)
+                bundle = model.forward(X)
+                tails = [["" if s.rul_scaled is None else f"{s.rul_scaled:.6f}", domain]
+                         for s, domain in zip(chunk, domains[start : start + batch])]
+                for name, writer in writers.items():
+                    values = (bundle.c if name == "C" else bundle.o).data
+                    writer.writerows([f"{v:.8e}" for v in row] + tail
+                                     for row, tail in zip(values, tails))

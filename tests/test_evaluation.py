@@ -21,6 +21,7 @@ from ruladapt.autodiff import Tensor
 from ruladapt.model import Model, toy_model_config
 
 from helpers import TOY_RC, make_toy_domains
+from oracles import csv_export_latents
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +287,48 @@ def test_export_latents_writes_both_layers_from_one_forward_per_chunk(
     assert calls == [7] * (n // 7) + [n % 7] * (n % 7 > 0)
     for layer in "CO":
         assert both[layer].read_bytes() == singles[layer].read_bytes()
+
+
+class _EdgeValues:
+    """A model whose C and O latents cycle through the values whose printed
+    forms are edge cases: signed zero, the smallest subnormal, a huge
+    magnitude, NaN and the infinities."""
+
+    VALUES = [-0.0, 5e-324, -1.5e300, float("nan"), float("inf"), float("-inf"), 0.125]
+
+    def __init__(self, model):
+        self.config = model.config
+
+    def forward(self, X):
+        def latent(width):
+            return Tensor(np.resize(self.VALUES, (len(X), width)))
+        return type("B", (), {"c": latent(self.config.bottleneck), "o": latent(self.config.head_dim)})()
+
+
+@pytest.mark.parametrize("stub", [False, True], ids=["toy-model", "edge-values"])
+@pytest.mark.parametrize("layers", [("C",), ("O",), ("C", "O")], ids=["C", "O", "C+O"])
+def test_export_latents_bytes_match_the_csv_writer_oracle(tmp_path, toy_setup, stub, layers):
+    """Source and target windows (the target's labels blank) at batch 7, so
+    chunk edges are crossed: every file equals the `csv.writer` export."""
+    model, source, target = toy_setup
+    model = _EdgeValues(model) if stub else model
+    got = [tmp_path / f"got_{layer}.csv" for layer in layers]
+    want = [tmp_path / f"want_{layer}.csv" for layer in layers]
+    n = export_latents(model, [source, target], layers, got, batch=7)
+    csv_export_latents(model, [source, target], layers, want, batch=7)
+    assert n == len(source.train_windows) + len(target.train_windows) and n % 7
+    for g, w in zip(got, want):
+        assert g.read_bytes() == w.read_bytes()
+    if stub:
+        assert b"nan,inf,-inf" in got[0].read_bytes()
+
+
+def test_export_latents_rejects_a_repeated_layer_before_opening_a_file(tmp_path, toy_setup):
+    model, source, _ = toy_setup
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    with pytest.raises(ValueError, match="each layer may be exported once"):
+        export_latents(model, [source], ["C", "C"], paths)
+    assert list(tmp_path.iterdir()) == []
 
 
 class _DiesOnSecondChunk:

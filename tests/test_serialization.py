@@ -28,8 +28,7 @@ TOY_SHA256 = "9c28f8aa4f28fb9c8acf098384ed2653966e920e586450cea2c2e0b475bd7e3e"
 
 def test_toy_checkpoint_bytes_are_pinned(tmp_path):
     path = tmp_path / "toy.bin"
-    digest = save_blob(path, *toy_checkpoint())
-    assert digest == TOY_SHA256
+    save_blob(path, *toy_checkpoint())
     assert hashlib.sha256(path.read_bytes()).hexdigest() == TOY_SHA256
     arrays, meta = load_blob(path)
     want_arrays, want_meta = toy_checkpoint()
@@ -90,13 +89,32 @@ def test_object_array_is_rejected_before_anything_is_written(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.bin"]
 
 
-def test_object_dtype_in_a_manifest_names_its_path(tmp_path):
+def _made_blob(path, shape, dtype="float64", data=np.arange(2.0).tobytes()):
+    """A blob whose manifest holds one array, "x", of `dtype` and `shape`,
+    followed by `data`."""
     header = serialization.canonical_json(
-        {"meta": {}, "arrays": [{"name": "o", "dtype": "object", "shape": [1]}]}).encode()
-    path = tmp_path / "made.bin"
-    path.write_bytes(serialization.MAGIC + len(header).to_bytes(8, "little") + header + bytes(8))
-    with pytest.raises(ValueError, match=r"made\.bin: array 'o' has object dtype"):
-        load_blob(path)
+        {"meta": {}, "arrays": [{"name": "x", "dtype": dtype, "shape": shape}]}).encode()
+    path.write_bytes(serialization.MAGIC + len(header).to_bytes(8, "little") + header + data)
+    return path
+
+
+def test_object_dtype_in_a_manifest_names_its_path(tmp_path):
+    with pytest.raises(ValueError, match=r"made\.bin: array 'x' has object dtype"):
+        load_blob(_made_blob(tmp_path / "made.bin", [1], "object", bytes(8)))
+
+
+@pytest.mark.parametrize("shape", [[-1], [2.5], [True, 2], 2, {"2": 1}],
+                         ids=["negative", "float", "bool", "not-a-list", "mapping"])
+def test_a_manifest_shape_that_is_not_a_list_of_sizes_names_its_path(tmp_path, shape):
+    with pytest.raises(ValueError, match=r"made\.bin: corrupt blob header .*non-negative integers"):
+        load_blob(_made_blob(tmp_path / "made.bin", shape))
+
+
+def test_trailing_bytes_after_the_last_array_name_their_path(tmp_path):
+    arrays, _ = load_blob(_made_blob(tmp_path / "made.bin", [2]))
+    np.testing.assert_array_equal(arrays["x"], [0.0, 1.0])
+    with pytest.raises(ValueError, match=r"made\.bin: 3 trailing bytes after the last array"):
+        load_blob(_made_blob(tmp_path / "made.bin", [2], data=bytes(16) + b"abc"))
 
 
 @pytest.mark.parametrize("flip", [

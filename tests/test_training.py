@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruladapt import autodiff as ad
+from ruladapt import losses as losses_module
+from ruladapt import model as model_module
 from ruladapt import training
 from ruladapt.autodiff import Tensor, backward
 from ruladapt.data import stack_windows
@@ -622,6 +624,39 @@ def test_checkpoint_resume_is_bitwise(tmp_path, toy_domains):
     assert state.history[-1]["total"] == resumed.history[-1]["total"]
     for name, p in state.model.params.items():
         np.testing.assert_array_equal(p.data, resumed.model.params[name].data)
+
+
+@pytest.mark.parametrize("variant", ["lamanet", "dann"])
+def test_loading_a_checkpoint_draws_no_parameter(tmp_path, toy_domains, monkeypatch, variant):
+    """The loader builds its state without drawing from a generator: every
+    Xavier initialisation it makes is handed something other than a numpy
+    Generator, and all it returns comes from the file."""
+    source, target = toy_domains
+    config = toy_config(variant, epochs=50)
+    state = init_state(config, 1)
+    train(state, source, target, max_iterations=3)
+    save_train_checkpoint(tmp_path / "ckpt.bin", state)
+
+    def guard(xavier):
+        def no_draw(rng, fan_in, fan_out):
+            if isinstance(rng, np.random.Generator):
+                raise AssertionError(f"drew a {fan_in}x{fan_out} Xavier matrix")
+            return xavier(rng, fan_in, fan_out)
+        return no_draw
+
+    for module in (model_module, losses_module):
+        monkeypatch.setattr(module, "_xavier", guard(module._xavier))
+    loaded = load_train_checkpoint(tmp_path / "ckpt.bin", config)
+    assert list(loaded.trainable()) == list(state.trainable())
+    for name, p in state.trainable().items():
+        np.testing.assert_array_equal(loaded.trainable()[name].data, p.data)
+        np.testing.assert_array_equal(loaded.adam.m[name], state.adam.m[name])
+        np.testing.assert_array_equal(loaded.adam.v[name], state.adam.v[name])
+    assert (loaded.adam.t, loaded.iteration, loaded.seed) == (state.adam.t, 3, 1)
+    for rng in ("rng_shuffle", "rng_noise"):
+        assert getattr(loaded, rng).bit_generator.state == getattr(state, rng).bit_generator.state
+    np.testing.assert_array_equal(loaded.src_order, state.src_order)
+    np.testing.assert_array_equal(loaded.tgt_order, state.tgt_order)
 
 
 def test_checkpoint_at_an_epoch_boundary_resumes_bitwise(tmp_path, toy_domains):
