@@ -17,8 +17,9 @@ composed, one graph node each: `linear` (affine map, one GEMM over all
 leading rows), `mlp` (two affine maps around a ReLU applied in place),
 `add_layer_norm` (residual add + layer norm), `self_attention` (multi-head,
 over packed q/k/v), `single_query_attention` (one query per row with the key
-and value maps absorbed), `gru_sequence` (a whole GRU unroll with output
-feedback) and `rbf_mmd2` (the biased RBF-kernel MMD^2 of two row sets).
+and value maps absorbed), `recurrent_sequence` (a whole GRU, LSTM or RNN
+unroll with output feedback) and `rbf_mmd2` (the biased RBF-kernel MMD^2 of
+two row sets).
 `grad_reverse` is the identity forward / sign-flipped backward used by the
 adversarial baseline.  The finite-difference `grad_check` that verifies
 every VJP lives with the tests, in `tests/gradtools.py`.
@@ -314,11 +315,6 @@ def log_sigmoid(a: Tensor) -> Tensor:
     return _make(out, (a,), lambda g: (g * _sigmoid_values(-x),))
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
     return _make(out, (a,), lambda g: (g * (out > 0),))
@@ -452,90 +448,102 @@ def single_query_attention(
     return _make(out.reshape(q.shape), (q, memory, w_k, w_v, b_v), vjp)
 
 
-def gru_sequence(
-    h0: Tensor,
-    u0: Tensor,
-    w_i: Tensor,
-    w_h: Tensor,
-    b_i: Tensor,
-    b_hn: Tensor,
-    w_out: Tensor,
-    b_out: Tensor,
-    steps: int,
+def recurrent_sequence(
+    cell: str, h0: Tensor, u0: Tensor, w_i: Tensor, w_h: Tensor, biases: Sequence[Tensor],
+    w_out: Tensor, b_out: Tensor, steps: int,
 ) -> Tensor:
-    """Unroll a GRU `steps` times from hidden state h0 (n, H) and first input
-    u0 (n, f), feeding each output frame back as the next input.
+    """Unroll a `cell` ("gru", "lstm" or "rnn") `steps` times from hidden
+    state h0 (n, H) and first input u0 (n, f), feeding each output frame
+    back as the next input: frame = h w_out + b_out;  u = frame.
 
-    Gate weights are stacked in column blocks (z, r, n): w_i (f, 3H) and
-    w_h (H, 3H), input biases b_i (3H,) and the candidate's hidden bias
-    b_hn (H,).  Per step:
-      z, r = sigmoid(u w_i + h w_h + b_i)  (first two blocks)
-      cand = tanh(u w_in + b_in + r * (h w_hn + b_hn))
-      h = (1 - z) cand + z h;  frame = h w_out + b_out;  u = frame.
+    Gate weights are stacked in G column blocks: w_i (f, GH), w_h (H, GH)
+    and the input bias b_i (GH,), the first of `biases`.  Per step:
+      gru (z, r, n), biases (b_i, b_hn):
+        z, r = sigmoid(u w_i + h w_h + b_i)  (first two blocks)
+        cand = tanh(u w_in + b_in + r * (h w_hn + b_hn))
+        h = (1 - z) cand + z h
+      lstm (i, f, g, o), c = 0 at the start:
+        i, f, o = sigmoid(.), g = tanh(.) of (u w_i + h w_h) + b_i
+        c = f c + i g;  h = o tanh(c)
+      rnn (one block):  h = tanh((u w_i + h w_h) + b_i)
     Returns the frames stacked on the last axis, (n, f, steps).  The VJP
     runs backpropagation through time over the saved gates and forms each
     weight gradient with one GEMM over all steps.
     """
     n, H = h0.shape
     f = u0.shape[1]
+    gru, lstm = cell == "gru", cell == "lstm"
+    b_i = biases[0].data
     us = np.empty((steps + 1, n, f))  # us[t] is step t's input, us[t + 1] its frame
     hs = np.empty((steps + 1, n, H))  # hs[t] is step t's incoming hidden state
-    zr = np.empty((steps, n, 2 * H))
-    cands = np.empty((steps, n, H))
-    hid_n = np.empty((steps, n, H))  # h w_hn + b_hn
+    acts = np.empty((steps, n, w_i.shape[1]))  # gate activations
+    aux = np.empty((steps, n, H))  # gru: h w_hn + b_hn;  lstm: tanh(c)
+    cs = np.zeros((steps + 1, n, H)) if lstm else None  # lstm: cs[t] is step t's incoming c
+    mixed = 2 * H if gru else w_i.shape[1]  # the GRU's candidate keeps h w_hn apart
     us[0], hs[0] = u0.data, h0.data
     for t in range(steps):
         pre = us[t] @ w_i.data
         gh = hs[t] @ w_h.data
-        pre[:, : 2 * H] += gh[:, : 2 * H]
-        pre += b_i.data
-        zr[t] = _sigmoid_values(pre[:, : 2 * H])
-        z, r = zr[t, :, :H], zr[t, :, H:]
-        np.add(gh[:, 2 * H :], b_hn.data, out=hid_n[t])
-        cand = np.tanh(pre[:, 2 * H :] + r * hid_n[t], out=cands[t])
-        hs[t + 1] = (1.0 - z) * cand + z * hs[t]
+        pre[:, :mixed] += gh[:, :mixed]
+        pre += b_i
+        if gru:
+            acts[t, :, : 2 * H] = _sigmoid_values(pre[:, : 2 * H])
+            z, r = acts[t, :, :H], acts[t, :, H : 2 * H]
+            np.add(gh[:, 2 * H :], biases[1].data, out=aux[t])
+            cand = np.tanh(pre[:, 2 * H :] + r * aux[t], out=acts[t, :, 2 * H :])
+            hs[t + 1] = (1.0 - z) * cand + z * hs[t]
+        elif lstm:
+            acts[t] = _sigmoid_values(pre)
+            i, fg, g, o = np.split(acts[t], 4, axis=1)
+            np.tanh(pre[:, 2 * H : 3 * H], out=g)
+            cs[t + 1] = fg * cs[t] + i * g
+            hs[t + 1] = o * np.tanh(cs[t + 1], out=aux[t])
+        else:
+            np.tanh(pre, out=hs[t + 1])
         np.matmul(hs[t + 1], w_out.data, out=us[t + 1])
         us[t + 1] += b_out.data
 
     def vjp(g):
-        d_pre = np.empty((steps, n, 3 * H))  # cotangents of the u w_i products
-        d_hid = np.empty((steps, n, 3 * H))  # cotangents of the h w_h products
+        d_pre = np.empty(acts.shape)  # cotangents of the u w_i products
+        d_hid = np.empty(acts.shape) if gru else d_pre  # ... and of the h w_h products
         d_frames = g.transpose(2, 0, 1).copy()  # (steps, n, f)
-        dh = np.zeros((n, H))
-        du = np.zeros((n, f))
+        dh, dc, du = np.zeros((n, H)), np.zeros((n, H)), np.zeros((n, f))
         for t in reversed(range(steps)):
             d_frames[t] += du
             dh = dh + d_frames[t] @ w_out.data.T
-            z, r, cand = zr[t, :, :H], zr[t, :, H:], cands[t]
-            dn = dh * (1.0 - z) * (1.0 - cand * cand)
-            dz = dh * (hs[t] - cand) * z * (1.0 - z)
-            dr = dn * hid_n[t] * r * (1.0 - r)
-            d_pre[t, :, :H] = d_hid[t, :, :H] = dz
-            d_pre[t, :, H : 2 * H] = d_hid[t, :, H : 2 * H] = dr
-            d_pre[t, :, 2 * H :] = dn
-            d_hid[t, :, 2 * H :] = dn * r
+            if gru:
+                z, r, cand = acts[t, :, :H], acts[t, :, H : 2 * H], acts[t, :, 2 * H :]
+                dn = dh * (1.0 - z) * (1.0 - cand * cand)
+                dz = dh * (hs[t] - cand) * z * (1.0 - z)
+                dr = dn * aux[t] * r * (1.0 - r)
+                d_pre[t, :, :H] = d_hid[t, :, :H] = dz
+                d_pre[t, :, H : 2 * H] = d_hid[t, :, H : 2 * H] = dr
+                d_pre[t, :, 2 * H :] = dn
+                d_hid[t, :, 2 * H :] = dn * r
+            elif lstm:
+                i, fg, gg, o = np.split(acts[t], 4, axis=1)
+                di, df, dg, do = np.split(d_pre[t], 4, axis=1)
+                dc = dc + dh * o * (1.0 - aux[t] * aux[t])
+                np.multiply(dc * gg, i * (1.0 - i), out=di)
+                np.multiply(dc * cs[t], fg * (1.0 - fg), out=df)
+                np.multiply(dc * i, 1.0 - gg * gg, out=dg)
+                np.multiply(dh * aux[t], o * (1.0 - o), out=do)
+                dc = dc * fg
+            else:
+                np.multiply(dh, 1.0 - hs[t + 1] * hs[t + 1], out=d_pre[t])
             du = d_pre[t] @ w_i.data.T
-            dh = dh * z + d_hid[t] @ w_h.data.T
+            dh = (dh * z if gru else 0.0) + d_hid[t] @ w_h.data.T
 
         def rows(a):
             return a.reshape(-1, a.shape[-1])
 
-        return (
-            dh,
-            du,
-            rows(us[:-1]).T @ rows(d_pre),
-            rows(hs[:-1]).T @ rows(d_hid),
-            rows(d_pre).sum(axis=0),
-            rows(d_hid[..., 2 * H :]).sum(axis=0),
-            rows(hs[1:]).T @ rows(d_frames),
-            rows(d_frames).sum(axis=0),
-        )
+        d_biases = [rows(d_pre).sum(axis=0)]
+        if gru:  # b_hn: the candidate block of the h w_h cotangents
+            d_biases.append(rows(d_hid[..., 2 * H :]).sum(axis=0))
+        return (dh, du, rows(us[:-1]).T @ rows(d_pre), rows(hs[:-1]).T @ rows(d_hid), *d_biases,
+                rows(hs[1:]).T @ rows(d_frames), rows(d_frames).sum(axis=0))
 
-    return _make(
-        us[1:].transpose(1, 2, 0),
-        (h0, u0, w_i, w_h, b_i, b_hn, w_out, b_out),
-        vjp,
-    )
+    return _make(us[1:].transpose(1, 2, 0), (h0, u0, w_i, w_h, *biases, w_out, b_out), vjp)
 
 
 # ---------------------------------------------------------------------------

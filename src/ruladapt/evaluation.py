@@ -33,13 +33,10 @@ def rmse(pred, truth) -> float:
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def score(pred, truth, *, late_divisor: float = 13.0, early_divisor: float = 10.0) -> float:
-    """Asymmetric exponential penalty; +inf signals float64 overflow.
-
-    The divisors follow the printed benchmark formula (E/13 for late
-    predictions, -E/10 for early ones); swap them for the alternative
-    convention via the keyword arguments.
-    """
+def score(pred, truth) -> float:
+    """Asymmetric exponential penalty of the printed benchmark formula:
+    exp(E/13) - 1 for a late prediction, exp(-E/10) - 1 for an early one.
+    +inf signals float64 overflow."""
     pred, truth = np.asarray(pred, dtype=np.float64), np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"length mismatch: {pred.shape} vs {truth.shape}")
@@ -47,8 +44,8 @@ def score(pred, truth, *, late_divisor: float = 13.0, early_divisor: float = 10.
     with np.errstate(over="ignore"):  # saturation is handled below, not fatal
         terms = np.where(
             errors < 0,
-            np.exp(-errors / np.longdouble(early_divisor)) - 1.0,
-            np.exp(errors / np.longdouble(late_divisor)) - 1.0,
+            np.exp(-errors / np.longdouble(10.0)) - 1.0,
+            np.exp(errors / np.longdouble(13.0)) - 1.0,
         )
         total = terms.sum()
     if not np.isfinite(total) or total > np.longdouble(np.finfo(np.float64).max):

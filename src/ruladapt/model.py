@@ -7,10 +7,11 @@ streams, and flattens to the latent width M; a two-layer feed-forward
 squeeze compresses M to the bottleneck B and a mirrored expand restores M.
 A single cross-attention decoder layer with one learned query produces the
 pre-head representation, and a small recurrent decoder (GRU by default)
-reconstructs the input window from the bottleneck.  Attention runs as the
-fused `self_attention` (encoder) and `single_query_attention` (decoder)
-nodes, each residual add + layer norm as one `add_layer_norm`, each ReLU MLP
-as one `mlp`.  No attention has a key bias: it would cancel in the softmax.
+reconstructs the input window from the bottleneck as one
+`recurrent_sequence` node, whatever its cell.  Attention runs as the fused
+`self_attention` (encoder) and `single_query_attention` (decoder) nodes,
+each residual add + layer norm as one `add_layer_norm`, each ReLU MLP as
+one `mlp`.  No attention has a key bias: it would cancel in the softmax.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .serialization import check_fields
+
+
+# The recurrent decoder's gates, in the order their weights are drawn and
+# stacked: one column block of `recon.cell.w_i`, `w_h` and `b_i` each.
+RECURRENT_GATES = {"gru": "zrn", "lstm": "ifgo", "rnn": "h"}
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class ModelConfig:
         ("n_features", int, lambda v: v >= 0, "be >= 0"),  # RunConfig reports an empty mask
         ("window attn_dim n_heads n_encoder_layers n_decoder_layers ffn_dim squeeze_hidden "
          "bottleneck head_dim recon_hidden", int, lambda v: v >= 1, "be >= 1"),
-        ("recon_cell", str, lambda v: v in ("gru", "lstm", "rnn"), "be 'gru', 'lstm' or 'rnn'"),
+        ("recon_cell", str, lambda v: v in RECURRENT_GATES, "be 'gru', 'lstm' or 'rnn'"),
     )
 
     def __post_init__(self):
@@ -158,21 +164,14 @@ class Model:
 
         h = cfg.recon_hidden
         self._add_affine("recon.init", B, h, rng)
-        if cfg.recon_cell == "gru":  # drawn gate by gate, stored as `gru_sequence` reads them
-            w_i, w_h = zip(*[(_xavier(rng, f, h), _xavier(rng, h, h)) for _ in "zrn"])
-            self._add("recon.cell.w_i", np.hstack(w_i))
-            self._add("recon.cell.w_h", np.hstack(w_h))
-            self._add("recon.cell.b_i", np.zeros(3 * h))
+        # drawn gate by gate, stored stacked as `recurrent_sequence` reads them
+        gates = RECURRENT_GATES[cfg.recon_cell]
+        w_i, w_h = zip(*[(_xavier(rng, f, h), _xavier(rng, h, h)) for _ in gates])
+        self._add("recon.cell.w_i", np.hstack(w_i))
+        self._add("recon.cell.w_h", np.hstack(w_h))
+        self._add("recon.cell.b_i", np.zeros(len(gates) * h))
+        if cfg.recon_cell == "gru":
             self._add("recon.cell.b_hn", np.zeros(h))
-        elif cfg.recon_cell == "lstm":
-            for gate in ("i", "f", "g", "o"):
-                self._add(f"recon.cell.Wi{gate}", _xavier(rng, f, h))
-                self._add(f"recon.cell.Wh{gate}", _xavier(rng, h, h))
-                self._add(f"recon.cell.b{gate}", np.zeros(h))
-        else:  # rnn
-            self._add("recon.cell.Wih", _xavier(rng, f, h))
-            self._add("recon.cell.Whh", _xavier(rng, h, h))
-            self._add("recon.cell.b", np.zeros(h))
         self._add_affine("recon.out", h, f, rng)
 
     # -- small layer helpers ------------------------------------------------
@@ -251,44 +250,16 @@ class Model:
         y_hat = ad.sigmoid(self._affine(o, "head"))
         return o, y_hat
 
-    def _cell_step(self, u: Tensor, state):
-        """One LSTM or RNN step; the GRU runs as one `gru_sequence` node."""
-        p = self._p
-        if self.config.recon_cell == "lstm":
-            h, c = state
-            gates = {}
-            for gate in ("i", "f", "g", "o"):
-                pre = ad.add(ad.add(ad.matmul(u, p(f"recon.cell.Wi{gate}")),
-                                    ad.matmul(h, p(f"recon.cell.Wh{gate}"))), p(f"recon.cell.b{gate}"))
-                gates[gate] = ad.tanh(pre) if gate == "g" else ad.sigmoid(pre)
-            new_c = ad.add(ad.mul(gates["f"], c), ad.mul(gates["i"], gates["g"]))
-            new_h = ad.mul(gates["o"], ad.tanh(new_c))
-            return new_h, (new_h, new_c)
-        h = state
-        new_h = ad.tanh(ad.add(ad.add(ad.matmul(u, p("recon.cell.Wih")),
-                                      ad.matmul(h, p("recon.cell.Whh"))), p("recon.cell.b")))
-        return new_h, new_h
-
     def reconstruct(self, c: Tensor, x_first: Tensor) -> Tensor:
         """Unroll the recurrent decoder K steps from the bottleneck-derived
         hidden state, auto-regressively fed from the window's first frame."""
-        cfg = self.config
-        n = c.shape[0]
+        cfg, p = self.config, self._p
         h = ad.sigmoid(self._affine(c, "recon.init"))
-        if cfg.recon_cell == "gru":
-            return ad.gru_sequence(
-                h, x_first, *(self._p(f"recon.cell.{k}") for k in ("w_i", "w_h", "b_i", "b_hn")),
-                self._p("recon.out.W"), self._p("recon.out.b"), cfg.window,
-            )
-        state = (h, ad.constant(np.zeros((n, cfg.recon_hidden)))) if cfg.recon_cell == "lstm" else h
-        u = x_first
-        steps = []
-        for _ in range(cfg.window):
-            out, state = self._cell_step(u, state)
-            frame = self._affine(out, "recon.out")  # (n, f)
-            steps.append(ad.reshape(frame, (n, cfg.n_features, 1)))
-            u = frame
-        return ad.concat(steps, axis=2)
+        biases = [p("recon.cell.b_i")] + ([p("recon.cell.b_hn")] if cfg.recon_cell == "gru" else [])
+        return ad.recurrent_sequence(
+            cfg.recon_cell, h, x_first, p("recon.cell.w_i"), p("recon.cell.w_h"), biases,
+            p("recon.out.W"), p("recon.out.b"), cfg.window,
+        )
 
     def forward(self, X) -> LatentBundle:
         if not isinstance(X, Tensor):

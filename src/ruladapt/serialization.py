@@ -86,7 +86,7 @@ def write_json(path, obj) -> None:
 def save_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     """Write arrays + metadata to `path` through `atomic_open`; an object-dtype
     array is a ValueError naming it, raised before anything is written."""
-    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    arrays = {name: np.asarray(arr, order="C") for name, arr in arrays.items()}
     for name, arr in arrays.items():
         if arr.dtype.hasobject:
             raise ValueError(f"{path}: array {name!r} has object dtype, which a blob cannot hold")
@@ -100,8 +100,9 @@ def save_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 def load_blob(path) -> tuple[dict[str, np.ndarray], dict]:
     """Inverse of save_blob; each array is read straight into a buffer it
-    owns.  A file shorter or longer than its header and manifest say, or
-    whose header is not the expected JSON, is a ValueError naming it."""
+    owns.  A file shorter or longer than its header and manifest say, whose
+    header is not the expected JSON, or whose manifest lists a name twice
+    is a ValueError naming it."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(len(MAGIC) + 8)
@@ -121,6 +122,8 @@ def load_blob(path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(f"{path}: corrupt blob header ({type(exc).__name__}: {exc})") from exc
         arrays: dict[str, np.ndarray] = {}
         for name, dtype, shape in manifest:
+            if name in arrays:
+                raise ValueError(f"{path}: array {name!r} is listed twice in the manifest")
             if dtype.hasobject:
                 raise ValueError(f"{path}: array {name!r} has object dtype, which a blob cannot hold")
             end += math.prod(shape) * dtype.itemsize

@@ -425,16 +425,6 @@ def train(
 # ---------------------------------------------------------------------------
 # checkpointing (bitwise-resumable)
 
-def _rng_state(gen: np.random.Generator) -> dict:
-    return gen.bit_generator.state
-
-
-def _restore_rng(state_dict: dict) -> np.random.Generator:
-    gen = np.random.default_rng(0)
-    gen.bit_generator.state = state_dict
-    return gen
-
-
 def save_train_checkpoint(path, state: TrainState) -> None:
     """Write parameters, Adam moments, the mid-epoch batch plan and the rng
     states to one blob."""
@@ -452,8 +442,8 @@ def save_train_checkpoint(path, state: TrainState) -> None:
         "iteration": state.iteration,
         "adam_t": state.adam.t,
         "rng_states": {
-            "shuffle": _rng_state(state.rng_shuffle),
-            "noise": _rng_state(state.rng_noise),
+            "shuffle": state.rng_shuffle.bit_generator.state,
+            "noise": state.rng_noise.bit_generator.state,
         },
         "steps_per_epoch": state.steps_per_epoch,
         "seed": state.seed,
@@ -463,12 +453,32 @@ def save_train_checkpoint(path, state: TrainState) -> None:
 
 def load_train_checkpoint(path, config: RunConfig) -> TrainState:
     """The state saved at `path`; fails when the file is not a checkpoint,
-    its config hash does not match `config`, or a parameter or Adam moment
-    of the trainable set is missing or has the wrong shape."""
+    a meta key is missing or of the wrong type, its config hash does not
+    match `config`, or a parameter or Adam moment of the trainable set is
+    missing or has the wrong shape."""
     arrays, meta = load_blob(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint file")
-    if meta["config_hash"] != config.hash:
+
+    def meta_value(key: str, kind: type):  # a `/` in `key` reaches into a mapping
+        value = meta
+        for part in key.split("/"):
+            value = value.get(part) if isinstance(value, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{path}: checkpoint meta {key!r} must be {kind.__name__}, "
+                             f"got {value!r}")
+        return value
+
+    def generator(key: str) -> np.random.Generator:
+        state, gen = meta_value(key, dict), np.random.default_rng(0)
+        try:
+            gen.bit_generator.state = state
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: checkpoint meta {key!r} is not a generator state "
+                             f"({type(exc).__name__}: {exc})") from exc
+        return gen
+
+    if meta_value("config_hash", str) != config.hash:
         raise ValueError(
             f"{path}: checkpoint config hash {meta['config_hash'][:12]} does not "
             f"match the requested configuration {config.hash[:12]}"
@@ -481,15 +491,15 @@ def load_train_checkpoint(path, config: RunConfig) -> TrainState:
             raise ValueError(f"{path}: {key!r} has shape {arrays[key].shape}, expected {shape}")
         return arrays[key]
 
-    state = _new_state(config, int(meta["seed"]), _NoDraws,
-                       *(_restore_rng(meta["rng_states"][k]) for k in ("shuffle", "noise")))
+    state = _new_state(config, meta_value("seed", int), _NoDraws,
+                       generator("rng_states/shuffle"), generator("rng_states/noise"))
     for name, p in state.trainable().items():
         p.data = checked(f"param/{name}", p.data.shape).astype(p.data.dtype, copy=False)
         state.adam.m[name] = checked(f"adam_m/{name}", p.data.shape)
         state.adam.v[name] = checked(f"adam_v/{name}", p.data.shape)
-    state.adam.t = int(meta["adam_t"])
-    state.iteration = int(meta["iteration"])
-    state.steps_per_epoch = int(meta["steps_per_epoch"])
+    state.adam.t = meta_value("adam_t", int)
+    state.iteration = meta_value("iteration", int)
+    state.steps_per_epoch = meta_value("steps_per_epoch", int)
     if "extra/plan_src" in arrays:
         state.src_order = arrays["extra/plan_src"]
         state.tgt_order = arrays["extra/plan_tgt"]

@@ -13,6 +13,7 @@ import numpy as np
 
 from ruladapt import autodiff as ad
 from ruladapt.autodiff import Tensor, backward, no_grad
+from ruladapt.model import RECURRENT_GATES
 
 
 def split_flat(flat: Tensor, shapes) -> list[Tensor]:
@@ -24,6 +25,23 @@ def split_flat(flat: Tensor, shapes) -> list[Tensor]:
         pieces.append(ad.reshape(flat[offset : offset + size], shape))
         offset += size
     return pieces
+
+
+def recurrent_shapes(cell: str, n: int, f: int, H: int) -> tuple:
+    """Input shapes of a `cell` unroll, its biases as separate inputs: h0,
+    u0, w_i, w_h, b_i, b_hn (the GRU only), w_out and b_out."""
+    GH = len(RECURRENT_GATES[cell]) * H
+    return ((n, H), (n, f), (f, GH), (H, GH), (GH,), *[(H,)] * (cell == "gru"), (H, f), (f,))
+
+
+def recurrent(cell: str, op=ad.recurrent_sequence):
+    """`op` (the fused unroll or its composed oracle) for `cell`, called on
+    the inputs `recurrent_shapes` lists and `steps=`."""
+    def run(h0, u0, w_i, w_h, *rest, steps):
+        return op(cell, h0, u0, w_i, w_h, rest[:-2], *rest[-2:], steps)
+
+    run.__name__ = f"{op.__name__}[{cell}]"
+    return run
 
 
 def pack_params(params: dict[str, Tensor]) -> np.ndarray:

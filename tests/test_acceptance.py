@@ -45,12 +45,13 @@ from ruladapt.training import (
     init_state, make_run_config, run_single_seed, train, variant_weights,
 )
 
-from gradtools import flat_loss_fn, grad_check, split_flat
+from gradtools import flat_loss_fn, grad_check, recurrent, recurrent_shapes, split_flat
 from helpers import denormalize, fit_normalization, make_toy_domains, normalize, tiny_model_config
-from oracles import div, exp, log, pairwise_sqdist, rul_label, sqrt
+from oracles import div, exp, log, pairwise_sqdist, rul_label, sqrt, tanh
 from windowing import make_windows
 
-GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))
+# recurrent_sequence inputs of a cell (n=2, f=3, H=2)
+CELL_SHAPES = {cell: recurrent_shapes(cell, 2, 3, 2) for cell in ("gru", "lstm", "rnn")}
 # single_query_attention inputs q, memory, w_k, w_v, b_v
 SQA_SHAPES = ((2, 1, 4), (2, 3, 5), (5, 4), (5, 4), (4,))
 # mlp inputs x, w1, b1, w2, b2 (in 4, hidden 5, out 2)
@@ -64,6 +65,14 @@ def _report(criterion: int, detail: str) -> None:
 
 # ---------------------------------------------------------------------------
 # 1. gradient fidelity
+
+
+def _recurrent_check(cell, rng):
+    shapes = CELL_SHAPES[cell]
+    return (
+        lambda x: ad.tsum(ad.square(recurrent(cell)(*split_flat(x, shapes), steps=3))),
+        rng.uniform(-1, 1, size=sum(int(np.prod(s)) for s in shapes)),
+    )
 
 
 def test_criterion_1_gradient_fidelity():
@@ -103,7 +112,7 @@ def test_criterion_1_gradient_fidelity():
         "sqrt": (lambda x: ad.tsum(sqrt(x)), pos),
         "square": (lambda x: ad.tsum(ad.square(x)), a),
         "sigmoid": (lambda x: ad.tsum(ad.sigmoid(x)), a),
-        "tanh": (lambda x: ad.tsum(ad.tanh(x)), a),
+        "tanh": (lambda x: ad.tsum(tanh(x)), a),
         "relu": (lambda x: ad.tsum(ad.relu(x)), safe(3, 4)),
         "sqnorm": (lambda x: ad.sqnorm(x), a),
         "add_layer_norm": (
@@ -134,15 +143,14 @@ def test_criterion_1_gradient_fidelity():
             safe(sum(int(np.prod(s)) for s in MLP_SHAPES)),
         ),
         # every input of a 3-step GRU (n=2, f=3, H=2) packed into one vector
-        "gru_sequence": (
-            lambda x: ad.tsum(ad.square(ad.gru_sequence(*split_flat(x, GRU_SHAPES), steps=3))),
-            rng.uniform(-1, 1, size=sum(int(np.prod(s)) for s in GRU_SHAPES)),
-        ),
+        "recurrent_sequence[gru]": _recurrent_check("gru", rng),
         # both row sets (3 and 5 rows, width 4) in one vector, sigma^2 fixed
         "rbf_mmd2": (
             lambda x: ad.rbf_mmd2(*split_flat(x, ((3, 4), (5, 4))), lambda D: 2.0),
             rng.uniform(-1, 1, size=32),
         ),
+        "recurrent_sequence[lstm]": _recurrent_check("lstm", rng),
+        "recurrent_sequence[rnn]": _recurrent_check("rnn", rng),
     }
     worst_name, worst = "", 0.0
     for name, (fn, x) in primitives.items():

@@ -18,8 +18,11 @@ import pytest
 from ruladapt import autodiff as ad
 from ruladapt.autodiff import Tensor, backward
 
-from gradtools import grad_check, split_flat
-from oracles import attention, div, exp, layer_norm, log, pairwise_sqdist, softmax, sqrt
+from gradtools import grad_check, recurrent, recurrent_shapes, split_flat
+from oracles import (
+    attention, composed_recurrent_sequence, div, exp, layer_norm, log, pairwise_sqdist, softmax,
+    sqrt, tanh,
+)
 
 
 def rand(rng, *shape, low=-2.0, high=2.0):
@@ -72,7 +75,7 @@ def test_detached_subgraph_gets_no_gradient():
 def test_tanh_composition_gradient():
     vals = np.array([-1.3, 0.2, 0.9])
     x = Tensor(vals, requires_grad=True)
-    backward(ad.tsum(ad.tanh(x)))
+    backward(ad.tsum(tanh(x)))
     np.testing.assert_allclose(x.grad, 1.0 - np.tanh(vals) ** 2, atol=1e-14)
 
 
@@ -106,7 +109,7 @@ def test_double_backward_raises():
 
 def test_backward_frees_interior_activations():
     x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
-    hidden = ad.tanh(x)
+    hidden = tanh(x)
     saved = weakref.ref(hidden.data)
     loss = ad.tsum(ad.square(hidden))
     del hidden
@@ -117,7 +120,7 @@ def test_backward_frees_interior_activations():
 
 def test_interior_nodes_hold_no_grad_vjp_or_parents_after_backward():
     x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
-    hidden = ad.tanh(x)
+    hidden = tanh(x)
     loss = ad.tsum(ad.square(hidden))
     backward(loss)
     for node in (hidden, loss):
@@ -127,7 +130,7 @@ def test_interior_nodes_hold_no_grad_vjp_or_parents_after_backward():
 
 def test_second_loss_over_a_backpropagated_subgraph_raises():
     x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
-    hidden = ad.tanh(x)
+    hidden = tanh(x)
     backward(ad.tsum(hidden))
     first = x.grad.copy()
     with pytest.raises(ad.GraphError):
@@ -157,9 +160,8 @@ def test_pairwise_sqdist_dimension_mismatch_raises():
 # ---------------------------------------------------------------------------
 # finite-difference sweep over every primitive
 
-# gru_sequence inputs h0, u0, w_i, w_h, b_i, b_hn, w_out, b_out at n=2, f=3, H=2
-GRU_SHAPES = ((2, 2), (2, 3), (3, 6), (2, 6), (6,), (2,), (2, 3), (3,))
-GRU_FLAT_SIZE = sum(int(np.prod(s)) for s in GRU_SHAPES)
+# recurrent_sequence inputs h0, u0, w_i, w_h, *biases, w_out, b_out at n=2, f=3, H=2
+CELL_SHAPES = {cell: recurrent_shapes(cell, 2, 3, 2) for cell in ("gru", "lstm", "rnn")}
 # mlp inputs x, w1, b1, w2, b2 at n=2, in=3, hidden=4, out=2
 MLP_SHAPES = ((2, 3), (3, 4), (4,), (4, 2), (2,))
 # add_layer_norm inputs x, y, gain, bias
@@ -225,7 +227,7 @@ def _primitive_cases(rng):
         ("square", lambda x: ad.tsum(ad.square(x)), a23),
         ("sigmoid", lambda x: ad.tsum(ad.sigmoid(x)), a23),
         ("log_sigmoid", lambda x: ad.tsum(ad.log_sigmoid(x)), a23),
-        ("tanh", lambda x: ad.tsum(ad.tanh(x)), a23),
+        ("tanh", lambda x: ad.tsum(tanh(x)), a23),
         ("relu", lambda x: ad.tsum(ad.relu(x)), rand_safe(rng, 2, 3)),
         ("sqnorm", lambda x: ad.sqnorm(x), a23),
         (
@@ -261,12 +263,7 @@ def _primitive_cases(rng):
             lambda x: ad.tsum(ad.square(ad.mlp(*split_flat(x, MLP_SHAPES)))),
             rand_safe(rng, flat_size(MLP_SHAPES)),
         ),
-        (
-            "gru_sequence",
-            lambda x: ad.tsum(ad.mul(ad.gru_sequence(*split_flat(x, GRU_SHAPES), steps=4),
-                                     Tensor(b234))),
-            rand(rng, GRU_FLAT_SIZE, low=-1.0, high=1.0),
-        ),
+        _recurrent_case("gru", rng, b234),
         (
             "pairwise_sqdist_a",
             lambda x: ad.tsum(ad.square(pairwise_sqdist(x, Tensor(m34.T)))),
@@ -282,9 +279,21 @@ def _primitive_cases(rng):
             lambda x: ad.rbf_mmd2(*split_flat(x, ((2, 3), (4, 3))), lambda D: 1.3),
             rand(rng, 18),
         ),
+        _recurrent_case("lstm", rng, b234),
+        _recurrent_case("rnn", rng, b234),
         # grad_reverse is deliberately not VJP-faithful; its contract is the
         # explicit sign/scale equality tested above.
     ]
+
+
+def _recurrent_case(cell, rng, weights):
+    """A 4-step `cell` unroll with every input in one flat vector."""
+    shapes = CELL_SHAPES[cell]
+    return (
+        f"recurrent_sequence[{cell}]",
+        lambda x: ad.tsum(ad.mul(recurrent(cell)(*split_flat(x, shapes), steps=4), Tensor(weights))),
+        rand(rng, flat_size(shapes), low=-1.0, high=1.0),
+    )
 
 
 def test_every_primitive_matches_finite_differences():
@@ -360,33 +369,6 @@ def composed_mlp(x, w1, b1, w2, b2):
     return ad.linear(ad.relu(ad.linear(x, w1, b1)), w2, b2)
 
 
-def composed_gru_sequence(h0, u0, w_i, w_h, b_i, b_hn, w_out, b_out, steps):
-    """The GRU unroll as the model composed it from primitives, one step of
-    about 20 nodes per frame, with the gate blocks sliced out of the
-    stacked weights."""
-    n, H = h0.shape
-    f = u0.shape[1]
-
-    def block(t, k):
-        return t[..., k * H : (k + 1) * H]
-
-    h, u, frames = h0, u0, []
-    for _ in range(steps):
-        z = ad.sigmoid(ad.add(ad.add(ad.matmul(u, block(w_i, 0)),
-                                     ad.matmul(h, block(w_h, 0))), block(b_i, 0)))
-        r = ad.sigmoid(ad.add(ad.add(ad.matmul(u, block(w_i, 1)),
-                                     ad.matmul(h, block(w_h, 1))), block(b_i, 1)))
-        cand = ad.tanh(ad.add(
-            ad.add(ad.matmul(u, block(w_i, 2)), block(b_i, 2)),
-            ad.mul(r, ad.add(ad.matmul(h, block(w_h, 2)), b_hn)),
-        ))
-        h = ad.add(ad.mul(ad.sub(ad.constant(1.0), z), cand), ad.mul(z, h))
-        frame = ad.add(ad.matmul(h, w_out), b_out)
-        frames.append(ad.reshape(frame, (n, f, 1)))
-        u = frame
-    return ad.concat(frames, axis=2)
-
-
 def batched_matmul(a, b):
     """The 3-D x 2-D product as a batched matmul over a broadcast copy of b."""
     return ad.matmul(a, ad.broadcast_to(b, a.shape[:1] + b.shape))
@@ -421,9 +403,9 @@ def test_fused_ops_match_composed_graphs(seed):
         (ad.matmul, batched_matmul, [rand(rng, n, S, d), rand(rng, d, 6)], (n, S, 6), {}),
         (ad.linear, composed_linear,
          [rand(rng, n, S, d), rand(rng, d, 6), rand(rng, 6)], (n, S, 6), {}),
-        (ad.gru_sequence, composed_gru_sequence,
-         [rand(rng, n, 2), rand(rng, n, d), rand(rng, d, 6), rand(rng, 2, 6), rand(rng, 6),
-          rand(rng, 2), rand(rng, 2, d), rand(rng, d)], (n, d, T), {"steps": T}),
+        *[(recurrent(cell), recurrent(cell, composed_recurrent_sequence),
+           [rand(rng, *shape) for shape in recurrent_shapes(cell, n, d, 2)], (n, d, T),
+           {"steps": T}) for cell in ("gru", "lstm", "rnn")],
     ]
     for fused, composed, arrays, out_shape, kwargs in cases:
         weights = rng.normal(size=out_shape)
@@ -556,7 +538,7 @@ def test_backward_is_linear():
         return x.grad.copy()
 
     f = lambda x: ad.tsum(ad.square(x))
-    g = lambda x: ad.tsum(ad.tanh(x))
+    g = lambda x: ad.tsum(tanh(x))
     combo = lambda x: ad.add(ad.scale(f(x), a), ad.scale(g(x), b))
     np.testing.assert_allclose(
         grad_of(combo), a * grad_of(f) + b * grad_of(g), atol=1e-10
@@ -568,7 +550,7 @@ def test_forward_and_gradients_are_bitwise_deterministic():
         rng = np.random.default_rng(99)
         x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
         w = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        y = ad.tmean(ad.square(ad.tanh(ad.matmul(x, w))))
+        y = ad.tmean(ad.square(tanh(ad.matmul(x, w))))
         backward(y)
         return y.data.copy(), x.grad.copy(), w.grad.copy()
 

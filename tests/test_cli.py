@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import shlex
 import shutil
 from pathlib import Path
@@ -741,6 +742,30 @@ def test_sweep_runs_tiny_grid_and_ranks_by_source_val(cmapss_tiny_dir, tmp_path,
     assert len(results) == 3  # header + 2 grid points
     vals = [float(line.split(",")[-1]) for line in results[1:]]
     assert vals == sorted(vals)
+
+
+def test_sweep_trains_every_recurrent_cell(cmapss_tiny_dir, tmp_path, capsys):
+    """A gru, an lstm and an rnn point each train to a finite source-val
+    RMSE and are ranked, and `--jobs 2` writes the bytes `--jobs 1` writes."""
+    grid = "lambda_m=0.1;lambda_r=0.2;lambda_s=0.35;gamma_noise=0.1;autoencoder=gru,lstm,rnn"
+    trees = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        rc = run_cli(
+            "sweep", "--confirm", "--grid", grid, "--source", "FD001", "--target", "FD002",
+            "--data-dir", cmapss_tiny_dir, "--out-dir", out, *TOY_RUN, "--jobs", jobs,
+        )
+        assert rc == 0
+        trees[jobs] = _artifact_tree(out)
+    assert "3 points" in capsys.readouterr().out
+    assert sorted(trees[2]) == sorted(trees[1])
+    for rel, blob in trees[1].items():
+        assert trees[2][rel] == blob, rel
+    results = (out / "FD001-FD002" / "sweep" / "sweep_results.csv").read_text().splitlines()
+    rows = [line.split(",") for line in results[1:]]
+    assert sorted(row[0] for row in rows) == ["gru", "lstm", "rnn"]
+    vals = [float(row[-1]) for row in rows]
+    assert all(math.isfinite(v) for v in vals) and vals == sorted(vals)
 
 
 def test_sweep_rejects_unknown_grid_key(cmapss_tiny_dir, tmp_path, capsys):

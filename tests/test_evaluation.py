@@ -78,12 +78,6 @@ def test_score_asymmetry_matches_printed_exponents():
     assert early == pytest.approx(math.exp(e / 10.0) - 1.0, abs=1e-12)
 
 
-def test_score_divisor_swap_switch():
-    e = 5.0
-    swapped = score([100.0 + e], [100.0], late_divisor=10.0, early_divisor=13.0)
-    assert swapped == pytest.approx(math.exp(e / 10.0) - 1.0, abs=1e-12)
-
-
 def test_score_permutation_invariant():
     rng = np.random.default_rng(2)
     t = rng.uniform(0, 125, size=12)

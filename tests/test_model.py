@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ruladapt import autodiff as ad
+from ruladapt import model as model_module
 from ruladapt.autodiff import Tensor, backward
 from ruladapt.serialization import load_blob, save_blob
 from ruladapt.model import Model, ModelConfig
@@ -159,6 +160,35 @@ def test_alternative_reconstruction_cells(cell):
     assert np.all(np.isfinite(x_hat.data))
 
 
+@pytest.mark.parametrize("cell, gates", [("gru", "zrn"), ("lstm", "ifgo"), ("rnn", "h")])
+def test_stacked_cell_weights_are_the_per_gate_draws(monkeypatch, cell, gates):
+    """Column block k of `recon.cell.w_i` and `w_h` holds gate k's (f, H)
+    and (H, H) draws, drawn gate by gate, input weight first, from where
+    the generator stood after `recon.init`: the draws of the per-gate
+    layout, so initial values do not depend on the layout."""
+    states = []
+
+    def recording(rng, fan_in, fan_out):
+        states.append(rng.bit_generator.state)
+        return xavier(rng, fan_in, fan_out)
+
+    xavier = model_module._xavier
+    monkeypatch.setattr(model_module, "_xavier", recording)
+    cfg = tiny_model_config(recon_cell=cell, recon_hidden=2)
+    model = Model(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    rng.bit_generator.state = states[-2 * len(gates) - 1]  # recon.out.W is the last draw
+    f, H = cfg.n_features, cfg.recon_hidden
+    w_i, w_h = [], []
+    for _ in gates:
+        w_i.append(rng.uniform(-np.sqrt(6.0 / (f + H)), np.sqrt(6.0 / (f + H)), size=(f, H)))
+        w_h.append(rng.uniform(-np.sqrt(3.0 / H), np.sqrt(3.0 / H), size=(H, H)))
+    np.testing.assert_array_equal(model.params["recon.cell.w_i"].data, np.hstack(w_i))
+    np.testing.assert_array_equal(model.params["recon.cell.w_h"].data, np.hstack(w_h))
+    assert [name for name in model.params if name.startswith("recon.cell.")] == [
+        "recon.cell.w_i", "recon.cell.w_h", "recon.cell.b_i", *["recon.cell.b_hn"] * (cell == "gru")]
+
+
 def test_reconstruction_loss_reaches_init_weights(tiny):
     X = batch(np.random.default_rng(9), 3, tiny.config)
     loss = ad.tmean(ad.square(ad.sub(reconstruct(tiny, X), Tensor(X))))
@@ -236,6 +266,29 @@ def test_dann_checkpoint_with_a_bad_discriminator_weight_is_rejected(tmp_path, d
         arrays["param/disc.1.W"] = arrays["param/disc.1.W"][:3]
     save_blob(path, arrays, meta)
     with pytest.raises(ValueError, match=r"dann\.bin: .*param/disc\.1\.W"):
+        load_train_checkpoint(path, config)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("config_hash", None), ("config_hash", 5), ("seed", None), ("seed", True), ("seed", "5"),
+    ("adam_t", None), ("adam_t", 1.5), ("iteration", None), ("iteration", "17"),
+    ("steps_per_epoch", None), ("steps_per_epoch", False), ("rng_states", None),
+    ("rng_states/noise", None), ("rng_states/shuffle", [1, 2]), ("rng_states/shuffle", {}),
+])
+def test_a_missing_or_mistyped_meta_key_names_the_file_and_the_key(tmp_path, key, value):
+    """`None` removes the key; any other value replaces it."""
+    config = tiny_run_config()
+    path = tmp_path / "ckpt.bin"
+    save_train_checkpoint(path, init_state(config, 5))
+    arrays, meta = load_blob(path)
+    *outer, last = key.split("/")
+    owner = meta[outer[0]] if outer else meta
+    if value is None:
+        del owner[last]
+    else:
+        owner[last] = value
+    save_blob(path, arrays, meta)
+    with pytest.raises(ValueError, match=rf"ckpt\.bin: checkpoint meta '{key}[/']"):
         load_train_checkpoint(path, config)
 
 

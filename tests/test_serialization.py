@@ -117,6 +117,24 @@ def test_trailing_bytes_after_the_last_array_name_their_path(tmp_path):
         load_blob(_made_blob(tmp_path / "made.bin", [2], data=bytes(16) + b"abc"))
 
 
+def test_a_name_listed_twice_in_a_manifest_names_its_path(tmp_path):
+    x = {"name": "x", "dtype": "float64", "shape": [1]}
+    header = serialization.canonical_json({"meta": {}, "arrays": [x, x]}).encode()
+    path = tmp_path / "made.bin"
+    path.write_bytes(serialization.MAGIC + len(header).to_bytes(8, "little") + header
+                     + np.array([1.0, 2.0]).tobytes())
+    with pytest.raises(ValueError, match=r"made\.bin: array 'x' is listed twice"):
+        load_blob(path)
+
+
+def test_a_0d_array_round_trips(tmp_path):
+    path = tmp_path / "scalar.bin"
+    save_blob(path, {"s": np.array(3.5), "v": np.arange(6.0).reshape(2, 3).T}, {})
+    arrays, _ = load_blob(path)
+    assert arrays["s"].shape == () and arrays["s"] == 3.5
+    np.testing.assert_array_equal(arrays["v"], np.arange(6.0).reshape(2, 3).T)  # a strided view
+
+
 @pytest.mark.parametrize("flip", [
     (0, 0x01),  # "{" -> "z": not JSON
     (0, 0x80),  # not UTF-8

@@ -446,7 +446,7 @@ def test_forward_rows_follow_the_target_stream_readers(toy_domains, monkeypatch)
 
 def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
     """Interior graph nodes of one toy lamanet step with every term on:
-    exactly 117.
+    exactly 117, whichever the recurrent cell.
 
     The same step took 770 nodes with the 16-step GRU unrolled into
     primitives and each bias add its own node, 250 with separate q/k/v
@@ -454,7 +454,8 @@ def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
     layer norm and projected decoder keys and values, 174 with each ReLU
     MLP built as `linear`, `relu`, `linear`, 152 with the RBF-MMD composed
     of 15 primitives, and 124 with the q/k/v and GRU gate weights stored
-    apart and concatenated on every step."""
+    apart and concatenated on every step.  With the LSTM and RNN unrolls
+    composed of primitives it took 549 and 229."""
     source, target = toy_domains
     nodes = []
 
@@ -463,12 +464,15 @@ def test_toy_lamanet_step_graph_size(toy_domains, monkeypatch):
         backward(loss)
 
     monkeypatch.setattr(training, "backward", counting_backward)
-    state = init_state(toy_config("lamanet", da_start=0), 1)
-    state.steps_per_epoch = 10
+    config = toy_config("lamanet", da_start=0)
     src_X, src_y = stack_windows(source.train_windows, range(16))
     tgt_X, _ = stack_windows(target.train_windows, range(16))
-    train_step(state, src_X, src_y, tgt_X)
-    assert nodes == [117]
+    for cell in ("gru", "lstm", "rnn"):
+        state = init_state(dataclasses.replace(
+            config, model=dataclasses.replace(config.model, recon_cell=cell)), 1)
+        state.steps_per_epoch = 10
+        train_step(state, src_X, src_y, tgt_X)
+    assert nodes == [117, 117, 117]
 
 
 @pytest.mark.parametrize("variant, cell", [(variant, "gru") for variant in VARIANTS]
