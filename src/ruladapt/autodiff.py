@@ -353,15 +353,11 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float 
 _BLOCK_BYTES = 256 * 1024  # one row block's pairwise slab, sized to stay in L2
 
 
-def _softmax_keys(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """In-place softmax over the key axis -2, the key sums as GEMVs against
-    ones; returns the key max and the reciprocal key sum it applied."""
-    top = scores.max(axis=-2, keepdims=True)
-    scores -= top
+def _softmax_keys(scores: np.ndarray) -> None:
+    """In-place softmax over the key axis -2, the key sums as GEMVs against ones."""
+    scores -= scores.max(axis=-2, keepdims=True)
     np.exp(scores, out=scores)
-    recip = (1.0 / (np.ones(scores.shape[-2]) @ scores))[..., None, :]
-    scores *= recip
-    return top, recip
+    scores *= (1.0 / (np.ones(scores.shape[-2]) @ scores))[..., None, :]
 
 
 def self_attention(qkv: Tensor, n_heads: int) -> Tensor:
@@ -369,10 +365,10 @@ def self_attention(qkv: Tensor, n_heads: int) -> Tensor:
     of [q | k | v] column blocks, heads split and merged inside the node;
     returns (n, S, d).  1/sqrt(d_h) is folded into q, and the scores are
     key-major, (n, h, S_k, S_q).  Both passes run over blocks of batch rows
-    whose scores fit in _BLOCK_BYTES; the node keeps only each block's key
-    max and reciprocal key sum, (rows, h, 1, S), and the VJP recomputes q
-    and the probabilities from them with the forward's ops.  The VJP forms
-    the softmax's row dot products p . dp as out . g over the head width."""
+    whose scores fit in _BLOCK_BYTES.  A node with a VJP keeps each block's
+    probabilities for it, n h S^2 floats until its backward; otherwise each
+    slab is freed with its block.  The VJP forms the softmax's row dot
+    products p . dp as out . g over the head width."""
     n, S, d3 = qkv.shape
     dh = d3 // 3 // n_heads
     c = 1.0 / np.sqrt(dh)
@@ -381,23 +377,21 @@ def self_attention(qkv: Tensor, n_heads: int) -> Tensor:
     blocks = [slice(i, i + step) for i in range(0, n, step)]
     out = np.empty((n, S, d3 // 3))
     heads = out.reshape(n, S, n_heads, dh).transpose(0, 2, 1, 3)
-    stats = []
+    kept, keep = [], _GRAD_ENABLED and qkv.requires_grad
     for b in blocks:
         probs = np.matmul(k[b], np.swapaxes(q[b] * c, -1, -2))
-        stats.append(_softmax_keys(probs))
+        _softmax_keys(probs)
         np.matmul(np.swapaxes(probs, -1, -2), v[b], out=heads[b])
+        if keep:
+            kept.append(probs)
 
     def vjp(g):
         gh = g.reshape(n, S, n_heads, dh).transpose(0, 2, 1, 3)
         grad = np.empty((n, S, 3, n_heads, dh))
         gq, gk, gv = grad.transpose(2, 0, 3, 1, 4)
         dots = ((out * g).reshape(-1, dh) @ np.ones(dh)).reshape(n, S, n_heads)
-        for b, (top, recip) in zip(blocks, stats):
-            qc = q[b] * c  # q and the probabilities exactly as the forward made them
-            probs = np.matmul(k[b], np.swapaxes(qc, -1, -2))
-            probs -= top
-            np.exp(probs, out=probs)
-            probs *= recip
+        for b, probs in zip(blocks, kept):
+            qc = q[b] * c  # q exactly as the forward scaled it
             np.matmul(probs, gh[b], out=gv[b])
             gs = np.matmul(v[b], np.swapaxes(gh[b], -1, -2))
             gs -= dots.transpose(0, 2, 1)[b, :, None, :]

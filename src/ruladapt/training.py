@@ -12,12 +12,13 @@ float64.
 from __future__ import annotations
 
 import csv
+import ctypes
 import itertools
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -199,16 +200,30 @@ def lr_schedule(
     return base_lr * gamma ** max(0, exponent)
 
 
+@cache
+def pin_malloc_thresholds() -> None:
+    """Once per process on glibc: mmap only above 32 MB, trim only above 1 GB."""
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    libc.mallopt.argtypes, libc.mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 class Adam:
-    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8); parameters whose
-    gradient is absent are updated with g = 0, which leaves untouched
-    parameters exactly in place while their moments stay zero."""
+    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8) in place, over blocks of flat
+    views; an absent gradient reads zeros, so an untouched parameter stays put."""
+    BLOCK = 32 * 1024  # elements per block: the two scratch blocks stay in L2
 
     def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
+        pin_malloc_thresholds()
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros(p.data.shape) for name, p in params.items()}
         self.v = {name: np.zeros(p.data.shape) for name, p in params.items()}
+        self._scratch = np.empty((2, self.BLOCK))
 
     def step(self, params: dict[str, Tensor], lr: float) -> None:
         self.t += 1
@@ -216,11 +231,19 @@ class Adam:
         bias1 = 1.0 - b1**self.t
         bias2 = 1.0 - b2**self.t
         for name, p in params.items():
-            g = p.grad if p.grad is not None else 0.0
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g if p.grad is not None else 0.0)
-            update = (self.m[name] / bias1) / (np.sqrt(self.v[name] / bias2) + self.eps)
-            p.data = p.data - lr * update
+            arrays = (p.data, self.m[name], self.v[name])
+            if not all(a.flags.c_contiguous and a.flags.writeable for a in arrays):
+                raise ValueError(f"Adam: {name} or its moments are not writeable C-contiguous")
+            grad = np.broadcast_to(0.0, p.data.size) if p.grad is None else p.grad.reshape(-1)
+            flat = [a.reshape(-1) for a in arrays] + [grad]
+            for i in range(0, p.data.size, self.BLOCK):
+                x, m, v, g = (a[i : i + self.BLOCK] for a in flat)
+                s, u = self._scratch[:, : len(x)]
+                np.add(np.multiply(m, b1, out=m), np.multiply(g, 1.0 - b1, out=s), out=m)
+                np.multiply(np.multiply(g, g, out=s), 1.0 - b2, out=s)
+                np.add(np.multiply(v, b2, out=v), s, out=v)
+                np.add(np.sqrt(np.divide(v, bias2, out=u), out=u), self.eps, out=u)
+                x -= np.multiply(np.divide(np.divide(m, bias1, out=s), u, out=s), lr, out=s)
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +430,10 @@ def train(
     end = config.epochs * state.steps_per_epoch
     if max_iterations is not None:
         end = min(end, max_iterations)
+    if state.step_in_epoch and not all(order is not None and len(order) == max(n_source, n_target)
+                                       and (order < n).all() for order, n in
+                                       ((state.src_order, n_source), (state.tgt_order, n_target))):
+        raise ValueError(f"the batch plan at iteration {state.iteration} does not fit the pools")
     while state.iteration < end:
         if state.step_in_epoch == 0:
             state.src_order, state.tgt_order = epoch_plan(n_source, n_target, state.rng_shuffle)
@@ -495,14 +522,18 @@ def load_train_checkpoint(path, config: RunConfig) -> TrainState:
                        generator("rng_states/shuffle"), generator("rng_states/noise"))
     for name, p in state.trainable().items():
         p.data = checked(f"param/{name}", p.data.shape).astype(p.data.dtype, copy=False)
-        state.adam.m[name] = checked(f"adam_m/{name}", p.data.shape)
-        state.adam.v[name] = checked(f"adam_v/{name}", p.data.shape)
+        state.adam.m[name] = checked(f"adam_m/{name}", p.data.shape).astype(p.data.dtype, copy=False)
+        state.adam.v[name] = checked(f"adam_v/{name}", p.data.shape).astype(p.data.dtype, copy=False)
     state.adam.t = meta_value("adam_t", int)
     state.iteration = meta_value("iteration", int)
     state.steps_per_epoch = meta_value("steps_per_epoch", int)
-    if "extra/plan_src" in arrays:
-        state.src_order = arrays["extra/plan_src"]
-        state.tgt_order = arrays["extra/plan_tgt"]
+    plans = [arrays[key] for key in ("extra/plan_src", "extra/plan_tgt") if key in arrays]
+    if plans and (len(plans) == 1 or any(a.ndim != 1 or a.dtype.kind not in "iu" or (a < 0).any()
+                                         for a in plans) or len(plans[0]) != len(plans[1])
+                  or math.ceil(len(plans[0]) / (config.batch_size // 2)) != state.steps_per_epoch):
+        raise ValueError(f"{path}: the batch plan must be two 1-D non-negative integer "
+                         f"arrays of one length, {state.steps_per_epoch} batches long")
+    state.src_order, state.tgt_order = plans or (None, None)
     return state
 
 

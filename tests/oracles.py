@@ -24,6 +24,8 @@ replacements are checked against.
   from primitives, one node per gate product, as the model built them
   before the fused `recurrent_sequence` node, and the elementwise `tanh`
   they use.
+- `adam_step`, the Adam update with a new array per op, which the in-place
+  `training.Adam.step` must match bitwise.
 """
 
 from __future__ import annotations
@@ -270,3 +272,18 @@ def csv_export_latents(model, datasets, layers, paths, batch: int = 256) -> None
                     values = (bundle.c if name == "C" else bundle.o).data
                     writer.writerows([f"{v:.8e}" for v in row] + tail
                                      for row, tail in zip(values, tails))
+
+
+def adam_step(adam, params: dict[str, Tensor], lr: float) -> None:
+    """One Adam step on `adam`'s moments, rebinding every moment and
+    parameter array; an absent gradient is g = 0."""
+    adam.t += 1
+    b1, b2 = adam.beta1, adam.beta2
+    bias1 = 1.0 - b1**adam.t
+    bias2 = 1.0 - b2**adam.t
+    for name, p in params.items():
+        g = p.grad if p.grad is not None else 0.0
+        adam.m[name] = b1 * adam.m[name] + (1.0 - b1) * g
+        adam.v[name] = b2 * adam.v[name] + (1.0 - b2) * (g * g if p.grad is not None else 0.0)
+        update = (adam.m[name] / bias1) / (np.sqrt(adam.v[name] / bias2) + adam.eps)
+        p.data = p.data - lr * update

@@ -470,20 +470,30 @@ def _arrays_in(obj, seen=None):
     return [arr for child in children for arr in _arrays_in(child, seen)]
 
 
-def test_attention_keeps_only_per_block_statistics():
+def test_attention_keeps_its_probabilities_only_for_a_vjp():
     """Forward to backward, the node holds views of its input and output and
-    per-block (rows, h, 1, S) statistics: nothing of n * h * S elements or
-    more, so neither the probabilities nor a scaled copy of q."""
+    each block's (rows, h, S, S) probabilities, nothing else of n * h * S
+    elements or more.  Without a VJP to come, under no_grad, the forward's
+    peak allocation stays under its output plus a few blocks."""
     rng = np.random.default_rng(4)
     n, S, h, d = 64, 40, 4, 32
     qkv = Tensor(rand(rng, n, S, 3 * d), requires_grad=True)
     node = ad.self_attention(qkv, h)
     held = _arrays_in(node._vjp)
-    stats = [arr for arr in held if arr.shape[1:] == (h, 1, S)]
-    assert stats and sum(len(arr) for arr in stats) == 2 * n
+    probs = [arr for arr in held if arr.shape[1:] == (h, S, S)]
+    assert probs and sum(len(arr) for arr in probs) == n
     for arr in held:
-        if arr.size >= n * h * S:
+        if arr.size >= n * h * S and not any(arr is p for p in probs):
             assert np.shares_memory(arr, qkv.data) or np.shares_memory(arr, node.data), arr.shape
+    with ad.no_grad():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = ad.self_attention(qkv, h)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    assert out._vjp is None and peak < out.data.nbytes + 4 * ad._BLOCK_BYTES, peak
 
 
 def test_pairwise_sqdist_peak_memory_is_output_plus_blocks():

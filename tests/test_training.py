@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import errno
 import json
@@ -26,7 +27,7 @@ from ruladapt.losses import (
     rul_mse,
     smooth_loss,
 )
-from ruladapt.model import Model, ModelConfig, toy_model_config
+from ruladapt.model import Model, ModelConfig, desk_model_config, toy_model_config
 from ruladapt.serialization import load_blob, save_blob
 from ruladapt.training import (
     VARIANTS,
@@ -47,6 +48,7 @@ from ruladapt.training import (
     variant_weights,
 )
 
+import oracles
 from helpers import make_toy_domains
 
 
@@ -282,6 +284,115 @@ def test_adam_leaves_gradient_free_params_in_place():
     p.grad = np.array([1.0])
     adam.step({"p": p, "q": q}, lr=0.1)
     assert q.data[0] == 2.0  # exactly untouched
+
+
+def _assert_same_run(a, b):
+    assert a.history == b.history and a.adam.t == b.adam.t
+    for name, p in a.trainable().items():
+        pairs = ((p.data, b.trainable()[name].data), (a.adam.m[name], b.adam.m[name]),
+                 (a.adam.v[name], b.adam.v[name]))
+        for x, y in pairs:
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
+def _runs_with_both_adams(config, domains, steps, monkeypatch):
+    """The same run twice: with `Adam.step`, and with the oracle's step."""
+    runs = []
+    for step in (Adam.step, oracles.adam_step):
+        state = init_state(config, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(Adam, "step", step)
+            train(state, *domains, max_iterations=steps)
+        runs.append(state)
+    return runs
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_adam_in_place_matches_the_oracle_at_desk_width(toy_domains, monkeypatch, variant):
+    """Five steps with the gate opening at step 2: before it the adaptation
+    parameters get no gradient, and `no_da`'s never get one."""
+    config = toy_config(variant, model=desk_model_config(n_features=8, window=16),
+                        da_start=2, epochs=50)
+    fast, slow = _runs_with_both_adams(config, toy_domains, 5, monkeypatch)
+    if variant == "no_da":
+        assert any(p.grad is None for p in fast.trainable().values())
+    _assert_same_run(fast, slow)
+
+
+def test_adam_in_place_matches_the_oracle_at_full_width(toy_domains, monkeypatch):
+    config = toy_config("lamanet", model=ModelConfig(n_features=8, window=16), da_start=0)
+    fast, slow = _runs_with_both_adams(config, toy_domains, 3, monkeypatch)
+    assert max(p.data.size for p in fast.trainable().values()) > 2 * Adam.BLOCK
+    _assert_same_run(fast, slow)
+
+
+def test_adam_in_place_matches_the_oracle_when_a_gradient_is_missing():
+    """A parameter spanning several blocks, and one whose gradient is absent
+    on the middle steps, after its moments have become non-zero."""
+    shapes = {"big": (3, Adam.BLOCK - 5), "small": (7,)}
+    runs = []
+    for step in (Adam.step, oracles.adam_step):
+        params = {name: Tensor(np.ones(shape), requires_grad=True) for name, shape in shapes.items()}
+        adam, grads = Adam(params), np.random.default_rng(3)
+        for i in range(4):
+            for name, p in params.items():
+                p.grad = None if name == "small" and i in (1, 2) else grads.normal(size=p.shape)
+            step(adam, params, lr=0.01 * (i + 1))
+        runs.append((params, adam))
+    (fast, adam), (slow, oracle) = runs
+    assert adam.t == oracle.t == 4
+    for name in shapes:
+        for x, y in ((fast[name].data, slow[name].data), (adam.m[name], oracle.m[name]),
+                     (adam.v[name], oracle.v[name])):
+            assert x.tobytes() == y.tobytes(), name
+
+
+def test_adam_step_keeps_every_array(toy_domains):
+    state = init_state(toy_config("lamanet", da_start=0), 1)
+    arrays = lambda: {name: (p.data, state.adam.m[name], state.adam.v[name])  # noqa: E731
+                      for name, p in state.trainable().items()}
+    before = arrays()
+    train(state, *toy_domains, max_iterations=2)
+    after = arrays()
+    assert all(x is y for name in before for x, y in zip(before[name], after[name]))
+    assert all(np.any(m) for _, m, _ in after.values())
+
+
+def test_adam_refuses_a_parameter_it_cannot_update_in_place():
+    p = Tensor(np.ones((4, 3)).T, requires_grad=True)  # a transposed, non-contiguous view
+    adam = Adam({"p": p})
+    p.grad = np.ones((3, 4))
+    with pytest.raises(ValueError, match="p or its moments"):
+        adam.step({"p": p}, lr=0.1)
+    assert (p.data == 1.0).all()
+
+
+def test_malloc_thresholds_are_pinned_once_per_process(monkeypatch):
+    calls = []
+
+    class Libc:
+        @staticmethod
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+    training.pin_malloc_thresholds.cache_clear()
+    Adam({})
+    init_state(toy_config("no_da"), 1)
+    training.pin_malloc_thresholds()
+    assert calls == [(-3, 32 << 20), (-1, 1 << 30)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+
+def test_malloc_thresholds_are_a_no_op_without_glibc(monkeypatch):
+    def no_libc(name):
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    training.pin_malloc_thresholds.cache_clear()
+    assert training.pin_malloc_thresholds() is None
+    p = Tensor(np.ones(3), requires_grad=True)
+    Adam({"p": p}).step({"p": p}, lr=0.1)  # the optimizer works all the same
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +832,73 @@ def test_checkpoint_rejects_other_config(tmp_path, toy_domains):
     other = toy_config("mmd")
     with pytest.raises(ValueError, match="hash"):
         load_train_checkpoint(tmp_path / "ckpt.bin", other)
+
+
+def test_checkpoint_moments_load_as_float64(tmp_path, toy_domains):
+    """A checkpoint whose moments were stored as float32 loads them as
+    float64, so the in-place Adam never carries a narrower moment."""
+    config = toy_config("lamanet", epochs=50)
+    state = init_state(config, 1)
+    train(state, *toy_domains, max_iterations=3)
+    save_train_checkpoint(tmp_path / "ckpt.bin", state)
+    arrays, meta = load_blob(tmp_path / "ckpt.bin")
+    for key in arrays:
+        if key.startswith(("adam_m/", "adam_v/")):
+            arrays[key] = arrays[key].astype(np.float32)
+    save_blob(tmp_path / "f32.bin", arrays, meta)
+    loaded = load_train_checkpoint(tmp_path / "f32.bin", config)
+    for moments, section in ((loaded.adam.m, "adam_m"), (loaded.adam.v, "adam_v")):
+        for name, moment in moments.items():
+            assert moment.dtype == np.float64, name
+            np.testing.assert_array_equal(moment, arrays[f"{section}/{name}"])
+    train(loaded, *toy_domains, max_iterations=4)
+    assert all(m.dtype == np.float64 for m in loaded.adam.m.values())
+
+
+def _with_plan(arrays, key, plan):
+    arrays[key] = plan
+
+
+PLAN_DAMAGE = {
+    "only-src": lambda arrays: arrays.pop("extra/plan_tgt"),
+    "only-tgt": lambda arrays: arrays.pop("extra/plan_src"),
+    "two-dimensional": lambda a: _with_plan(a, "extra/plan_src", a["extra/plan_src"][:, None]),
+    "float": lambda a: _with_plan(a, "extra/plan_tgt", a["extra/plan_tgt"].astype(float)),
+    "negative": lambda a: _with_plan(a, "extra/plan_src", a["extra/plan_src"] - 1),
+    "lengths-differ": lambda a: _with_plan(a, "extra/plan_tgt", a["extra/plan_tgt"][:-1]),
+    "wrong-length": lambda a: [_with_plan(a, key, a[key][: len(a[key]) // 2])
+                               for key in ("extra/plan_src", "extra/plan_tgt")],
+}
+
+
+@pytest.mark.parametrize("damage", PLAN_DAMAGE)
+def test_checkpoint_with_a_bad_batch_plan_is_rejected(tmp_path, toy_domains, damage):
+    config = toy_config("lamanet", epochs=50)
+    state = init_state(config, 1)
+    train(state, *toy_domains, max_iterations=3)  # mid-epoch: the plan is saved
+    save_train_checkpoint(tmp_path / "ckpt.bin", state)
+    arrays, meta = load_blob(tmp_path / "ckpt.bin")
+    PLAN_DAMAGE[damage](arrays)
+    save_blob(tmp_path / "bad.bin", arrays, meta)
+    with pytest.raises(ValueError, match=re.escape(str(tmp_path / "bad.bin"))):
+        load_train_checkpoint(tmp_path / "bad.bin", config)
+
+
+@pytest.mark.parametrize("damage", ["short", "past-its-pool", "missing"])
+def test_train_rejects_a_resumed_plan_that_does_not_fit_the_pools(toy_domains, damage):
+    source, target = toy_domains
+    state = init_state(toy_config("lamanet", epochs=50), 1)
+    train(state, source, target, max_iterations=3)
+    if damage == "short":
+        state.tgt_order = state.tgt_order[:-1]
+    elif damage == "past-its-pool":
+        state.src_order = state.src_order.copy()
+        state.src_order[-1] = len(source.train_windows)
+    else:
+        state.src_order = state.tgt_order = None
+    with pytest.raises(ValueError, match="batch plan at iteration 3 does not fit"):
+        train(state, source, target, max_iterations=5)
+    assert state.iteration == 3 and len(state.history) == 3
 
 
 # ---------------------------------------------------------------------------
