@@ -4,9 +4,9 @@ Each run owns three rng streams derived from its seed (parameter init,
 shuffling, smoothness noise), so a (config, seed) pair fully determines the
 trajectory.  A run's position is its iteration count alone; the epoch and
 the step within it are derived from it, as is every schedule.  Checkpoints
-capture parameters, Adam moments, the iteration, the batch plan when taken
-mid-epoch and all rng states; restoring reproduces the next step bitwise in
-float64.
+capture parameters, Adam moments, the iteration and the rng states (the
+shuffle one as of the epoch's start); restoring redraws the epoch's batch
+plan and reproduces the next step bitwise in float64.
 """
 
 from __future__ import annotations
@@ -213,13 +213,13 @@ def pin_malloc_thresholds() -> None:
 
 
 class Adam:
-    """Standard Adam (beta1=0.9, beta2=0.999, eps=1e-8) in place, over blocks of flat
-    views; an absent gradient reads zeros, so an untouched parameter stays put."""
+    """Standard Adam in place, over blocks of flat views; an absent gradient
+    reads zeros, so an untouched parameter stays put."""
     BLOCK = 32 * 1024  # elements per block: the two scratch blocks stay in L2
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params: dict[str, Tensor], beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         pin_malloc_thresholds()
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros(p.data.shape) for name, p in params.items()}
         self.v = {name: np.zeros(p.data.shape) for name, p in params.items()}
@@ -282,8 +282,9 @@ class TrainState:
     adam: Adam
     rng_shuffle: np.random.Generator
     rng_noise: np.random.Generator
+    plan_shuffle: dict  # rng_shuffle's state at the epoch's plan draw; saved mid-epoch
     iteration: int = 0  # steps taken: the run's one stored position
-    src_order: np.ndarray | None = None  # the current epoch's batch plan
+    src_order: np.ndarray | None = None  # the current epoch's batch plan; never saved
     tgt_order: np.ndarray | None = None
     steps_per_epoch: int = 1
     history: list[dict] = field(default_factory=list)
@@ -326,7 +327,7 @@ def _new_state(config: RunConfig, seed: int, rng_init, rng_shuffle, rng_noise) -
         model=model,
         discriminator=discriminator,
         adam=None,  # set below once the full trainable set exists
-        rng_shuffle=rng_shuffle, rng_noise=rng_noise,
+        rng_shuffle=rng_shuffle, rng_noise=rng_noise, plan_shuffle=rng_shuffle.bit_generator.state,
     )
     state.adam = Adam(state.trainable())
     return state
@@ -421,21 +422,23 @@ def train(
 ) -> TrainState:
     """Run the epoch budget (or until `max_iterations`) from the state's
     iteration, so a run resumes anywhere.  An epoch's first step draws its
-    batch plan.  `log` receives each step's record and, after an epoch's
-    last step, a record of the iteration, epoch and source validation RMSE."""
+    batch plan, as does a loaded state's first step.  `log` receives each
+    step's record and, after an epoch's last step, a record of the
+    iteration, epoch and source validation RMSE."""
     config = state.config
     half = config.batch_size // 2
     n_source, n_target = len(source.train_windows), len(target.train_windows)
-    state.steps_per_epoch = steps_per_epoch(n_source, n_target, config.batch_size)
-    end = config.epochs * state.steps_per_epoch
+    n_steps = steps_per_epoch(n_source, n_target, config.batch_size)
+    if state.iteration and state.steps_per_epoch != n_steps:
+        raise ValueError(f"the state at iteration {state.iteration} has {state.steps_per_epoch} "
+                         f"steps per epoch, but the pools give {n_steps}")
+    state.steps_per_epoch = n_steps
+    end = config.epochs * n_steps
     if max_iterations is not None:
         end = min(end, max_iterations)
-    if state.step_in_epoch and not all(order is not None and len(order) == max(n_source, n_target)
-                                       and (order < n).all() for order, n in
-                                       ((state.src_order, n_source), (state.tgt_order, n_target))):
-        raise ValueError(f"the batch plan at iteration {state.iteration} does not fit the pools")
     while state.iteration < end:
-        if state.step_in_epoch == 0:
+        if state.step_in_epoch == 0 or state.src_order is None:
+            state.plan_shuffle = state.rng_shuffle.bit_generator.state
             state.src_order, state.tgt_order = epoch_plan(n_source, n_target, state.rng_shuffle)
         start = state.step_in_epoch * half
         src_X, src_y = stack_windows(source.train_windows, state.src_order[start : start + half])
@@ -453,23 +456,21 @@ def train(
 # checkpointing (bitwise-resumable)
 
 def save_train_checkpoint(path, state: TrainState) -> None:
-    """Write parameters, Adam moments, the mid-epoch batch plan and the rng
-    states to one blob."""
+    """Write parameters, Adam moments, the iteration and the rng states to one
+    blob; mid-epoch, the shuffle state that the epoch's plan was drawn from."""
     arrays: dict[str, np.ndarray] = {}
     for name, p in state.trainable().items():
         arrays[f"param/{name}"] = p.data
         arrays[f"adam_m/{name}"] = state.adam.m[name]
         arrays[f"adam_v/{name}"] = state.adam.v[name]
-    if state.step_in_epoch > 0:  # mid-epoch: persist the batch plan
-        arrays["extra/plan_src"] = state.src_order.astype(np.int64)
-        arrays["extra/plan_tgt"] = state.tgt_order.astype(np.int64)
     meta = {
         "kind": "checkpoint",
         "config_hash": state.config.hash,
         "iteration": state.iteration,
         "adam_t": state.adam.t,
         "rng_states": {
-            "shuffle": state.rng_shuffle.bit_generator.state,
+            "shuffle": (state.plan_shuffle if state.step_in_epoch
+                        else state.rng_shuffle.bit_generator.state),
             "noise": state.rng_noise.bit_generator.state,
         },
         "steps_per_epoch": state.steps_per_epoch,
@@ -479,21 +480,25 @@ def save_train_checkpoint(path, state: TrainState) -> None:
 
 
 def load_train_checkpoint(path, config: RunConfig) -> TrainState:
-    """The state saved at `path`; fails when the file is not a checkpoint,
-    a meta key is missing or of the wrong type, its config hash does not
-    match `config`, or a parameter or Adam moment of the trainable set is
-    missing or has the wrong shape."""
+    """The state saved at `path`, with no batch plan; fails when the file is
+    not a checkpoint or holds a plan, a meta key is missing, mistyped or out
+    of range, its config hash does not match `config`, or a parameter or
+    Adam moment of the trainable set is missing or has the wrong shape."""
     arrays, meta = load_blob(path)
     if meta.get("kind") != "checkpoint":
         raise ValueError(f"{path}: not a checkpoint file")
+    if any(key.startswith("extra/plan_") for key in arrays):
+        raise ValueError(f"{path}: a mid-epoch checkpoint that stores its batch plan, with the "
+                         "shuffle state after the plan's draw; it cannot resume")
 
-    def meta_value(key: str, kind: type):  # a `/` in `key` reaches into a mapping
+    def meta_value(key: str, kind: type, low=None):  # a `/` in `key` reaches into a mapping
         value = meta
         for part in key.split("/"):
             value = value.get(part) if isinstance(value, dict) else None
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(f"{path}: checkpoint meta {key!r} must be {kind.__name__}, "
-                             f"got {value!r}")
+        if (not isinstance(value, kind) or isinstance(value, bool)
+                or low is not None and value < low):
+            raise ValueError(f"{path}: checkpoint meta {key!r} must be {kind.__name__}"
+                             f"{'' if low is None else f' >= {low}'}, got {value!r}")
         return value
 
     def generator(key: str) -> np.random.Generator:
@@ -524,16 +529,9 @@ def load_train_checkpoint(path, config: RunConfig) -> TrainState:
         p.data = checked(f"param/{name}", p.data.shape).astype(p.data.dtype, copy=False)
         state.adam.m[name] = checked(f"adam_m/{name}", p.data.shape).astype(p.data.dtype, copy=False)
         state.adam.v[name] = checked(f"adam_v/{name}", p.data.shape).astype(p.data.dtype, copy=False)
-    state.adam.t = meta_value("adam_t", int)
-    state.iteration = meta_value("iteration", int)
-    state.steps_per_epoch = meta_value("steps_per_epoch", int)
-    plans = [arrays[key] for key in ("extra/plan_src", "extra/plan_tgt") if key in arrays]
-    if plans and (len(plans) == 1 or any(a.ndim != 1 or a.dtype.kind not in "iu" or (a < 0).any()
-                                         for a in plans) or len(plans[0]) != len(plans[1])
-                  or math.ceil(len(plans[0]) / (config.batch_size // 2)) != state.steps_per_epoch):
-        raise ValueError(f"{path}: the batch plan must be two 1-D non-negative integer "
-                         f"arrays of one length, {state.steps_per_epoch} batches long")
-    state.src_order, state.tgt_order = plans or (None, None)
+    state.adam.t = meta_value("adam_t", int, 0)
+    state.iteration = meta_value("iteration", int, 0)
+    state.steps_per_epoch = meta_value("steps_per_epoch", int, 1)
     return state
 
 

@@ -292,6 +292,23 @@ def test_a_missing_or_mistyped_meta_key_names_the_file_and_the_key(tmp_path, key
         load_train_checkpoint(path, config)
 
 
+@pytest.mark.parametrize("key, value, floor", [
+    ("iteration", -5, 0), ("adam_t", -1, 0), ("steps_per_epoch", 0, 1),
+])
+def test_an_out_of_range_meta_value_names_the_file_and_the_key(tmp_path, key, value, floor):
+    """A negative iteration would fail in the first step's gate, a negative
+    Adam step count writes NaN into every parameter, and no epoch has 0
+    steps; each is refused at load, in a boundary checkpoint too."""
+    config = tiny_run_config()
+    path = tmp_path / "ckpt.bin"
+    save_train_checkpoint(path, init_state(config, 5))
+    arrays, meta = load_blob(path)
+    save_blob(path, arrays, meta | {key: value})
+    with pytest.raises(ValueError, match=rf"ckpt\.bin: checkpoint meta '{key}' must be int >= "
+                                         rf"{floor}, got {value}"):
+        load_train_checkpoint(path, config)
+
+
 def test_dataset_cache_is_not_a_checkpoint(tmp_path):
     """A blob of another kind, such as the trajectory caches that earlier
     versions wrote, is refused by its `kind`."""

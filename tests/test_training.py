@@ -745,9 +745,11 @@ def test_checkpoint_resume_is_bitwise(tmp_path, toy_domains):
 def test_loading_a_checkpoint_draws_no_parameter(tmp_path, toy_domains, monkeypatch, variant):
     """The loader builds its state without drawing from a generator: every
     Xavier initialisation it makes is handed something other than a numpy
-    Generator, and all it returns comes from the file."""
+    Generator, and all it returns comes from the file.  Mid-epoch, that is
+    the shuffle state of the epoch's start, and no batch plan."""
     source, target = toy_domains
     config = toy_config(variant, epochs=50)
+    epoch_start = init_state(config, 1).rng_shuffle.bit_generator.state
     state = init_state(config, 1)
     train(state, source, target, max_iterations=3)
     save_train_checkpoint(tmp_path / "ckpt.bin", state)
@@ -768,10 +770,9 @@ def test_loading_a_checkpoint_draws_no_parameter(tmp_path, toy_domains, monkeypa
         np.testing.assert_array_equal(loaded.adam.m[name], state.adam.m[name])
         np.testing.assert_array_equal(loaded.adam.v[name], state.adam.v[name])
     assert (loaded.adam.t, loaded.iteration, loaded.seed) == (state.adam.t, 3, 1)
-    for rng in ("rng_shuffle", "rng_noise"):
-        assert getattr(loaded, rng).bit_generator.state == getattr(state, rng).bit_generator.state
-    np.testing.assert_array_equal(loaded.src_order, state.src_order)
-    np.testing.assert_array_equal(loaded.tgt_order, state.tgt_order)
+    assert loaded.rng_shuffle.bit_generator.state == epoch_start != state.rng_shuffle.bit_generator.state
+    assert loaded.rng_noise.bit_generator.state == state.rng_noise.bit_generator.state
+    assert loaded.src_order is None and loaded.tgt_order is None
 
 
 def test_checkpoint_at_an_epoch_boundary_resumes_bitwise(tmp_path, toy_domains):
@@ -855,50 +856,72 @@ def test_checkpoint_moments_load_as_float64(tmp_path, toy_domains):
     assert all(m.dtype == np.float64 for m in loaded.adam.m.values())
 
 
-def _with_plan(arrays, key, plan):
-    arrays[key] = plan
+def _short_pools(domains, n_source, n_target):
+    source, target = domains
+    return (dataclasses.replace(source, train_windows=source.train_windows[:n_source]),
+            dataclasses.replace(target, train_windows=target.train_windows[:n_target]))
 
 
-PLAN_DAMAGE = {
-    "only-src": lambda arrays: arrays.pop("extra/plan_tgt"),
-    "only-tgt": lambda arrays: arrays.pop("extra/plan_src"),
-    "two-dimensional": lambda a: _with_plan(a, "extra/plan_src", a["extra/plan_src"][:, None]),
-    "float": lambda a: _with_plan(a, "extra/plan_tgt", a["extra/plan_tgt"].astype(float)),
-    "negative": lambda a: _with_plan(a, "extra/plan_src", a["extra/plan_src"] - 1),
-    "lengths-differ": lambda a: _with_plan(a, "extra/plan_tgt", a["extra/plan_tgt"][:-1]),
-    "wrong-length": lambda a: [_with_plan(a, key, a[key][: len(a[key]) // 2])
-                               for key in ("extra/plan_src", "extra/plan_tgt")],
-}
+@pytest.mark.parametrize("variant", ["lamanet", "dann"])
+def test_a_run_resumed_at_any_iteration_ends_bitwise_as_the_uninterrupted_run(
+        tmp_path, toy_domains, variant):
+    """Saved, loaded and resumed at each of the 21 iterations of a 3-epoch
+    run (7 steps per epoch, the target pool resampled, the gate opening
+    mid-epoch), the run ends with the uninterrupted run's records,
+    parameters, moments and rng states; no checkpoint holds a batch plan."""
+    source, target = _short_pools(toy_domains, 100, 70)
+    config = toy_config(variant, epochs=3, da_start=10)
+    whole = init_state(config, 1)
+    end = config.epochs * steps_per_epoch(100, 70, config.batch_size)
+    assert end == 21
+    for k in range(end):
+        save_train_checkpoint(tmp_path / f"{k}.bin", whole)
+        train(whole, source, target, max_iterations=k + 1)
+    for k in range(end):
+        arrays, _ = load_blob(tmp_path / f"{k}.bin")
+        assert not any(key.startswith("extra/") for key in arrays)
+        resumed = train(load_train_checkpoint(tmp_path / f"{k}.bin", config), source, target)
+        assert resumed.history == whole.history[k:], k
+        assert (resumed.iteration, resumed.adam.t) == (whole.iteration, whole.adam.t) == (end, end)
+        for name, p in whole.trainable().items():
+            np.testing.assert_array_equal(resumed.trainable()[name].data, p.data, err_msg=name)
+            np.testing.assert_array_equal(resumed.adam.m[name], whole.adam.m[name], err_msg=name)
+            np.testing.assert_array_equal(resumed.adam.v[name], whole.adam.v[name], err_msg=name)
+        for rng in ("rng_shuffle", "rng_noise"):
+            assert getattr(resumed, rng).bit_generator.state == getattr(whole, rng).bit_generator.state
+    assert {"discrepancy", "recon", "smooth", "adversarial"} & set(whole.history[-1])
 
 
-@pytest.mark.parametrize("damage", PLAN_DAMAGE)
-def test_checkpoint_with_a_bad_batch_plan_is_rejected(tmp_path, toy_domains, damage):
+def test_a_checkpoint_that_stores_a_batch_plan_is_refused(tmp_path, toy_domains):
+    """Mid-epoch checkpoints of the earlier format store the batch plan, and
+    the shuffle state after the plan's draw, from which no run can resume."""
     config = toy_config("lamanet", epochs=50)
     state = init_state(config, 1)
-    train(state, *toy_domains, max_iterations=3)  # mid-epoch: the plan is saved
+    train(state, *toy_domains, max_iterations=3)
     save_train_checkpoint(tmp_path / "ckpt.bin", state)
     arrays, meta = load_blob(tmp_path / "ckpt.bin")
-    PLAN_DAMAGE[damage](arrays)
-    save_blob(tmp_path / "bad.bin", arrays, meta)
-    with pytest.raises(ValueError, match=re.escape(str(tmp_path / "bad.bin"))):
-        load_train_checkpoint(tmp_path / "bad.bin", config)
+    arrays["extra/plan_src"] = state.src_order
+    save_blob(tmp_path / "old.bin", arrays, meta)
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'old.bin'}: a mid-epoch")):
+        load_train_checkpoint(tmp_path / "old.bin", config)
 
 
-@pytest.mark.parametrize("damage", ["short", "past-its-pool", "missing"])
-def test_train_rejects_a_resumed_plan_that_does_not_fit_the_pools(toy_domains, damage):
-    source, target = toy_domains
-    state = init_state(toy_config("lamanet", epochs=50), 1)
-    train(state, source, target, max_iterations=3)
-    if damage == "short":
-        state.tgt_order = state.tgt_order[:-1]
-    elif damage == "past-its-pool":
-        state.src_order = state.src_order.copy()
-        state.src_order[-1] = len(source.train_windows)
-    else:
-        state.src_order = state.tgt_order = None
-    with pytest.raises(ValueError, match="batch plan at iteration 3 does not fit"):
-        train(state, source, target, max_iterations=5)
-    assert state.iteration == 3 and len(state.history) == 3
+@pytest.mark.parametrize("where", ["mid-epoch", "boundary"])
+def test_train_refuses_a_state_whose_epoch_length_the_pools_do_not_give(
+        tmp_path, toy_domains, where):
+    """74 steps per epoch on the full toy pools, 38 on pools of 600 windows:
+    a loaded state refuses the shorter pools before any step."""
+    config = toy_config("lamanet", epochs=50)
+    state = init_state(config, 1)
+    iteration = 3 if where == "mid-epoch" else 74
+    train(state, *toy_domains, max_iterations=iteration)
+    assert state.steps_per_epoch == 74
+    save_train_checkpoint(tmp_path / "ckpt.bin", state)
+    loaded = load_train_checkpoint(tmp_path / "ckpt.bin", config)
+    with pytest.raises(ValueError, match=f"the state at iteration {iteration} has 74 steps per "
+                                         "epoch, but the pools give 38"):
+        train(loaded, *_short_pools(toy_domains, 600, 600))
+    assert loaded.iteration == iteration and not loaded.history
 
 
 # ---------------------------------------------------------------------------
