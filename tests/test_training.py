@@ -892,15 +892,35 @@ def test_a_run_resumed_at_any_iteration_ends_bitwise_as_the_uninterrupted_run(
     assert {"discrepancy", "recon", "smooth", "adversarial"} & set(whole.history[-1])
 
 
-def test_a_checkpoint_that_stores_a_batch_plan_is_refused(tmp_path, toy_domains):
+def _with_plan(arrays, key, plan):
+    arrays[key] = plan
+
+
+PLAN_DAMAGE = {
+    "intact": lambda arrays: None,
+    "only-src": lambda arrays: arrays.pop("extra/plan_tgt"),
+    "only-tgt": lambda arrays: arrays.pop("extra/plan_src"),
+    "two-dimensional": lambda a: _with_plan(a, "extra/plan_src", a["extra/plan_src"][:, None]),
+    "float": lambda a: _with_plan(a, "extra/plan_tgt", a["extra/plan_tgt"].astype(float)),
+    "negative": lambda a: _with_plan(a, "extra/plan_src", a["extra/plan_src"] - 1),
+    "lengths-differ": lambda a: _with_plan(a, "extra/plan_tgt", a["extra/plan_tgt"][:-1]),
+    "wrong-length": lambda a: [_with_plan(a, key, a[key][: len(a[key]) // 2])
+                               for key in ("extra/plan_src", "extra/plan_tgt")],
+}
+
+
+@pytest.mark.parametrize("damage", PLAN_DAMAGE)
+def test_checkpoint_with_a_bad_batch_plan_is_rejected(tmp_path, toy_domains, damage):
     """Mid-epoch checkpoints of the earlier format store the batch plan, and
-    the shuffle state after the plan's draw, from which no run can resume."""
+    the shuffle state after the plan's draw, from which no run can resume:
+    a file holding either plan array, whole or damaged, is refused."""
     config = toy_config("lamanet", epochs=50)
     state = init_state(config, 1)
     train(state, *toy_domains, max_iterations=3)
     save_train_checkpoint(tmp_path / "ckpt.bin", state)
     arrays, meta = load_blob(tmp_path / "ckpt.bin")
-    arrays["extra/plan_src"] = state.src_order
+    arrays["extra/plan_src"], arrays["extra/plan_tgt"] = state.src_order, state.tgt_order
+    PLAN_DAMAGE[damage](arrays)
     save_blob(tmp_path / "old.bin", arrays, meta)
     with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'old.bin'}: a mid-epoch")):
         load_train_checkpoint(tmp_path / "old.bin", config)
