@@ -26,12 +26,12 @@ from .serialization import check_fields
 
 @dataclass(frozen=True)
 class KernelSpec:
-    family: str = "rbf"
+    """The RBF kernel's bandwidth: the median heuristic, or a fixed sigma."""
+
     bandwidth_mode: str = "median_heuristic"  # or "fixed"
     bandwidth: float | None = None  # sigma, used in fixed mode
 
     RULES = (
-        ("family", str, lambda v: v == "rbf", "be 'rbf'"),
         ("bandwidth_mode", str, lambda v: v in ("median_heuristic", "fixed"),
          "be 'median_heuristic' or 'fixed'"),
         ("bandwidth", float, lambda v: v > 0, "be > 0"),

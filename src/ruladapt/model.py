@@ -28,6 +28,7 @@ from .serialization import check_fields
 # The recurrent decoder's gates, in the order their weights are drawn and
 # stacked: one column block of `recon.cell.w_i`, `w_h` and `b_i` each.
 RECURRENT_GATES = {"gru": "zrn", "lstm": "ifgo", "rnn": "h"}
+RECON_HIDDEN = 1  # the recurrent decoder's hidden size
 
 
 @dataclass(frozen=True)
@@ -37,18 +38,16 @@ class ModelConfig:
     attn_dim: int = 32
     n_heads: int = 4
     n_encoder_layers: int = 3
-    n_decoder_layers: int = 1
     ffn_dim: int = 128
     squeeze_hidden: int = 500
     bottleneck: int = 200
     head_dim: int = 32
     recon_cell: str = "gru"  # gru | lstm | rnn
-    recon_hidden: int = 1
 
     RULES = (
         ("n_features", int, lambda v: v >= 0, "be >= 0"),  # RunConfig reports an empty mask
-        ("window attn_dim n_heads n_encoder_layers n_decoder_layers ffn_dim squeeze_hidden "
-         "bottleneck head_dim recon_hidden", int, lambda v: v >= 1, "be >= 1"),
+        ("window attn_dim n_heads n_encoder_layers ffn_dim squeeze_hidden bottleneck head_dim",
+         int, lambda v: v >= 1, "be >= 1"),
         ("recon_cell", str, lambda v: v in RECURRENT_GATES, "be 'gru', 'lstm' or 'rnn'"),
     )
 
@@ -72,8 +71,7 @@ def toy_model_config(n_features: int = 8, window: int = 16) -> ModelConfig:
     """Shrunk dims used by --toy runs: f=8, K=16, width-8 attention."""
     return ModelConfig(
         n_features=n_features, window=window, attn_dim=8, n_heads=2,
-        n_encoder_layers=2, n_decoder_layers=1, ffn_dim=32,
-        squeeze_hidden=32, bottleneck=16, head_dim=8,
+        n_encoder_layers=2, ffn_dim=32, squeeze_hidden=32, bottleneck=16, head_dim=8,
     )
 
 
@@ -81,8 +79,7 @@ def desk_model_config(n_features: int = 24, window: int = 40) -> ModelConfig:
     """Reduced-width encoder for desk-scale directional runs on real-layout data."""
     return ModelConfig(
         n_features=n_features, window=window, attn_dim=16, n_heads=2,
-        n_encoder_layers=2, n_decoder_layers=1, ffn_dim=32,
-        squeeze_hidden=64, bottleneck=32, head_dim=16,
+        n_encoder_layers=2, ffn_dim=32, squeeze_hidden=64, bottleneck=32, head_dim=16,
     )
 
 
@@ -154,15 +151,14 @@ class Model:
         self._add_affine("expand.2", cfg.squeeze_hidden, M, rng)
 
         self._add("dec.query", rng.normal(0.0, 0.02, size=(1, 1, d)))
-        for i in range(cfg.n_decoder_layers):
-            self._add_affine(f"dec.{i}.attn.q", d, d, rng)
-            self._add(f"dec.{i}.attn.k.W", _xavier(rng, d, d))
-            self._add_affine(f"dec.{i}.attn.v", d, d, rng)
-            self._add_attention_block(f"dec.{i}", rng)
+        self._add_affine("dec.0.attn.q", d, d, rng)
+        self._add("dec.0.attn.k.W", _xavier(rng, d, d))
+        self._add_affine("dec.0.attn.v", d, d, rng)
+        self._add_attention_block("dec.0", rng)
         self._add_affine("dec.out", d, cfg.head_dim, rng)
         self._add_affine("head", cfg.head_dim, 1, rng)
 
-        h = cfg.recon_hidden
+        h = RECON_HIDDEN
         self._add_affine("recon.init", B, h, rng)
         # drawn gate by gate, stored stacked as `recurrent_sequence` reads them
         gates = RECURRENT_GATES[cfg.recon_cell]
@@ -244,8 +240,7 @@ class Model:
         n = e_tilde.shape[0]
         memory = ad.reshape(e_tilde, (n, cfg.n_features + cfg.window, cfg.attn_dim))
         x = ad.broadcast_to(self._p("dec.query"), (n, 1, cfg.attn_dim))
-        for i in range(cfg.n_decoder_layers):
-            x = self._block(x, self._query_attention(x, memory, f"dec.{i}"), f"dec.{i}")
+        x = self._block(x, self._query_attention(x, memory, "dec.0"), "dec.0")
         o = self._affine(ad.reshape(x, (n, cfg.attn_dim)), "dec.out")
         y_hat = ad.sigmoid(self._affine(o, "head"))
         return o, y_hat

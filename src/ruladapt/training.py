@@ -51,8 +51,9 @@ from .serialization import save_blob, write_json
 
 # What each variant trains: its adaptation terms in the order `train_step`
 # builds them, with default weights (`LossWeights` fields; the adversarial
-# one is `RunConfig.dann_weight`).  A RunConfig takes its weights from here
-# unless it is given them.  Every term reads the target stream.
+# one, the gradient-reversal weight, is set here only).  A RunConfig takes
+# its weights from here unless it is given them.  Every term reads the
+# target stream.
 VARIANT_TERMS = {
     "lamanet": {"discrepancy": 0.35, "recon": 0.2, "smooth": 0.35},
     "no_da": {},
@@ -63,6 +64,8 @@ VARIANT_TERMS = {
 VARIANTS = tuple(VARIANT_TERMS)
 
 DEFAULT_SEEDS = (1, 123074, 2457)
+LR_GAMMA, LR_DECAY_START = 0.95, 100  # `lr_schedule`'s decay, as the paper fixes it
+DANN_HIDDEN = 64  # the domain discriminator's hidden width
 
 
 class TrainingAbort(RuntimeError):
@@ -92,8 +95,6 @@ class RunConfig:
     epochs: int = 40
     batch_size: int = 128
     lr: float = 1e-3
-    lr_gamma: float = 0.95
-    lr_decay_start: int = 100
     rc: float = 125.0
     weights: LossWeights | None = None  # None: `variant_weights(variant)`
     model: ModelConfig = field(default_factory=ModelConfig)
@@ -102,19 +103,15 @@ class RunConfig:
     val_seed: int = 42
     val_fraction: float = 0.1
     feature_mask: tuple[int, ...] | None = None
-    dann_weight: float = VARIANT_TERMS["dann"]["adversarial"]
-    dann_hidden: int = 64
 
     RULES = (
         ("source_subset target_subset", str, bool, "be non-empty"),
         ("variant", str, lambda v: v in VARIANTS, f"be one of {VARIANTS}"),
-        ("window epochs dann_hidden", int, lambda v: v >= 1, "be >= 1"),
-        ("lr_decay_start val_seed", int, lambda v: v >= 0, "be >= 0"),
+        ("window epochs", int, lambda v: v >= 1, "be >= 1"),
+        ("val_seed", int, lambda v: v >= 0, "be >= 0"),
         ("batch_size", int, lambda v: v >= 2 and v % 2 == 0, "be even and >= 2"),
         ("lr rc", float, lambda v: v > 0, "be > 0"),
-        ("lr_gamma", float, lambda v: 0 < v <= 1, "lie in (0, 1]"),
         ("val_fraction", float, lambda v: 0 < v < 1, "lie in (0, 1)"),
-        ("dann_weight", float, lambda v: v >= 0, "be >= 0"),  # < 0 would aid the discriminator
         ("seeds", list, lambda v: v and len(set(v)) == len(v), "be non-empty and distinct"),
         ("seeds", list, lambda v: min(v) >= 0, "be >= 0"),
         ("feature_mask", list, lambda v: v and all(0 <= i < N_FEATURES for i in v),
@@ -286,6 +283,7 @@ class TrainState:
     iteration: int = 0  # steps taken: the run's one stored position
     src_order: np.ndarray | None = None  # the current epoch's batch plan; never saved
     tgt_order: np.ndarray | None = None
+    plan_pools: tuple[int, int] | None = None  # the (source, target) sizes it was drawn for
     steps_per_epoch: int = 1
     history: list[dict] = field(default_factory=list)
 
@@ -317,7 +315,7 @@ class _NoDraws:
 def _new_state(config: RunConfig, seed: int, rng_init, rng_shuffle, rng_noise) -> TrainState:
     model = Model(config.model, rng_init)
     discriminator = (
-        DomainDiscriminator(config.model.bottleneck, config.dann_hidden, rng_init)
+        DomainDiscriminator(config.model.bottleneck, DANN_HIDDEN, rng_init)
         if config.variant == "dann"
         else None
     )
@@ -372,7 +370,8 @@ def train_step(state: TrainState, src_X, src_y, tgt_X) -> dict:
                             state.rng_noise, clean=bundle.y_hat[n:]),
             )
         else:  # adversarial
-            terms[name] = dann_loss(c_s, c_t, state.discriminator, config.dann_weight)
+            terms[name] = dann_loss(c_s, c_t, state.discriminator,
+                                    VARIANT_TERMS["dann"]["adversarial"])
     logged = {"rul": float(rul.data)} | {name: float(term.data) for name, term in terms.items()}
 
     loss = composite_loss(rul, terms, config.weights)
@@ -387,10 +386,7 @@ def train_step(state: TrainState, src_X, src_y, tgt_X) -> dict:
             raise TrainingAbort(
                 f"non-finite gradient of {name} at iteration {state.iteration}", logged
             )
-    lr = lr_schedule(
-        state.iteration, config.lr, config.lr_gamma, config.lr_decay_start,
-        state.steps_per_epoch,
-    )
+    lr = lr_schedule(state.iteration, config.lr, LR_GAMMA, LR_DECAY_START, state.steps_per_epoch)
     state.adam.step(params, lr)
     record = {"iteration": state.iteration + 1, "epoch": state.epoch, "lr": lr, "total": total,
               **logged}
@@ -422,9 +418,10 @@ def train(
 ) -> TrainState:
     """Run the epoch budget (or until `max_iterations`) from the state's
     iteration, so a run resumes anywhere.  An epoch's first step draws its
-    batch plan, as does a loaded state's first step.  `log` receives each
-    step's record and, after an epoch's last step, a record of the
-    iteration, epoch and source validation RMSE."""
+    batch plan; a step whose state holds no plan for these pools (a loaded
+    state, or one trained on other pools) redraws it from `plan_shuffle`.
+    `log` receives each step's record and, after an epoch's last step, a
+    record of the iteration, epoch and source validation RMSE."""
     config = state.config
     half = config.batch_size // 2
     n_source, n_target = len(source.train_windows), len(target.train_windows)
@@ -437,9 +434,12 @@ def train(
     if max_iterations is not None:
         end = min(end, max_iterations)
     while state.iteration < end:
-        if state.step_in_epoch == 0 or state.src_order is None:
-            state.plan_shuffle = state.rng_shuffle.bit_generator.state
+        if state.step_in_epoch == 0:
+            state.plan_shuffle, state.plan_pools = state.rng_shuffle.bit_generator.state, None
+        if state.plan_pools != (n_source, n_target):
+            state.rng_shuffle.bit_generator.state = state.plan_shuffle
             state.src_order, state.tgt_order = epoch_plan(n_source, n_target, state.rng_shuffle)
+            state.plan_pools = (n_source, n_target)
         start = state.step_in_epoch * half
         src_X, src_y = stack_windows(source.train_windows, state.src_order[start : start + half])
         tgt_X, _ = stack_windows(target.train_windows, state.tgt_order[start : start + half])

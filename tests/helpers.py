@@ -27,7 +27,7 @@ def tiny_model_config(n_features: int = 4, window: int = 8, **overrides) -> Mode
     """Widths-8 configuration for gradient checks and fast unit tests."""
     base = dict(
         n_features=n_features, window=window, attn_dim=8, n_heads=2,
-        n_encoder_layers=1, n_decoder_layers=1, ffn_dim=16,
+        n_encoder_layers=1, ffn_dim=16,
         squeeze_hidden=16, bottleneck=8, head_dim=8,
     )
     base.update(overrides)

@@ -251,11 +251,20 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
         ("train", TOY_FAST, {"jobs": "2"}, "jobs must be an integer, got '2'"),
         ("ablate", TOY_FAST, {"jobs": 2.0}, "jobs must be an integer, got 2.0"),
         ("ablate", TOY_FAST, {"jobs": True}, "jobs must be an integer, got True"),
-        ("train", TOY_FAST, {"lr_gamma": 1.5}, "lr_gamma must lie in (0, 1], got 1.5"),
-        ("train", TOY_FAST, {"lr_gamma": 0.0}, "lr_gamma must lie in (0, 1], got 0.0"),
-        ("train", TOY_FAST, {"lr_decay_start": -1}, "lr_decay_start must be >= 0, got -1"),
+        # settings that are constants now: the key is refused, whatever its value
+        ("train", TOY_FAST, {"lr_gamma": 1.5}, "RunConfig: unknown keys ['lr_gamma']"),
+        ("train", TOY_FAST, {"lr_gamma": 0.0}, "RunConfig: unknown keys ['lr_gamma']"),
+        ("train", TOY_FAST, {"lr_decay_start": -1}, "RunConfig: unknown keys ['lr_decay_start']"),
         ("train", ("--variant", "dann", *TOY_FAST), {"dann_hidden": 0},
-         "dann_hidden must be >= 1, got 0"),
+         "RunConfig: unknown keys ['dann_hidden']"),
+        ("train", ("--variant", "dann", *TOY_FAST), {"dann_weight": -1},
+         "RunConfig: unknown keys ['dann_weight']"),
+        ("train", ("--batch-size", "16"), {"model": {"recon_hidden": 0}},
+         "ModelConfig: unknown keys ['recon_hidden']"),
+        ("train", ("--batch-size", "16"), {"model": {"n_decoder_layers": 0}},
+         "ModelConfig: unknown keys ['n_decoder_layers']"),
+        ("train", TOY_FAST, {"kernel": {"family": "laplace"}},
+         "KernelSpec: unknown keys ['family']"),
         ("train", DESK_FAST, {"feature_mask": []},
          "feature_mask must be non-empty with indices in 0..23, got []"),
         ("train", DESK_FAST, {"feature_mask": [0, 30]},
@@ -271,8 +280,6 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
         ("train", DESK_FAST, {"feature_mask": 5}, "feature_mask must be a list of integers, got 5"),
         ("train", DESK_FAST, {"feature_mask": [0, 1.5]},
          "feature_mask must be a list of integers, got (0, 1.5)"),
-        ("train", ("--variant", "dann", *TOY_FAST), {"dann_weight": -1},
-         "dann_weight must be >= 0, got -1"),
         ("train", ("--seeds", "-1", *TOY_FAST), {}, "seeds must be >= 0, got [-1]"),
         ("train", TOY_FAST, {"seeds": [1.5]}, "seeds must be a list of integers, got (1.5,)"),
         ("train", TOY_FAST, {"seeds": [True]}, "seeds must be a list of integers, got (True,)"),
@@ -281,8 +288,6 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
         ("train", TOY_FAST, {"val_fraction": 1.5}, "val_fraction must lie in (0, 1), got 1.5"),
         ("train", ("--batch-size", "16"), {"model": {"n_heads": 2.0}},
          "n_heads must be an integer, got 2.0"),
-        ("train", ("--batch-size", "16"), {"model": {"recon_hidden": 0}},
-         "recon_hidden must be >= 1, got 0"),
     ],
     ids=["unknown-preset", "model-window-conflict", "toy-flag-mask", "toy-file-mask",
          "toy-model", "desk-model", "seeds-not-int", "window-zero", "window-negative",
@@ -290,11 +295,12 @@ def test_config_file_defaults_and_unknown_key_rejection(cmapss_tiny_dir, tmp_pat
          "jobs-file-not-int", "jobs-file-zero", "jobs-file-fraction", "jobs-file-string",
          "jobs-file-float", "jobs-file-bool",
          "lr-gamma-above-1", "lr-gamma-zero", "lr-decay-start-negative", "dann-hidden-zero",
+         "dann-weight-negative", "recon-hidden-zero", "n-decoder-layers-zero",
+         "kernel-family-laplace",
          "mask-empty", "mask-out-of-range", "mask-negative", "toy-file-mask-empty",
          "window-fraction", "epochs-fraction", "epochs-bool", "mask-not-list",
-         "mask-fraction", "dann-weight-negative", "seeds-negative", "seeds-fraction",
-         "seeds-bool", "lr-nan", "rc-zero", "val-fraction-above-1", "n-heads-float",
-         "recon-hidden-zero"],
+         "mask-fraction", "seeds-negative", "seeds-fraction",
+         "seeds-bool", "lr-nan", "rc-zero", "val-fraction-above-1", "n-heads-float"],
 )
 def test_config_errors_exit_2_before_any_work(
     command, flags, file_cfg, message, cmapss_tiny_dir, tmp_path, capsys
@@ -325,7 +331,6 @@ BAD_FILE_VALUES = [  # fields of each kind from each config class, and its mappi
     ({"weights": {"da_start_iteration": 2.5}}, "da_start_iteration"),
     ({"kernel": {"bandwidth_mode": ""}}, "bandwidth_mode"),
     ({"kernel": {"bandwidth_mode": "fixed", "bandwidth": float("nan")}}, "bandwidth"),
-    ({"kernel": {"family": "laplace"}}, "family"),
     ({"model": {"attn_dim": True}}, "attn_dim"),
     ({"model": {"recon_cell": 5}}, "recon_cell"),
     ({"weights": 5}, "weights"),

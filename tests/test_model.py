@@ -61,7 +61,7 @@ def test_squeeze_expand_table_widths():
     # M = (8 + 8) * 32 = 512, squeezed through 500 -> 200 and mirrored back
     cfg = ModelConfig(
         n_features=8, window=8, attn_dim=32, n_heads=4,
-        n_encoder_layers=1, n_decoder_layers=1, ffn_dim=64,
+        n_encoder_layers=1, ffn_dim=64,
     )
     model = Model(cfg, np.random.default_rng(0))
     assert cfg.latent_dim == 512
@@ -83,11 +83,15 @@ def test_bottleneck_must_be_smaller_than_latent():
 def test_default_config_matches_selected_hyperparameters():
     cfg = ModelConfig()
     assert (cfg.attn_dim, cfg.n_heads) == (32, 4)
-    assert (cfg.n_encoder_layers, cfg.n_decoder_layers) == (3, 1)
+    assert cfg.n_encoder_layers == 3
     assert (cfg.squeeze_hidden, cfg.bottleneck) == (500, 200)
-    assert (cfg.recon_cell, cfg.recon_hidden) == ("gru", 1)
+    assert cfg.recon_cell == "gru"
     assert cfg.latent_dim == (24 + 40) * 32 == 2048
     model = Model(cfg, np.random.default_rng(0))
+    # one decoder block and a GRU of hidden size 1
+    assert {name.split(".")[1] for name in model.params if name.startswith("dec.")} == {
+        "query", "0", "out"}
+    assert model.params["recon.cell.w_h"].shape == (1, 3)
     X = np.random.default_rng(1).uniform(size=(2, 24, 40))
     with ad.no_grad():
         bundle = model.forward(X)
@@ -174,11 +178,12 @@ def test_stacked_cell_weights_are_the_per_gate_draws(monkeypatch, cell, gates):
 
     xavier = model_module._xavier
     monkeypatch.setattr(model_module, "_xavier", recording)
-    cfg = tiny_model_config(recon_cell=cell, recon_hidden=2)
+    monkeypatch.setattr(model_module, "RECON_HIDDEN", 2)
+    cfg = tiny_model_config(recon_cell=cell)
     model = Model(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(0)
     rng.bit_generator.state = states[-2 * len(gates) - 1]  # recon.out.W is the last draw
-    f, H = cfg.n_features, cfg.recon_hidden
+    f, H = cfg.n_features, 2
     w_i, w_h = [], []
     for _ in gates:
         w_i.append(rng.uniform(-np.sqrt(6.0 / (f + H)), np.sqrt(6.0 / (f + H)), size=(f, H)))

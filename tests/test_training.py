@@ -104,30 +104,44 @@ def test_run_config_validation():
         toy_config(variant="bogus")
     with pytest.raises(ValueError):
         toy_config(window=40)  # model window stays 16
-    for gamma in (0.0, -0.5, 1.5):
-        with pytest.raises(ValueError, match="lr_gamma must lie in"):
-            toy_config(lr_gamma=gamma)
-    assert toy_config(lr_gamma=1.0).lr_gamma == 1.0
-    with pytest.raises(ValueError, match="lr_decay_start must be >= 0"):
-        toy_config(lr_decay_start=-1)
-    with pytest.raises(ValueError, match="dann_hidden must be >= 1"):
-        toy_config(dann_hidden=0)
     for mask in ((), (3, 24), (-1, 3)):
         with pytest.raises(ValueError, match="feature_mask must be non-empty"):
             toy_config(feature_mask=mask, model=toy_model_config(n_features=len(mask)))
     for mask in (5, "abc", (3, 4.0), (3, True)):
         with pytest.raises(ValueError, match="feature_mask must be a list of integers"):
             toy_config(feature_mask=mask)
-    for name in ("epochs", "batch_size", "lr_decay_start", "dann_hidden", "val_seed"):
+    for name in ("epochs", "batch_size", "val_seed"):
         for bad in (2.0, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 toy_config(**{name: bad})
     with pytest.raises(ValueError, match="window must be an integer"):
         toy_config(window=16.0, model=toy_model_config(window=16.0))
-    for weight in (-0.2, float("nan")):
-        with pytest.raises(ValueError, match="dann_weight must be >= 0"):
-            toy_config(variant="dann", dann_weight=weight)
-    assert toy_config(variant="dann", dann_weight=0.0).dann_weight == 0.0
+    # settings that are constants now, each at the value it had: an unknown key
+    for section, name, value in ((None, "lr_gamma", 0.95), (None, "lr_decay_start", 100),
+                                 (None, "dann_weight", 0.2), (None, "dann_hidden", 64),
+                                 ("model", "n_decoder_layers", 1), ("model", "recon_hidden", 1),
+                                 ("kernel", "family", "rbf")):
+        payload = toy_config(variant="dann").to_dict()
+        (payload if section is None else payload[section])[name] = value
+        with pytest.raises(ValueError, match=rf"unknown keys \['{name}'\]"):
+            run_config_from_dict(payload)
+
+
+def test_the_config_surface_is_these_29_settings():
+    """Every value a run config sets, a nested one as `<section>.<key>`:
+    a setting added or removed shows here."""
+    keys = []
+    for key, value in RunConfig().to_dict().items():
+        keys += [f"{key}.{sub}" for sub in value] if isinstance(value, dict) else [key]
+    assert keys == [
+        "source_subset", "target_subset", "variant", "window", "epochs", "batch_size", "lr",
+        "rc", "weights.lambda_m", "weights.lambda_r", "weights.lambda_s", "weights.gamma_noise",
+        "weights.da_start_iteration", "model.n_features", "model.window", "model.attn_dim",
+        "model.n_heads", "model.n_encoder_layers", "model.ffn_dim", "model.squeeze_hidden",
+        "model.bottleneck", "model.head_dim", "model.recon_cell", "kernel.bandwidth_mode",
+        "kernel.bandwidth", "seeds", "val_seed", "val_fraction", "feature_mask",
+    ]
+    assert len(keys) == 29
 
 
 def test_run_config_roundtrip_and_unknown_key_rejection():
@@ -475,7 +489,8 @@ def two_pass_loss_and_grads(state, src_X, src_y, tgt_X):
         )
     if variant == "dann":
         terms["adversarial"] = dann_loss(
-            bundle_s.c, bundle_t.c, state.discriminator, config.dann_weight
+            bundle_s.c, bundle_t.c, state.discriminator,
+            training.VARIANT_TERMS["dann"]["adversarial"],
         )
     loss = composite_loss(rul, terms, config.weights)
     backward(loss)
@@ -942,6 +957,40 @@ def test_train_refuses_a_state_whose_epoch_length_the_pools_do_not_give(
                                          "epoch, but the pools give 38"):
         train(loaded, *_short_pools(toy_domains, 600, 600))
     assert loaded.iteration == iteration and not loaded.history
+
+
+def test_a_state_trained_on_other_pools_resumes_as_its_checkpoint_does(
+        tmp_path, toy_domains, monkeypatch):
+    """3 steps on the full toy pools, then on to step 80 with the source cut
+    from 1,182 to 1,170 windows, which still gives 74 steps per epoch: the
+    state in memory redraws the epoch's plan for the pools it is given, once,
+    and ends as its saved, loaded and resumed checkpoint does, bitwise."""
+    config = toy_config("no_da", epochs=50)
+    state = init_state(config, 1)
+    train(state, *toy_domains, max_iterations=3)
+    save_train_checkpoint(tmp_path / "ckpt.bin", state)
+    n_target = len(toy_domains[1].train_windows)
+    assert len(toy_domains[0].train_windows) == 1182
+    assert steps_per_epoch(1170, n_target, config.batch_size) == state.steps_per_epoch == 74
+    short = _short_pools(toy_domains, 1170, n_target)
+    resumed = train(load_train_checkpoint(tmp_path / "ckpt.bin", config), *short,
+                    max_iterations=80)
+    draws = []
+
+    def counted_plan(n_source, n_target, rng):
+        draws.append((n_source, n_target))
+        return epoch_plan(n_source, n_target, rng)
+
+    monkeypatch.setattr(training, "epoch_plan", counted_plan)
+    train(state, *short, max_iterations=80)
+    assert draws == [(1170, n_target)] * 2  # the changed pools' plan, then epoch 2's
+    assert state.history[3:] == resumed.history
+    for name, p in state.trainable().items():
+        np.testing.assert_array_equal(resumed.trainable()[name].data, p.data, err_msg=name)
+        np.testing.assert_array_equal(resumed.adam.m[name], state.adam.m[name], err_msg=name)
+        np.testing.assert_array_equal(resumed.adam.v[name], state.adam.v[name], err_msg=name)
+    for rng in ("rng_shuffle", "rng_noise"):
+        assert getattr(resumed, rng).bit_generator.state == getattr(state, rng).bit_generator.state
 
 
 # ---------------------------------------------------------------------------
